@@ -20,6 +20,15 @@ integrated by Gauss-Legendre on geometrically graded panels. All sigma
 multiplicity (mirror directions for d = 2, the azimuthal circle for d = 3)
 is folded into the quadrature weights, so sum(weights) is the truncated
 total cross-section.
+
+Every transform here is Hermitian (the density is real), and so is Qhat:
+Qhat(-eta) = conj Qhat(eta). The gain is therefore evaluated on one node
+of each conjugate pair and mirrored; the unpaired nodes (the -n/2 row and
+column of the planar lattice) are evaluated directly. For d = 1 the
+mirror theta -> -theta maps eta- to -eta- and keeps eta+, so the two
+angles fold into one with doubled weight:
+
+    gain(eta) = sum_{theta > 0} 2 w Re ghat(eta sin theta) hhat(eta cos theta).
 """
 
 from __future__ import annotations
@@ -29,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import map_chunks, worker_count
 from .errors import ConfigError
 from .spectral import GridSpec, SpectralState, _InterpPlan, moments, refine_array
 
@@ -173,37 +181,54 @@ def kac_pair(eta, theta) -> tuple:
 # cached evaluator
 # ----------------------------------------------------------------------------
 
-def _split(arr: np.ndarray, k: int) -> list:
-    if k <= 1 or arr.shape[0] < 4 * k:
-        return [arr]
-    return np.array_split(arr, k)
+def _mirror(grid: GridSpec) -> np.ndarray:
+    """Flat index of the node at -eta for every node (itself if unpaired)."""
+    if grid.mode == "full-1d":
+        return np.arange(grid.shape[0])[::-1]
+    if grid.mode == "radial":
+        return np.arange(grid.n)
+    # full-2d: index 0 along either axis is the unpaired -n/2 row/column
+    n = grid.n
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return np.where((i > 0) & (j > 0), (n - i) * n + (n - j), i * n + j).ravel()
 
 
 class _Evaluator:
     """Precomputed angular nodes, sample coordinates, and interpolation plans
-    for one (grid, cross-section, quadrature) triple."""
+    for one (grid, cross-section, quadrature) triple.
+
+    Everything is built on the kept nodes: one node of each conjugate pair
+    (eta, -eta) plus the unpaired nodes; `expand` restores the full array.
+    For d = 1 only theta > 0 is stored, with doubled weights.
+    """
 
     def __init__(self, grid: GridSpec, cs: CrossSection, quad: AngularQuadrature):
         self.grid = grid
         d = grid.dimension
+        mirror = _mirror(grid)
+        flat = np.arange(mirror.size)
+        self.keep = np.flatnonzero(mirror <= flat)
+        self.drop = np.flatnonzero(mirror > flat)
+        pos = np.empty(mirror.size, dtype=np.int64)
+        pos[self.keep] = np.arange(self.keep.size)
+        self.drop_src = pos[mirror[self.drop]]
+        self.pts = grid.nodes()[self.keep]
         if d == 1:
-            th, w = quad.angles(math.pi / 4)
-            theta = np.concatenate([-th[::-1], th])
-            weights = np.concatenate([w[::-1], w]) * cs.collapsed(theta)
-            eta = grid.axis_nodes()
-            minus, plus = kac_pair(eta[:, None], theta[None, :])
+            theta, w = quad.angles(math.pi / 4)
+            weights = 2.0 * w * cs.collapsed(theta)
+            minus, plus = kac_pair(self.pts[:, None], theta[None, :])
         elif grid.mode == "radial":
             theta, w = quad.angles(math.pi / 2)
             mult = 2.0 * math.pi if d == 3 else 2.0
             weights = mult * w * cs.collapsed(theta)
-            r = grid.axis_nodes()
+            r = self.pts
             minus = r[:, None] * np.sin(theta[None, :] / 2.0)
             plus = r[:, None] * np.cos(theta[None, :] / 2.0)
         else:  # full-2d
             th, w = quad.angles(math.pi / 2)
             theta = np.concatenate([-th[::-1], th])
             weights = np.concatenate([w[::-1], w]) * cs.collapsed(theta)
-            pts = grid.nodes()
+            pts = self.pts
             r = np.linalg.norm(pts, axis=-1, keepdims=True)
             ehat = np.divide(pts, r, out=np.zeros_like(pts), where=r > 0)
             sigma = (np.cos(theta)[None, :, None] * ehat[:, None, :]
@@ -213,33 +238,32 @@ class _Evaluator:
         self.theta = theta
         self.weights = weights
         self.total_weight = float(weights.sum())
-        if d == 1 or grid.mode == "radial":
-            self.abs_minus, self.abs_plus = np.abs(minus), np.abs(plus)
-        else:
+        if grid.mode == "full-2d":
             self.abs_minus = np.linalg.norm(minus, axis=-1)
             self.abs_plus = np.linalg.norm(plus, axis=-1)
-        self.n_nodes = minus.shape[0]
-        self.n_theta = theta.shape[0]
-        flat_minus = minus.reshape(-1, 2) if grid.mode == "full-2d" else minus.reshape(-1)
-        flat_plus = plus.reshape(-1, 2) if grid.mode == "full-2d" else plus.reshape(-1)
-        k = worker_count()
-        self.plans_minus = [_InterpPlan(grid, c) for c in _split(flat_minus, k)]
-        self.plans_plus = [_InterpPlan(grid, c) for c in _split(flat_plus, k)]
+        else:
+            self.abs_minus, self.abs_plus = np.abs(minus), np.abs(plus)
+        self.n_nodes, self.n_theta = self.abs_minus.shape
+        self.plan_minus = _InterpPlan(grid, minus)
+        self.plan_plus = _InterpPlan(grid, plus)
 
     def gather(self, fine: np.ndarray, side: str) -> np.ndarray:
-        plans = self.plans_minus if side == "minus" else self.plans_plus
-        if len(plans) == 1:
-            out = plans[0].apply(fine)
-        else:
-            out = np.concatenate(map_chunks(lambda p: p.apply(fine), plans))
-        return out.reshape(self.n_nodes, self.n_theta)
+        plan = self.plan_minus if side == "minus" else self.plan_plus
+        return plan.apply(fine).reshape(self.n_nodes, self.n_theta)
+
+    def expand(self, kept: np.ndarray) -> np.ndarray:
+        """Full node array from kept-node values by x(-eta) = conj x(eta)."""
+        out = np.empty(self.keep.size + self.drop.size, dtype=kept.dtype)
+        out[self.keep] = kept
+        out[self.drop] = np.conj(kept[self.drop_src])
+        return out.reshape(self.grid.shape)
 
 
 _EVAL_CACHE: dict = {}
 
 
 def _evaluator(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature) -> _Evaluator:
-    key = (grid, cs, quad, worker_count())
+    key = (grid, cs, quad)
     ev = _EVAL_CACHE.get(key)
     if ev is None:
         ev = _Evaluator(grid, cs, quad)
@@ -257,17 +281,27 @@ def rhs_bilinear(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature,
                  g_values: np.ndarray, h_values: np.ndarray) -> np.ndarray:
     """Qhat(g, h) on the grid nodes from raw transform samples.
 
+    g and h must be Hermitian, ghat(-eta) = conj ghat(eta), as transforms of
+    real densities are: the gain is evaluated on one node of each conjugate
+    pair and mirrored by Qhat(-eta) = conj Qhat(eta), and for d = 1 the
+    angles theta < 0 are folded onto theta > 0. Passing the same array as g
+    and h refines it once.
+
     The zero node is set to exactly 0: there eta+ = eta- = 0 and the
     gain/loss terms cancel identically, so any residue is pure roundoff.
     """
     ev = _evaluator(grid, cs, quad)
+    same = g_values is h_values
     g_values = np.asarray(g_values, dtype=complex).reshape(grid.shape)
-    h_values = np.asarray(h_values, dtype=complex).reshape(grid.shape)
-    gm = ev.gather(refine_array(grid, g_values), "minus")
-    hp = ev.gather(refine_array(grid, h_values), "plus")
-    gain = (gm * hp) @ ev.weights
-    g0 = g_values[grid.zero_index]
-    out = (gain - ev.total_weight * g0 * h_values.reshape(-1)).reshape(grid.shape)
+    h_values = g_values if same else np.asarray(h_values, dtype=complex).reshape(grid.shape)
+    fine_g = refine_array(grid, g_values)
+    fine_h = fine_g if same else refine_array(grid, h_values)
+    gm = ev.gather(fine_g, "minus")
+    if grid.dimension == 1:
+        gm = gm.real   # ghat(-x) = conj ghat(x) pairs theta with -theta
+    hp = ev.gather(fine_h, "plus")
+    gain = ev.expand((gm * hp * ev.weights).sum(axis=1))
+    out = gain - ev.total_weight * g_values[grid.zero_index] * h_values
     out[grid.zero_index] = 0.0
     return out
 
@@ -337,5 +371,4 @@ def coercivity_probe(state: SpectralState, cs: CrossSection,
     """
     ev = _evaluator(state.grid, cs, quad)
     gm = np.abs(ev.gather(refine_array(state.grid, state.values), "minus"))
-    absorbed = gm @ ev.weights
-    return (ev.total_weight * state.mass - absorbed).reshape(state.grid.shape)
+    return ev.total_weight * state.mass - ev.expand((gm * ev.weights).sum(axis=1))

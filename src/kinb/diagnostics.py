@@ -243,18 +243,19 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     cells = grid.cell_weights().reshape(-1)
     lhs = float(np.sum(cells * ((q1 - q2) * np.conj(gf)).reshape(-1)).real)
 
+    # |fhat| and every weight below are even in eta, so the angular sums run
+    # on the operator's kept nodes and are mirrored onto the rest
     ev = _evaluator(grid, cs, quad)
     fine = refine_array(grid, f)
     fm = np.abs(ev.gather(fine, "minus"))
     fp = np.abs(ev.gather(fine, "plus"))
     theta = ev.theta
 
+    half = theta / 2.0
     if d == 1:
         sin_sq = np.sin(theta) ** 2          # = 1 - |eta+|^2/|eta|^2
         ratio_pm = 1.0 / np.tan(theta) ** 2   # |eta+|^2 / |eta-|^2
-        half = np.abs(theta) / 2.0
     else:
-        half = theta / 2.0
         sin_sq = np.sin(half) ** 2
         ratio_pm = 1.0 / np.tan(half) ** 2
     eps_prop = epsilon(alpha, ratio_pm)
@@ -270,20 +271,22 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     glam_plus = _grow(bt, ev.abs_plus ** 2, alpha=alpha)
     glam_plus = np.where(ev.abs_plus <= lam * (1.0 + 1e-12), glam_plus, 0.0)
     bracket_plus = (1.0 + ev.abs_plus ** 2) ** alpha
-    inner = (g_minus_eps * fm * glam_plus * fp * bracket_plus) @ (ev.weights * sin_sq)
+    inner = ev.expand(((g_minus_eps * fm * glam_plus * fp * bracket_plus)
+                       * (ev.weights * sin_sq)).sum(axis=1)).reshape(-1)
     rhs_bound = 2.0 * ab_t * float(np.sum(cells * g_mag * inner))
 
     # square-weighted bound, outer variable eta; the evaluator weights carry
     # b(cos t)*sin^{d-2}t, so sin^2 of the full angle completes sin^d t * b
     ind_minus = ev.abs_minus <= lam / math.sqrt(2.0) * (1.0 + 1e-12)
     g_minus_lem = _grow(bt, ev.abs_minus ** 2, power=eps_lem[None, :], alpha=alpha)
-    inner_i = (g_minus_lem * fm * ind_minus) @ (ev.weights * np.sin(theta) ** 2)
+    inner_i = ev.expand((g_minus_lem * fm * ind_minus
+                         * (ev.weights * np.sin(theta) ** 2)).sum(axis=1)).reshape(-1)
     bracket_nodes = (1.0 + r_nodes ** 2) ** alpha
     i_term = ab_t * float(np.sum(cells * g_mag ** 2 * bracket_nodes * inner_i))
 
     # square-weighted bound, outer variable eta+
     if d == 1:
-        pts = grid.axis_nodes()[:, None] * np.tan(theta)[None, :]
+        pts = ev.pts[:, None] * np.tan(theta)[None, :]
         kernel_plus = ev.weights * sin_sq
         eps_plus = eps_lem
         pref = math.sqrt(2.0) * ab_t
@@ -292,9 +295,9 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
         eps_plus = epsilon(alpha, 1.0 / np.tan(th_p) ** 2)
         pref = 2.0 ** d * ab_t
         if grid.mode == "radial":
-            pts = grid.axis_nodes()[:, None] * np.tan(th_p)[None, :]
+            pts = ev.pts[:, None] * np.tan(th_p)[None, :]
         else:
-            nodes = grid.nodes().reshape(-1, 2)
+            nodes = ev.pts
             rr = np.linalg.norm(nodes, axis=-1, keepdims=True)
             ehat = np.divide(nodes, rr, out=np.zeros_like(nodes), where=rr > 0)
             omega = np.stack([-ehat[:, 1], ehat[:, 0]], axis=-1)
@@ -303,9 +306,7 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
             pts = np.concatenate([-base, base], axis=1)
             kernel_plus = np.concatenate([kernel_plus, kernel_plus])
             eps_plus = np.concatenate([eps_plus, eps_plus])
-    fmp = np.abs(_InterpPlan(grid, pts.reshape(-1, 2) if grid.mode == "full-2d"
-                             else pts.reshape(-1)).apply(fine))
-    fmp = fmp.reshape(len(r_nodes), -1)
+    fmp = np.abs(_InterpPlan(grid, pts).apply(fine)).reshape(ev.n_nodes, -1)
     if grid.mode == "full-2d":
         abs_pts = np.linalg.norm(pts, axis=-1)
     else:
@@ -313,7 +314,8 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     ind_plus = abs_pts <= lam / math.sqrt(2.0) * (1.0 + 1e-12)
     g_minus_plus = _grow(bt, abs_pts ** 2, power=np.broadcast_to(eps_plus, abs_pts.shape),
                          alpha=alpha)
-    inner_p = (g_minus_plus * fmp * ind_plus) @ kernel_plus
+    inner_p = ev.expand((g_minus_plus * fmp * ind_plus
+                         * kernel_plus).sum(axis=1)).reshape(-1)
     i_plus_term = pref * float(np.sum(cells * g_mag ** 2 * bracket_nodes * inner_p))
 
     return CommutatorReport(lhs=lhs, rhs_bound=rhs_bound, i_term=i_term,

@@ -16,6 +16,13 @@ evolves is compactly supported well inside the physical window 1/h), then
 applies local 4-point cubic interpolation on the refined grid. Plain cubic on
 the coarse grid cannot reach the advertised tolerances for sharply peaked
 spectra; the refinement factor is an implementation constant, not a knob.
+The planar refinement transforms only the nonzero columns of the padded
+coefficient block before the row transforms.
+
+Moments need no refinement: the refined transform is the trigonometric
+polynomial sum_j c_j e^{-2 pi i v_j . eta} whose coefficients are the
+inverse-DFT samples c_j = f(v_j) dv^d, so int v^k f dv is the exact sum
+sum_j c_j v_j^k (radial: over the even extension of the profile).
 """
 
 from __future__ import annotations
@@ -331,18 +338,25 @@ def _refine_1d(values: np.ndarray, upsample: int) -> np.ndarray:
 
 
 def _refine_2d(values: np.ndarray, upsample: int) -> np.ndarray:
+    """2-D refinement of an even M x M lattice, pruned to the nonzero data.
+
+    Only M of the U*M zero-padded columns are nonzero, so those are
+    transformed along axis 0 first and the rows after. For even M and U*M
+    the ifftshift of the input and the fftshift of the output are sign
+    modulations that cancel, so neither is applied.
+    """
     M = values.shape[0]
-    a = np.fft.ifftshift(values)
-    A = np.fft.ifft2(a)
-    half = M // 2  # even M: indices 0..M/2-1 hold v >= 0
-    pad = (upsample - 1) * M
-    ext = np.zeros((upsample * M, upsample * M), dtype=complex)
-    ext[:half, :half] = A[:half, :half]
-    ext[:half, half + pad:] = A[:half, half:]
-    ext[half + pad:, :half] = A[half:, :half]
-    ext[half + pad:, half + pad:] = A[half:, half:]
-    fine = np.fft.fft2(ext)
-    return np.fft.fftshift(fine)
+    half = M // 2  # indices 0..M/2-1 hold v >= 0
+    Mf = upsample * M
+    A = np.fft.ifft2(values)
+    cols = np.zeros((Mf, M), dtype=complex)
+    cols[:half] = A[:half]
+    cols[half - M:] = A[half:]
+    cols = np.fft.fft(cols, axis=0)
+    ext = np.zeros((Mf, Mf), dtype=complex)
+    ext[:, :half] = cols[:, :half]
+    ext[:, half - M:] = cols[:, half:]
+    return np.fft.fft(ext, axis=1)
 
 
 def _fine_axis(grid: GridSpec) -> tuple:
@@ -452,95 +466,64 @@ def interpolate(state: SpectralState, points) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# moments from derivatives at eta = 0
+# dual samples: moments and physical-space reconstruction
 # ----------------------------------------------------------------------------
 
-def _axis_derivs(fine: np.ndarray, i0: int, hf: float, max_order: int) -> list:
-    """Central-difference derivatives at index i0 along a refined axis.
-
-    Orders 1, 2 use 5-point O(h^4) stencils; orders 3, 4 the standard O(h^2)
-    5-point stencils. Returns [f, f', f'', ...] up to max_order.
+def _dual_samples(grid: GridSpec, values: np.ndarray) -> tuple:
+    """(v, c, dv): coefficients of the trigonometric polynomial
+    fhat(eta) = sum_j c_j exp(-2 pi i v_j . eta) through the node samples,
+    on the dual axis v_j = j dv with dv = 1/(M h). c_j = f(v_j) dv^d is the
+    inverse DFT; radial data use the even extension along one axis.
     """
-    f = [fine[i0]]
-    fm2, fm1, f0, fp1, fp2 = (fine[i0 - 2], fine[i0 - 1], fine[i0],
-                              fine[i0 + 1], fine[i0 + 2])
-    if max_order >= 1:
-        f.append((-fp2 + 8 * fp1 - 8 * fm1 + fm2) / (12 * hf))
-    if max_order >= 2:
-        f.append((-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * hf * hf))
-    if max_order >= 3:
-        f.append((fp2 - 2 * fp1 + 2 * fm1 - fm2) / (2 * hf ** 3))
-    if max_order >= 4:
-        f.append((fp2 - 4 * fp1 + 6 * f0 - 4 * fm1 + fm2) / hf ** 4)
-    return f
+    h = grid.spacing
+    if grid.mode == "full-2d":
+        M = grid.n
+        c = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(values)))
+        j = np.arange(-M // 2, M // 2)
+    else:
+        if grid.mode == "radial":
+            values = np.concatenate([values[:0:-1], values])
+        M = 2 * grid.n - 1
+        c = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(values)))
+        j = np.arange(-(grid.n - 1), grid.n)
+    dv = 1.0 / (M * h)
+    return dv * j, c, dv
 
 
 def moments(state: SpectralState, order: int = 4):
-    """Moments from central differences of the refined transform at eta = 0.
+    """Moments as exact sums over the dual samples.
+
+    The refined transform is the trigonometric polynomial of _dual_samples,
+    so its derivatives at eta = 0 are the sums sum_j c_j (-2 pi i v_j)^k and
+    int v^k f dv = sum_j c_j v_j^k holds without a difference stencil.
 
     d = 1: returns (m0, ..., m_order) with signed moments int v^k f dv.
     d >= 2: order 3 is unavailable (raises); order <= 2 returns
     (m0, m1, m2) truncated at order, order = 4 returns (m0, m1, m2, m4)
-    with m1 a vector, m2 = int |v|^2 f, m4 = int |v|^4 f.
+    with m1 a vector, m2 = int |v|^2 f, m4 = int |v|^4 f. Radial data sum
+    the one-axis profile: m2 = d sum c v^2, m4 = d (d + 2)/3 sum c v^4.
     """
     g = state.grid
     if not 0 <= order <= 4:
         raise ValueError("order must be in 0..4")
-    fine = refined_values(state)
-    x0, hf, cnt = _fine_axis(g)
-    tp = 2.0 * np.pi
+    v, c, _ = _dual_samples(g, state.values)
+    c = c.real
     if g.mode == "full-1d":
-        i0 = int(round(-x0 / hf))
-        ders = _axis_derivs(fine, i0, hf, order)
-        out = []
-        for k, dk in enumerate(ders):
-            out.append(float((dk / (-2.0j * np.pi) ** k).real))
-        return tuple(out)
-    if g.mode == "radial":
-        if order == 3:
-            raise NotImplementedError("order 3 is not available for d >= 2")
-        i0 = cnt // 2
-        ders = _axis_derivs(fine, i0, hf, order)
-        d = g.dimension
-        out: list = [float(ders[0].real)]
-        if order >= 1:
-            out.append(np.zeros(d))
-        if order >= 2:
-            out.append(float((-d * ders[2] / tp ** 2).real))
-        if order >= 4:
-            lap2 = d * (d + 2) * ders[4] / 3.0
-            out.append(float((lap2 / tp ** 4).real))
-        return tuple(out)
-    # full-2d
+        return tuple(float(np.sum(c * v ** k)) for k in range(order + 1))
     if order == 3:
         raise NotImplementedError("order 3 is not available for d >= 2")
-    i0 = cnt // 2
-    c = fine[i0 - 2:i0 + 3, i0 - 2:i0 + 3]
-    d1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    d2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-    d4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
-    mid = np.zeros(5)
-    mid[2] = 1.0
-    def stencil2(ax, ay):
-        return float(np.real(ax @ c @ ay))
-    out = [float(c[2, 2].real)]
-    if order >= 1:
-        gx = complex(np.asarray(d1, complex) @ c[:, 2]) / hf
-        gy = complex(c[2, :] @ np.asarray(d1, complex)) / hf
-        out.append(np.array([(gx / (-2.0j * np.pi)).real, (gy / (-2.0j * np.pi)).real]))
-    if order >= 2:
-        lap = (stencil2(d2, mid) + stencil2(mid, d2)) / hf ** 2
-        out.append(-lap / tp ** 2)
-    if order >= 4:
-        lap2 = (stencil2(d4, mid) + stencil2(mid, d4)
-                + 2.0 * stencil2(d2, d2)) / hf ** 4
-        out.append(lap2 / tp ** 4)
-    return tuple(out)
+    d = g.dimension
+    if g.mode == "radial":
+        m1 = np.zeros(d)
+        q2, q4 = d * v ** 2, d * (d + 2) / 3.0 * v ** 4
+    else:
+        vx, vy = v[:, None], v[None, :]
+        m1 = np.array([np.sum(c * vx), np.sum(c * vy)])
+        q2 = vx ** 2 + vy ** 2
+        q4 = q2 ** 2
+    out = (float(np.sum(c)), m1, float(np.sum(c * q2)), float(np.sum(c * q4)))
+    return out if order == 4 else out[:order + 1]
 
-
-# ----------------------------------------------------------------------------
-# physical-space reconstruction
-# ----------------------------------------------------------------------------
 
 def to_physical(state: SpectralState) -> tuple:
     """Inverse transform on the dual grid (full modes only).
@@ -553,19 +536,8 @@ def to_physical(state: SpectralState) -> tuple:
     g = state.grid
     if g.mode == "radial":
         raise ConfigError("physical reconstruction requires a full grid mode")
-    h = g.spacing
-    if g.mode == "full-1d":
-        M = 2 * g.n - 1
-        a = np.fft.ifftshift(state.values)
-        phys = np.fft.fftshift(np.fft.ifft(a)) * (M * h)
-        dv = 1.0 / (M * h)
-        v = dv * np.arange(-(g.n - 1), g.n)
-    else:
-        M = g.n
-        a = np.fft.ifftshift(state.values)
-        phys = np.fft.fftshift(np.fft.ifft2(a)) * (M * h) ** 2
-        dv = 1.0 / (M * h)
-        v = dv * np.arange(-M // 2, M // 2)
+    v, c, dv = _dual_samples(g, state.values)
+    phys = c / dv ** g.dimension
     scale = float(np.abs(phys).max())
     if float(np.abs(phys.imag).max()) > 1e-9 * max(scale, 1e-300):
         raise NumericalFailure("reconstruction has a non-negligible imaginary part")

@@ -12,6 +12,7 @@ from kinb import (
     collision_geometry,
     from_inverse_power,
     init_state,
+    interpolate_array,
     kac_pair,
     transform_jacobian,
 )
@@ -266,3 +267,72 @@ def test_coercivity_probe_nonnegative():
     q2 = AngularQuadrature(theta_min=1e-2, panels=8, nodes_per_panel=5,
                            azimuthal_nodes=8)
     assert col.coercivity_probe(s2, cs, q2).min() >= -1e-10
+
+
+# ---------------------------------------------------------------------------
+# the mirrored, folded operator against a direct all-node evaluation
+# ---------------------------------------------------------------------------
+
+def _direct_rhs(grid, cs, quad, g_values, h_values):
+    """Qhat(g, h) by brute force: every node, both signs of theta, and the
+    public geometry and interpolation routines."""
+    if grid.mode == "full-1d":
+        th, w = quad.angles(np.pi / 4)
+        theta = np.concatenate([-th, th])
+        weights = np.concatenate([w, w]) * cs.collapsed(theta)
+        minus, plus = kac_pair(grid.nodes()[:, None], theta[None, :])
+    else:
+        th, w = quad.angles(np.pi / 2)
+        eta = grid.nodes()
+        r = np.linalg.norm(eta, axis=-1, keepdims=True)
+        ehat = np.divide(eta, r, out=np.zeros_like(eta), where=r > 0)
+        sigma = np.concatenate([col.sigma_from_angle(ehat[:, None, :], th[None, :], sign=s)
+                                for s in (-1, +1)], axis=1)
+        weights = np.concatenate([w, w]) * cs.collapsed(np.concatenate([th, th]))
+        minus, plus = collision_geometry(eta[:, None, :], sigma)
+    gain = (interpolate_array(grid, g_values, minus)
+            * interpolate_array(grid, h_values, plus)) @ weights
+    loss = weights.sum() * g_values[grid.zero_index] * h_values.reshape(-1)
+    out = (gain - loss).reshape(grid.shape)
+    out[grid.zero_index] = 0.0
+    return out
+
+
+def _hermitian_pair(grid, datum_g, datum_h):
+    g_vals = init_state(grid, datum_g).values.copy()
+    h_vals = init_state(grid, datum_h).values.copy()
+    if grid.mode == "full-2d":
+        # the stepper keeps the unpaired -n/2 row and column at zero
+        for v in (g_vals, h_vals):
+            v[0, :] = 0.0
+            v[:, 0] = 0.0
+    return g_vals, h_vals
+
+
+@pytest.mark.parametrize("mode", ["full-1d", "full-2d"])
+def test_rhs_bilinear_matches_direct_evaluation(mode):
+    cs = CrossSection(nu=0.3, kappa=1.0)
+    quad = AngularQuadrature(theta_min=1e-2, panels=4, nodes_per_panel=4)
+    if mode == "full-1d":
+        grid = GridSpec(dimension=1, mode="full-1d", n=64, eta_max=8.0)
+        dg = InitialDatum(kind="gaussian-mixture", dimension=1,
+                          components=((0.6, (0.7,), 0.35), (0.4, (-0.4,), 0.5)))
+        dh = InitialDatum(kind="gaussian-mixture", dimension=1,
+                          components=((0.3, (-0.9,), 0.3), (0.7, (0.2,), 0.45)))
+    else:
+        # small sigmas keep the transforms well above roundoff out to the
+        # unpaired -eta_max row and column, which are evaluated directly
+        grid = GridSpec(dimension=2, mode="full-2d", n=32, eta_max=4.0)
+        dg = InitialDatum(kind="gaussian-mixture", dimension=2,
+                          components=((0.6, (0.4, -0.2), 0.12), (0.4, (-0.3, 0.5), 0.15)))
+        dh = InitialDatum(kind="gaussian-mixture", dimension=2,
+                          components=((0.5, (-0.5, 0.1), 0.13), (0.5, (0.2, 0.3), 0.2)))
+    g_vals, h_vals = _hermitian_pair(grid, dg, dh)
+    for a, b in ((g_vals, h_vals), (g_vals, g_vals)):
+        got = col.rhs_bilinear(grid, cs, quad, a, b)
+        want = _direct_rhs(grid, cs, quad, a, b)
+        scale = float(a[grid.zero_index].real)
+        assert np.abs(got - want).max() < 1e-12 * scale
+        if mode == "full-2d":
+            assert np.abs(want[0, :]).max() > 1e-4 * scale
+            assert np.abs(want[:, 0]).max() > 1e-4 * scale

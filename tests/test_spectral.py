@@ -221,6 +221,19 @@ def test_moments_radial_vs_full2d():
     assert abs(mr[2] - 2.0 * 0.25) < 1e-8
 
 
+def test_planar_moments_are_exact_sums():
+    # an off-centre planar mixture: the moments of the trigonometric
+    # polynomial through the samples match the closed forms to roundoff
+    comps = ((0.7, (0.9, -0.4), 0.5), (0.3, (-0.6, 0.8), 0.55))
+    datum = InitialDatum(kind="gaussian-mixture", dimension=2, components=comps)
+    g = GridSpec(dimension=2, mode="full-2d", n=64, eta_max=2.5)
+    m0, m1, m2 = moments(init_state(g, datum), order=2)
+    want_m1 = sum(w * np.asarray(c) for w, c, _ in comps)
+    assert abs(m0 - 1.0) < 1e-12
+    assert np.abs(m1 - want_m1).max() < 1e-12 * np.abs(want_m1).max()
+    assert abs(m2 - datum.moment2()) < 1e-12 * datum.moment2()
+
+
 def test_to_physical_gaussian():
     g = GridSpec(dimension=1, mode="full-1d", n=256, eta_max=16.0)
     datum = InitialDatum(kind="gaussian", dimension=1, sigma=1.0)
