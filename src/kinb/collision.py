@@ -296,9 +296,9 @@ def rhs_bilinear(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature,
     h_values = g_values if same else np.asarray(h_values, dtype=complex).reshape(grid.shape)
     fine_g = refine_array(grid, g_values)
     fine_h = fine_g if same else refine_array(grid, h_values)
-    gm = ev.gather(fine_g, "minus")
-    if grid.dimension == 1:
-        gm = gm.real   # ghat(-x) = conj ghat(x) pairs theta with -theta
+    # d = 1: ghat(-x) = conj ghat(x) pairs theta with -theta, so only
+    # Re ghat enters; radial refinements are real, and so is the gain
+    gm = ev.gather(fine_g.real if grid.dimension == 1 else fine_g, "minus")
     hp = ev.gather(fine_h, "plus")
     gain = ev.expand((gm * hp * ev.weights).sum(axis=1))
     out = gain - ev.total_weight * g_values[grid.zero_index] * h_values

@@ -22,9 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalFailure
 from .inequalities import alpha_md, epsilon, optimize_lambdas
-from .spectral import (GridSpec, SpectralState, interpolate_array, moments,
-                       refine_array, state_with_values, to_physical,
-                       _InterpPlan, _SPHERE_AREA)
+from .spectral import (GridSpec, SpectralState, moments, refine_array,
+                       state_with_values, to_physical, _InterpPlan, _SPHERE_AREA)
 from .collision import AngularQuadrature, CrossSection, _evaluator
 
 __all__ = [

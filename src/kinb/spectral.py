@@ -16,8 +16,15 @@ evolves is compactly supported well inside the physical window 1/h), then
 applies local 4-point cubic interpolation on the refined grid. Plain cubic on
 the coarse grid cannot reach the advertised tolerances for sharply peaked
 spectra; the refinement factor is an implementation constant, not a knob.
-The planar refinement transforms only the nonzero columns of the padded
-coefficient block before the row transforms.
+
+Every sample set must be the transform of a real density: Hermitian on full
+grids, real in radial mode. The full-1d and radial refinements use this:
+irfft of the eta >= 0 nodes gives the real physical samples, rfft of their
+zero-padding gives the refined eta >= 0 half-axis (real in radial mode), and
+points eta < 0 are read at |eta| and conjugated. interpolate_array rejects
+samples that break the requirement. The planar refinement transforms only
+the nonzero columns of the padded coefficient block before the row
+transforms.
 
 Moments need no refinement: the refined transform is the trigonometric
 polynomial sum_j c_j e^{-2 pi i v_j . eta} whose coefficients are the
@@ -41,7 +48,6 @@ __all__ = [
     "InitialDatum",
     "init_state",
     "refine_array",
-    "refined_values",
     "interpolate",
     "interpolate_array",
     "moments",
@@ -150,7 +156,9 @@ class SpectralState:
 
     Invariants enforced at construction: fhat(0) real and positive,
     |fhat| <= fhat(0) up to a 1e-9 relative slack (the stepping guard),
-    Hermitian symmetry within 1e-12 on full grids, finite values.
+    Hermitian symmetry within 1e-12 on full grids, real values within
+    1e-12 in radial mode (the transform of a radial real density), finite
+    values.
     """
     grid: GridSpec
     t: float
@@ -183,6 +191,8 @@ class SpectralState:
             sub = vals[1:, 1:]
             if np.abs(sub - sub[::-1, ::-1].conj()).max() > 1e-12 * z.real:
                 raise ConfigError("values are not Hermitian")
+        elif np.abs(vals.imag).max() > 1e-12 * z.real:
+            raise ConfigError("radial values are not real")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -321,20 +331,25 @@ def init_state(grid: GridSpec, datum: InitialDatum) -> SpectralState:
 # band-limited refinement + local cubic interpolation
 # ----------------------------------------------------------------------------
 
-def _refine_1d(values: np.ndarray, upsample: int) -> np.ndarray:
-    """Exact trigonometric refinement of uniformly spaced samples.
+def _refine_half(half: np.ndarray, upsample: int) -> np.ndarray:
+    """Real band-limited refinement read on the eta >= 0 half-axis.
 
-    Treats the M samples as one period of spacing h; returns U*M samples of
-    spacing h/U on the same circle, ascending order. Valid when the physical
-    signal is supported inside the window 1/h.
+    `half` holds the node values at k h, k = 0..n-1, of a Hermitian set of
+    M = 2n - 1 samples; their inverse DFT is M real physical samples, which
+    are zero-padded to U*M and transformed back by rfft. Returns the values
+    at k h/U for k = -1..U*M/2: the node at -h/U is the mirror conj of the
+    one at +h/U, so the 4-point stencil also works at eta = 0. Valid when
+    the physical signal is supported inside the window 1/h.
     """
-    M = values.shape[0]
-    a = np.fft.ifftshift(values)
-    A = np.fft.ifft(a)
-    half = (M + 1) // 2
-    ext = np.concatenate([A[:half], np.zeros((upsample - 1) * M, dtype=complex), A[half:]])
-    fine = np.fft.fft(ext)
-    return np.fft.fftshift(fine)
+    n = half.shape[0]
+    M = 2 * n - 1
+    Mf = upsample * M
+    c = np.fft.irfft(half, M)
+    ext = np.zeros(Mf)
+    ext[:n] = c[:n]            # v_j for j = 0..n-1
+    ext[Mf - n + 1:] = c[n:]   # j = -(n-1)..-1, wrapped to the end
+    spec = np.fft.rfft(ext)
+    return np.concatenate([spec[1:2].conj(), spec])
 
 
 def _refine_2d(values: np.ndarray, upsample: int) -> np.ndarray:
@@ -360,7 +375,9 @@ def _refine_2d(values: np.ndarray, upsample: int) -> np.ndarray:
 
 
 def _fine_axis(grid: GridSpec) -> tuple:
-    """(origin, spacing, count) of the refined axis for each mode."""
+    """(origin, spacing, count) of the refined axis for each mode: the
+    whole periodic lattice for full-2d, the eta >= 0 half-axis with one
+    mirrored node at -h/U for full-1d and radial."""
     U = _UPSAMPLE[grid.mode]
     h = grid.spacing
     if grid.mode == "full-2d":
@@ -368,26 +385,26 @@ def _fine_axis(grid: GridSpec) -> tuple:
         Mf = U * M
         x0 = -(Mf // 2) * (h / U)
         return x0, h / U, Mf
-    M = 2 * grid.n - 1
-    Mf = U * M
-    x0 = -(Mf // 2) * (h / U)
-    return x0, h / U, Mf
+    Mf = U * (2 * grid.n - 1)
+    return -h / U, h / U, Mf // 2 + 2
 
 
 def refine_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Band-limited refinement of node samples (radial: even extension)."""
+    """Band-limited refinement of node samples on the axis of _fine_axis.
+
+    The samples must be transforms of real densities: Hermitian on full
+    grids, real in radial mode (the even extension of a real profile).
+    full-1d and radial read only the eta >= 0 nodes, so for other input
+    the result is wrong without warning; interpolate_array checks this.
+    Radial results are real and returned as float64.
+    """
     U = _UPSAMPLE[grid.mode]
     values = np.asarray(values, dtype=complex)
-    if grid.mode == "full-1d":
-        return _refine_1d(values, U)
     if grid.mode == "full-2d":
         return _refine_2d(values, U)
-    full = np.concatenate([values[:0:-1], values])
-    return _refine_1d(full, U)
-
-
-def refined_values(state: SpectralState) -> np.ndarray:
-    return refine_array(state.grid, state.values)
+    if grid.mode == "full-1d":
+        return _refine_half(values[grid.n - 1:], U)
+    return np.ascontiguousarray(_refine_half(values, U).real)
 
 
 def _cubic_stencil(x: np.ndarray, x0: float, hf: float, count: int) -> tuple:
@@ -420,18 +437,28 @@ class _InterpPlan:
             self.iy, self.wy = _cubic_stencil(py, x0, hf, cnt)
             self.count = cnt
         else:
-            x = np.abs(np.asarray(points, dtype=float).reshape(-1)) \
-                if g.mode == "radial" else np.asarray(points, dtype=float).reshape(-1)
-            self.mask = np.abs(x) <= g.eta_max * (1 + 1e-12)
+            # the refined axis holds eta >= 0: full-1d reads x < 0 at |x|
+            # and conjugates, radial data are even
+            x = np.asarray(points, dtype=float).reshape(-1)
+            neg = x < 0
+            self.conj = neg if g.mode == "full-1d" and neg.any() else None
+            x = np.abs(x)
+            self.mask = x <= g.eta_max * (1 + 1e-12)
             xq = np.where(self.mask, x, 0.0)
-            self.ix, self.wx = _cubic_stencil(xq, x0, hf, cnt)
+            ix, self.wx = _cubic_stencil(xq, x0, hf, cnt)
+            self.first = ix - 1   # stencil a reads fine[a:][first]
             self.iy = None
 
     def apply(self, fine: np.ndarray) -> np.ndarray:
+        """Stencil sums on a refine_array result, in its dtype."""
         if self.iy is None:
-            out = np.zeros(self.ix.shape, dtype=complex)
-            for a in range(4):
-                out += self.wx[a] * fine[self.ix + (a - 1)]
+            out = self.wx[0] * fine[self.first]
+            for a in range(1, 4):
+                out += self.wx[a] * fine[a:][self.first]
+            if self.conj is not None:
+                out = np.where(self.conj, out.conj(), out)
+            if self.mask.all():
+                return out
         else:
             flat = fine.ravel()
             out = np.zeros(self.ix.shape, dtype=complex)
@@ -449,11 +476,24 @@ def interpolate_array(grid: GridSpec, values: np.ndarray, points) -> np.ndarray:
 
     points: scalars/arrays of eta (full-1d), radii (radial), or (..., 2)
     coordinates (full-2d). Exact at grid nodes up to refinement roundoff.
+    The samples must be transforms of real densities, as refine_array
+    requires: full-1d samples Hermitian and radial samples real, within
+    1e-12 of max |values|; other input raises ConfigError.
     """
+    values = np.asarray(values, dtype=complex).reshape(grid.shape)
+    if grid.mode != "full-2d":
+        if grid.mode == "full-1d":
+            resid = np.abs(values - values[::-1].conj()).max()
+        else:
+            resid = np.abs(values.imag).max()
+        if resid > 1e-12 * np.abs(values).max():
+            kind = "Hermitian" if grid.mode == "full-1d" else "real"
+            raise ConfigError(f"{grid.mode} samples must be {kind} "
+                              f"(residue {resid:.2e})")
     pts = np.asarray(points, dtype=float)
     scalar = pts.ndim == 0 or (grid.mode == "full-2d" and pts.ndim == 1)
     plan = _InterpPlan(grid, pts)
-    out = plan.apply(refine_array(grid, values))
+    out = plan.apply(refine_array(grid, values)).astype(complex, copy=False)
     if scalar:
         return complex(out[0])
     shape = pts.shape[:-1] if grid.mode == "full-2d" else pts.shape
@@ -481,10 +521,12 @@ def _dual_samples(grid: GridSpec, values: np.ndarray) -> tuple:
         c = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(values)))
         j = np.arange(-M // 2, M // 2)
     else:
-        if grid.mode == "radial":
-            values = np.concatenate([values[:0:-1], values])
         M = 2 * grid.n - 1
-        c = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(values)))
+        if grid.mode == "radial":
+            # the even extension of a real profile: real, even samples
+            c = np.fft.fftshift(np.fft.irfft(values, M))
+        else:
+            c = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(values)))
         j = np.arange(-(grid.n - 1), grid.n)
     dv = 1.0 / (M * h)
     return dv * j, c, dv

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kinb import spectral
 from kinb.errors import ConfigError, NumericalFailure
 from kinb.spectral import (GridSpec, InitialDatum, SpectralState, init_state,
                            interpolate_array, moments, refine_array,
@@ -184,6 +185,63 @@ def test_interpolation_exact_at_grid_nodes():
     np.testing.assert_allclose(got, st.values, atol=1e-9)
 
 
+_REFINE_CASES = {
+    "full-1d": (GridSpec(dimension=1, mode="full-1d", n=48, eta_max=6.0),
+                InitialDatum(kind="gaussian-mixture", dimension=1,
+                             components=((0.6, (0.7,), 0.35), (0.4, (-0.4,), 0.5)))),
+    "radial-2": (GridSpec(dimension=2, mode="radial", n=48, eta_max=6.0),
+                 InitialDatum(kind="gaussian-mixture", dimension=2,
+                              components=((0.5, (), 0.3), (0.5, (), 0.6)))),
+    "radial-3": (GridSpec(dimension=3, mode="radial", n=48, eta_max=6.0),
+                 InitialDatum(kind="laplace", dimension=3, a=0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFINE_CASES))
+def test_refine_array_matches_direct_trigonometric_sum(case):
+    # the refinement is the trigonometric polynomial sum_j c_j e^{-2 pi i v_j eta}
+    # through the 2n - 1 nodes k h (radial: the even extension), read at
+    # eta = (i - 1) h/U on the eta >= 0 half-axis; both the coefficients and
+    # the sum are evaluated directly here, without an FFT
+    grid, datum = _REFINE_CASES[case]
+    values = init_state(grid, datum).values
+    n, h = grid.n, grid.spacing
+    full = values if grid.mode == "full-1d" else np.concatenate([values[:0:-1], values])
+    M = 2 * n - 1
+    k = np.arange(-(n - 1), n)
+    v = k / (M * h)
+    c = np.exp(2j * np.pi * np.outer(v, k * h)) @ full / M
+    fine = refine_array(grid, values)
+    U = spectral._UPSAMPLE[grid.mode]
+    assert fine.shape == (U * M // 2 + 2,)
+    assert fine.dtype == (complex if grid.mode == "full-1d" else float)
+    rng = np.random.default_rng(7)
+    idx = np.concatenate([[0, 1, 2, fine.size - 1],
+                          rng.choice(fine.size, size=196, replace=False)])
+    eta = (idx - 1) * h / U
+    want = np.exp(-2j * np.pi * np.outer(eta, v)) @ c
+    assert np.abs(fine[idx] - want).max() < 1e-13 * values[grid.zero_index].real
+    if grid.mode == "full-1d":
+        pts = rng.uniform(0.0, grid.eta_max, size=100)
+        np.testing.assert_array_equal(interpolate_array(grid, values, -pts),
+                                      np.conj(interpolate_array(grid, values, pts)))
+
+
+def test_interpolate_array_rejects_non_real_samples():
+    # full-1d and radial refinements read only eta >= 0, so samples that are
+    # not transforms of real densities would give wrong values silently
+    g1 = GridSpec(dimension=1, mode="full-1d", n=33, eta_max=4.0)
+    vals = init_state(g1, InitialDatum(kind="gaussian", dimension=1)).values.copy()
+    vals[g1.zero_index[0] + 3] += 1e-6j
+    with pytest.raises(ConfigError, match="Hermitian"):
+        interpolate_array(g1, vals, np.array([0.5, 1.5]))
+    gr = GridSpec(dimension=3, mode="radial", n=33, eta_max=4.0)
+    vals = init_state(gr, InitialDatum(kind="gaussian", dimension=3)).values.copy()
+    vals[5] += 1e-6j
+    with pytest.raises(ConfigError, match="real"):
+        interpolate_array(gr, vals, np.array([0.5, 1.5]))
+
+
 # ---------------------------------------------------------------------------
 # moments and reconstruction
 # ---------------------------------------------------------------------------
@@ -258,6 +316,17 @@ def test_broken_symmetry_rejected_at_construction():
     vals += 1e-3j * np.exp(-g.abs_nodes() ** 2)  # breaks hermitian symmetry
     vals[g.zero_index] = st.values[g.zero_index]
     with pytest.raises(ConfigError):
+        state_with_values(st, vals)
+
+
+def test_radial_state_must_be_real():
+    # the radial refinement reads the profile as real; an imaginary part
+    # would be dropped without notice, so construction rejects it
+    g = GridSpec(dimension=3, mode="radial", n=33, eta_max=4.0)
+    st = init_state(g, InitialDatum(kind="gaussian", dimension=3))
+    vals = st.values.copy()
+    vals[4] += 1e-6j
+    with pytest.raises(ConfigError, match="real"):
         state_with_values(st, vals)
 
 
