@@ -60,6 +60,7 @@ _MODES = ("full-1d", "full-2d", "radial")
 _UPSAMPLE = {"full-1d": 32, "radial": 32, "full-2d": 16}
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}  # |S^{d-1}|
+_GATHER_BLOCK = 8192  # points per block of a planar gather (see _InterpPlan)
 
 
 @dataclass(frozen=True)
@@ -407,35 +408,81 @@ def refine_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_refine_half(values, U).real)
 
 
+def _fine_cell(u: np.ndarray, x0: float, hf: float, count: int) -> tuple:
+    """Fine-lattice coordinate u = (x - x0)/hf, computed in place from the
+    float array x passed as u, and the index floor(u), clipped to
+    1..count-3 so that the 4-point stencil stays on the lattice; the index
+    is returned as float."""
+    u -= x0
+    u /= hf
+    i = np.floor(u)
+    np.clip(i, 1, count - 3, out=i)
+    return u, i
+
+
+def _cubic_weights(t: np.ndarray) -> np.ndarray:
+    """4-point cubic Lagrange weights at offset t from the second node:
+    w0 = -t (t-1) (t-2)/6, w1 = (t+1) (t-1) (t-2)/2, w2 = -(t+1) t (t-2)/2,
+    w3 = (t+1) t (t-1)/6, products taken left to right. Overwrites t; a
+    planar plan holds ~10^5 points, so the buffers are reused."""
+    w = np.empty((4,) + t.shape)
+    tm1 = t - 1
+    np.add(t, 1, out=w[2])
+    np.multiply(w[2], tm1, out=w[1])
+    np.multiply(w[2], t, out=w[3])
+    w[3] *= tm1
+    np.negative(w[2], out=w[2])
+    w[2] *= t
+    np.negative(t, out=w[0])
+    w[0] *= tm1
+    t -= 2
+    w[:3] *= t
+    w[0::3] /= 6.0
+    w[1:3] /= 2.0
+    return w
+
+
 def _cubic_stencil(x: np.ndarray, x0: float, hf: float, count: int) -> tuple:
     """4-point local cubic Lagrange stencil: base indices and weights."""
-    u = (np.asarray(x, dtype=float) - x0) / hf
-    i = np.floor(u).astype(np.int64)
-    i = np.clip(i, 1, count - 3)
-    t = u - i
-    w = np.empty((4,) + t.shape)
-    w[0] = -t * (t - 1) * (t - 2) / 6.0
-    w[1] = (t + 1) * (t - 1) * (t - 2) / 2.0
-    w[2] = -(t + 1) * t * (t - 2) / 2.0
-    w[3] = (t + 1) * t * (t - 1) / 6.0
-    return i, w
+    u, i = _fine_cell(np.array(x, dtype=float), x0, hf, count)
+    u -= i
+    return i.astype(np.int64), _cubic_weights(u)
 
 
 class _InterpPlan:
-    """Precomputed stencil for evaluating many fixed points repeatedly."""
+    """Precomputed stencil for evaluating many fixed points repeatedly.
+
+    full-2d keeps only the points inside the eta_max disk, ordered by the
+    band of refined-lattice rows they read, and `apply` sums them in blocks
+    of consecutive points, so that a block's 16 taps read a few rows that
+    stay in cache; it scatters the sums back to the caller's order.
+    """
 
     def __init__(self, grid: GridSpec, points: np.ndarray):
         g = grid
         x0, hf, cnt = _fine_axis(g)
-        if g.mode == "full-2d":
+        self.planar = g.mode == "full-2d"
+        if self.planar:
             pts = np.asarray(points, dtype=float).reshape(-1, 2)
-            r = np.hypot(pts[:, 0], pts[:, 1])
-            self.mask = r <= g.eta_max * (1 + 1e-12)
-            px = np.where(self.mask, pts[:, 0], 0.0)
-            py = np.where(self.mask, pts[:, 1], 0.0)
-            self.ix, self.wx = _cubic_stencil(px, x0, hf, cnt)
-            self.iy, self.wy = _cubic_stencil(py, x0, hf, cnt)
-            self.count = cnt
+            self.size = pts.shape[0]
+            order = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1])
+                                   <= g.eta_max * (1 + 1e-12))
+            u, row = _fine_cell(pts[order, 0], x0, hf, cnt)
+            # sorted by bands of cnt/256 rows: the stable argsort of an
+            # 8-bit key is a one-pass radix sort
+            perm = np.argsort((row * (256 / cnt)).astype(np.uint8), kind="stable")
+            order, u, row = order[perm], u[perm], row[perm]
+            u -= row
+            self.wx = _cubic_weights(u)
+            u, col = _fine_cell(pts[order, 1], x0, hf, cnt)
+            u -= col
+            self.wy = _cubic_weights(u)
+            # tap (a, b) of a point reads flat[a*cnt + b:][base]
+            row *= cnt
+            row += col
+            row -= cnt + 1
+            self.base = row.astype(np.int64)
+            self.order, self.count = order, cnt
         else:
             # the refined axis holds eta >= 0: full-1d reads x < 0 at |x|
             # and conjugates, radial data are even
@@ -447,27 +494,34 @@ class _InterpPlan:
             xq = np.where(self.mask, x, 0.0)
             ix, self.wx = _cubic_stencil(xq, x0, hf, cnt)
             self.first = ix - 1   # stencil a reads fine[a:][first]
-            self.iy = None
 
     def apply(self, fine: np.ndarray) -> np.ndarray:
         """Stencil sums on a refine_array result, in its dtype."""
-        if self.iy is None:
-            out = self.wx[0] * fine[self.first]
-            for a in range(1, 4):
-                out += self.wx[a] * fine[a:][self.first]
-            if self.conj is not None:
-                out = np.where(self.conj, out.conj(), out)
-            if self.mask.all():
-                return out
-        else:
-            flat = fine.ravel()
-            out = np.zeros(self.ix.shape, dtype=complex)
-            for a in range(4):
-                row = (self.ix + (a - 1)) * self.count
-                partial = np.zeros(self.ix.shape, dtype=complex)
-                for b in range(4):
-                    partial += self.wy[b] * flat[row + self.iy + (b - 1)]
-                out += self.wx[a] * partial
+        if self.planar:
+            flat, cnt = fine.ravel(), self.count
+            acc = np.empty(self.base.size, dtype=complex)
+            for s in range(0, acc.size, _GATHER_BLOCK):
+                blk = slice(s, s + _GATHER_BLOCK)
+                base, wx, wy = self.base[blk], self.wx[:, blk], self.wy[:, blk]
+                for a in range(4):
+                    row = flat[a * cnt:]
+                    partial = wy[0] * row[base]
+                    for b in range(1, 4):
+                        partial += wy[b] * row[b:][base]
+                    if a == 0:
+                        np.multiply(wx[0], partial, out=acc[blk])
+                    else:
+                        acc[blk] += wx[a] * partial
+            out = np.zeros(self.size, dtype=complex)
+            out[self.order] = acc
+            return out
+        out = self.wx[0] * fine[self.first]
+        for a in range(1, 4):
+            out += self.wx[a] * fine[a:][self.first]
+        if self.conj is not None:
+            out = np.where(self.conj, out.conj(), out)
+        if self.mask.all():
+            return out
         return np.where(self.mask, out, 0.0)
 
 
@@ -512,24 +566,22 @@ def interpolate(state: SpectralState, points) -> np.ndarray:
 def _dual_samples(grid: GridSpec, values: np.ndarray) -> tuple:
     """(v, c, dv): coefficients of the trigonometric polynomial
     fhat(eta) = sum_j c_j exp(-2 pi i v_j . eta) through the node samples,
-    on the dual axis v_j = j dv with dv = 1/(M h). c_j = f(v_j) dv^d is the
-    inverse DFT; radial data use the even extension along one axis.
+    on the dual axis v_j = j dv with dv = 1/(M h), both in DFT order
+    (j = 0, 1, ..., then the negative j). c_j = f(v_j) dv^d is the inverse
+    DFT; radial data use the even extension along one axis.
     """
     h = grid.spacing
     if grid.mode == "full-2d":
         M = grid.n
-        c = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(values)))
-        j = np.arange(-M // 2, M // 2)
+        c = np.fft.ifft2(np.fft.ifftshift(values))
     else:
         M = 2 * grid.n - 1
         if grid.mode == "radial":
             # the even extension of a real profile: real, even samples
-            c = np.fft.fftshift(np.fft.irfft(values, M))
+            c = np.fft.irfft(values, M)
         else:
-            c = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(values)))
-        j = np.arange(-(grid.n - 1), grid.n)
-    dv = 1.0 / (M * h)
-    return dv * j, c, dv
+            c = np.fft.ifft(np.fft.ifftshift(values))
+    return np.fft.fftfreq(M, h), c, 1.0 / (M * h)
 
 
 def moments(state: SpectralState, order: int = 4):
@@ -551,19 +603,19 @@ def moments(state: SpectralState, order: int = 4):
     v, c, _ = _dual_samples(g, state.values)
     c = c.real
     if g.mode == "full-1d":
-        return tuple(float(np.sum(c * v ** k)) for k in range(order + 1))
+        return tuple(float((c * v ** k).sum()) for k in range(order + 1))
     if order == 3:
         raise NotImplementedError("order 3 is not available for d >= 2")
     d = g.dimension
     if g.mode == "radial":
-        m1 = np.zeros(d)
-        q2, q4 = d * v ** 2, d * (d + 2) / 3.0 * v ** 4
+        v2 = v * v
+        out = (float(c.sum()), np.zeros(d), d * float((c * v2).sum()),
+               d * (d + 2) / 3.0 * float((c * v2 * v2).sum()))
     else:
         vx, vy = v[:, None], v[None, :]
         m1 = np.array([np.sum(c * vx), np.sum(c * vy)])
         q2 = vx ** 2 + vy ** 2
-        q4 = q2 ** 2
-    out = (float(np.sum(c)), m1, float(np.sum(c * q2)), float(np.sum(c * q4)))
+        out = (float(np.sum(c)), m1, float(np.sum(c * q2)), float(np.sum(c * q2 ** 2)))
     return out if order == 4 else out[:order + 1]
 
 
@@ -579,7 +631,7 @@ def to_physical(state: SpectralState) -> tuple:
     if g.mode == "radial":
         raise ConfigError("physical reconstruction requires a full grid mode")
     v, c, dv = _dual_samples(g, state.values)
-    phys = c / dv ** g.dimension
+    phys = np.fft.fftshift(c) / dv ** g.dimension
     scale = float(np.abs(phys).max())
     if float(np.abs(phys.imag).max()) > 1e-9 * max(scale, 1e-300):
         raise NumericalFailure("reconstruction has a non-negligible imaginary part")
@@ -588,4 +640,4 @@ def to_physical(state: SpectralState) -> tuple:
         raise NumericalFailure(
             f"negative physical samples ({f.min():.2e}) signal under-resolution")
     np.clip(f, 0.0, None, out=f)
-    return v, f, dv
+    return np.fft.fftshift(v), f, dv

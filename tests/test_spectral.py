@@ -227,6 +227,58 @@ def test_refine_array_matches_direct_trigonometric_sum(case):
                                       np.conj(interpolate_array(grid, values, pts)))
 
 
+def test_planar_plan_matches_direct_16_tap_sum():
+    # the planar plan keeps only in-disk points, sorted by refined row; its
+    # sums must equal, bit for bit and in the caller's order, the 16-tap sum
+    # over all points (y-taps first, then x-taps) with beyond-disk points 0
+    g = GridSpec(dimension=2, mode="full-2d", n=32, eta_max=3.0)
+    datum = InitialDatum(kind="gaussian-mixture", dimension=2,
+                         components=((0.6, (0.4, -0.3), 0.5), (0.4, (-0.6, 0.2), 0.7)))
+    fine = refine_array(g, init_state(g, datum).values)
+    x0, hf, cnt = spectral._fine_axis(g)
+    e = g.eta_max
+    rng = np.random.default_rng(11)
+    edge = np.array([[e, 0.0], [-e, 0.0], [0.0, -e], [e - 0.5 * hf, 0.1],
+                     [-0.2, e - 0.3 * hf], [-e + 0.4 * hf, 0.05],
+                     [e * (1 + 1e-13), 0.0], [0.6 * e, -0.8 * e]])
+    beyond = np.array([[e * 1.001, 0.0], [0.0, -e * 1.2], [e, e], [-0.9 * e, 0.9 * e]])
+    pts = np.concatenate([g.nodes(), rng.uniform(-1.1 * e, 1.1 * e, (20000, 2)),
+                          edge, beyond])
+    pts = pts[rng.permutation(len(pts))]
+
+    x = x0 + rng.uniform(-1.5, cnt + 1.5, 1000) * hf
+    i, w = spectral._cubic_stencil(x, x0, hf, cnt)
+    u = (x - x0) / hf
+    np.testing.assert_array_equal(i, np.clip(np.floor(u), 1, cnt - 3))
+    t = u - i
+    np.testing.assert_array_equal(w, [-t * (t - 1) * (t - 2) / 6.0,
+                                      (t + 1) * (t - 1) * (t - 2) / 2.0,
+                                      -(t + 1) * t * (t - 2) / 2.0,
+                                      (t + 1) * t * (t - 1) / 6.0])
+
+    mask = np.hypot(pts[:, 0], pts[:, 1]) <= e * (1 + 1e-12)
+    ix, wx = spectral._cubic_stencil(np.where(mask, pts[:, 0], 0.0), x0, hf, cnt)
+    iy, wy = spectral._cubic_stencil(np.where(mask, pts[:, 1], 0.0), x0, hf, cnt)
+    # the clipped strips at both edges are hit
+    assert ix.min() == iy.min() == 1 and ix.max() == iy.max() == cnt - 3
+    want = np.zeros(len(pts), dtype=complex)
+    for a in range(4):
+        partial = np.zeros(len(pts), dtype=complex)
+        for b in range(4):
+            partial += wy[b] * fine[ix + a - 1, iy + b - 1]
+        want += wx[a] * partial
+    want = np.where(mask, want, 0.0)
+
+    got = spectral._InterpPlan(g, pts).apply(fine)
+    np.testing.assert_array_equal(got, want)
+    assert np.all(got[~mask] == 0.0) and (~mask).sum() >= len(beyond)
+    assert np.count_nonzero(got[mask]) > 0.99 * mask.sum()
+    # the caller's layout comes back, whatever order the points arrive in
+    perm = rng.permutation(len(pts))
+    np.testing.assert_array_equal(
+        spectral._InterpPlan(g, pts[perm].reshape(-1, 4, 2)).apply(fine), got[perm])
+
+
 def test_interpolate_array_rejects_non_real_samples():
     # full-1d and radial refinements read only eta >= 0, so samples that are
     # not transforms of real densities would give wrong values silently
