@@ -355,7 +355,7 @@ def cmd_diagnose(args) -> int:
                              _fmt(rep.window[0]), _fmt(rep.window[1]),
                              rep.n_points])
         return 0
-    except (NumericalFailure, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"kinb diagnose: error: {exc}", file=sys.stderr)
         return 1
 

@@ -164,7 +164,7 @@ def fit_gevrey_order(state: SpectralState, fit_window=None,
     mag = np.abs(state.values).reshape(-1)
     mask = (r >= lo) & (r <= hi)
     if not mask.any():
-        raise NumericalFailure("empty fit window: no grid shells inside it")
+        raise ConfigError("empty fit window: no grid shells inside it")
     shells, inverse = np.unique(np.round(r[mask], 9), return_inverse=True)
     mean_mag = np.bincount(inverse, weights=mag[mask]) / np.bincount(inverse)
     ratio = mean_mag / state.mass
@@ -677,27 +677,23 @@ def _hyp3_sup(state, fine, alpha, beta, lam, m, theta0, vartheta0,
             sup = max(sup, mult * float(((g * vals * ind) @ wq).max()))
         return sup
 
+    # one plan per angle branch for every direction and radius; axes are
+    # (direction, radius, angle, omega node, coordinate)
+    frames = [_omega_frame(ehat, omega_nodes) for ehat in dirs]
+    om = np.stack([f[0] for f in frames])[:, None, None]
+    om_w = frames[0][1]
+    r = radii[:, None, None, None]
+    sa, ca = np.sin(th_a / 2.0)[:, None, None], np.cos(th_a / 2.0)[:, None, None]
+    branches = ((r * sa ** 2 * dirs[:, None, None, None, :] - r * sa * ca * om, w_a),
+                (-(r * np.tan(th_b)[:, None, None]) * om, w_b))
     sup = 0.0
-    for ehat in dirs:
-        om, om_w = _omega_frame(ehat, omega_nodes)
-        for r0 in radii:
-            half = th_a / 2.0
-            base = (r0 * np.sin(half) ** 2)[:, None] * ehat[None, :]
-            swing = (r0 * np.sin(half) * np.cos(half))
-            pts = base[:, None, :] - swing[:, None, None] * om[None, :, :]
-            rad = np.linalg.norm(pts, axis=-1)
-            vals = np.abs(_InterpPlan(grid, pts.reshape(-1, d)).apply(fine))
-            vals = vals.reshape(len(th_a), len(om))
-            g = _grow(bt, rad ** 2, power=p, alpha=alpha)
-            ind = rad <= lam * (1.0 + 1e-12)
-            sup = max(sup, float(np.sum(w_a * ((g * vals * ind) @ om_w))))
-            pts = -(r0 * np.tan(th_b))[:, None, None] * om[None, :, :]
-            rad = np.linalg.norm(pts, axis=-1)
-            vals = np.abs(_InterpPlan(grid, pts.reshape(-1, d)).apply(fine))
-            vals = vals.reshape(len(th_b), len(om))
-            g = _grow(bt, rad ** 2, power=p, alpha=alpha)
-            ind = rad <= lam * (1.0 + 1e-12)
-            sup = max(sup, float(np.sum(w_b * ((g * vals * ind) @ om_w))))
+    for pts, wq in branches:
+        rad = np.linalg.norm(pts, axis=-1)
+        vals = np.abs(_InterpPlan(grid, pts.reshape(-1, d)).apply(fine))
+        vals = vals.reshape(rad.shape)
+        g = _grow(bt, rad ** 2, power=p, alpha=alpha)
+        ind = rad <= lam * (1.0 + 1e-12)
+        sup = max(sup, float(np.sum(wq * ((g * vals * ind) @ om_w), axis=-1).max()))
     return sup
 
 

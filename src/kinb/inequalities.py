@@ -35,10 +35,6 @@ __all__ = [
     "ExpDiffResult",
 ]
 
-# Test hook: the verify command's failure path is exercised by scaling the
-# Kolmogorov-Landau constant away from its correct value. Production value 1.0.
-_CM_SCALE = 1.0
-
 
 # ----------------------------------------------------------------------------
 # epsilon(alpha, u) = (1 + u)^alpha - u^alpha
@@ -137,6 +133,20 @@ def _validate_lambdas(m: int, lambdas: Sequence[float]) -> np.ndarray:
     return lam
 
 
+def _kl_constants(m: int, lam: np.ndarray) -> np.ndarray:
+    """kl_constant for each row of a (k, m-1) array of points; rows are not
+    validated (callers mask the ones they cannot use)."""
+    best = np.zeros(lam.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for b in range(m - 1):
+            prod = np.ones(lam.shape[0])
+            for v in range(m - 1):
+                if v != b:
+                    prod *= (1.0 + lam[:, v]) / np.abs(lam[:, v] - lam[:, b])
+            best = np.maximum(best, prod / lam[:, b])
+    return 2.0 ** m * math.factorial(m) * (m - 1) * best
+
+
 def kl_constant(m: int, lambdas: Sequence[float]) -> float:
     """C_m = 2^m m! (m-1) * ||V^{-1}||, with the l1-induced inverse norm in
     closed form: max over beta of (1/l_beta) prod_{v != beta} (1+l_v)/|l_v - l_beta|.
@@ -144,15 +154,7 @@ def kl_constant(m: int, lambdas: Sequence[float]) -> float:
     V is the Vandermonde-type matrix with rows (l_s, l_s^2, ..., l_s^{m-1}).
     """
     lam = _validate_lambdas(m, lambdas)
-    best = 0.0
-    for b in range(m - 1):
-        prod = 1.0
-        for v in range(m - 1):
-            if v == b:
-                continue
-            prod *= (1.0 + lam[v]) / abs(lam[v] - lam[b])
-        best = max(best, prod / lam[b])
-    return _CM_SCALE * 2.0 ** m * math.factorial(m) * (m - 1) * best
+    return float(_kl_constants(m, lam[None, :])[0])
 
 
 def kl_vandermonde_norm_matrix(m: int, lambdas: Sequence[float]) -> float:
@@ -174,14 +176,14 @@ def optimize_lambdas(m: int, seed: int = 0, starts: int = 16) -> LambdaPoints:
     rng = np.random.default_rng(seed)
     dim = m - 1
 
-    def cost(lam: np.ndarray) -> float:
-        if np.any(lam <= 0) or np.any(lam > 1) or (dim > 1 and np.any(np.diff(lam) <= 1e-9)):
-            return math.inf
-        return kl_constant(m, lam)
+    def cost(rows: np.ndarray) -> np.ndarray:
+        bad = (np.any((rows <= 0) | (rows > 1), axis=1)
+               | np.any(np.diff(rows, axis=1) <= 1e-9, axis=1))
+        return np.where(bad, math.inf, _kl_constants(m, rows))
 
     def descend(lam: np.ndarray) -> tuple:
         lam = lam.copy()
-        best = cost(lam)
+        best = cost(lam[None, :])[0]
         for _ in range(200):
             improved = False
             for j in range(dim):
@@ -190,8 +192,9 @@ def optimize_lambdas(m: int, seed: int = 0, starts: int = 16) -> LambdaPoints:
                 if hi <= lo:
                     continue
                 grid = np.linspace(lo, hi, 257)
-                vals = np.array([cost(np.concatenate([lam[:j], [g], lam[j + 1:]]))
-                                 for g in grid])
+                rows = np.tile(lam, (grid.size, 1))
+                rows[:, j] = grid
+                vals = cost(rows)
                 k = int(np.argmin(vals))
                 if vals[k] < best - 1e-13:
                     lam[j] = grid[k]
@@ -364,10 +367,11 @@ class TrigPoly:
         vals = (ex * cc[None, :]) @ ey
         return float(np.abs(vals.real).max())
 
-    def cube_integral_sq(self, corner: np.ndarray, side: float = 2.0) -> float:
+    def cube_integral_sq(self, corner: np.ndarray, side: float = 2.0):
         """Exact integral of H^2 over the axis-aligned cube starting at
         `corner` and extending by `side` along each axis (signed per corner
-        orientation is handled by the caller)."""
+        orientation is handled by the caller). Corners of shape (..., n) give
+        an array of integrals; a single corner gives a float."""
         sq = getattr(self, "_sq_coeffs", None)
         if sq is None:
             sq = {}
@@ -376,19 +380,20 @@ class TrigPoly:
                     key = tuple(a + b for a, b in zip(k1, k2))
                     sq[key] = sq.get(key, 0.0) + c1 * c2
             object.__setattr__(self, "_sq_coeffs", sq)
+        corner = np.asarray(corner, dtype=float)
         w = 2.0j * np.pi / self.period
-        total = 0.0 + 0.0j
+        total = np.zeros(corner.shape[:-1], dtype=complex)
         for k, c in sq.items():
             term = c
             for i, ki in enumerate(k):
-                a = corner[i]
+                a = corner[..., i]
                 b = a + side
                 if ki == 0:
                     term *= (b - a)
                 else:
                     term *= (np.exp(w * ki * b) - np.exp(w * ki * a)) / (w * ki)
             total += term
-        return float(total.real)
+        return float(total.real) if total.ndim == 0 else total.real
 
 
 @dataclass(frozen=True)
@@ -433,19 +438,16 @@ def pointwise_from_l2_check(H: TrigPoly, m: int, points: np.ndarray,
         raise ValueError("points dimension mismatch")
     L = _chain_constant(H, m)
     expo = m / (2.0 * m + n)
-    failures = []
-    worst = math.inf
-    for x in pts:
-        corner = np.where(x >= 0, x, x - side)
-        integral = max(H.cube_integral_sq(corner, side), 0.0)
-        lhs = abs(float(H.eval(x[None, :])[0]))
-        rhs = L * integral ** expo
-        margin = rhs - lhs
-        worst = min(worst, margin)
-        if margin < -1e-9 * max(1.0, lhs):
-            failures.append((tuple(x), lhs, rhs))
-    return DDCheckResult(ok=not failures, worst_margin=worst, constant=L,
-                         failures=tuple(failures[:5]))
+    corners = np.where(pts >= 0, pts, pts - side)
+    integral = np.maximum(H.cube_integral_sq(corners, side), 0.0)
+    lhs = np.abs(H.eval(pts))
+    rhs = L * integral ** expo
+    margin = rhs - lhs
+    bad = np.flatnonzero(margin < -1e-9 * np.maximum(1.0, lhs))
+    failures = tuple((tuple(pts[i]), float(lhs[i]), float(rhs[i])) for i in bad[:5])
+    worst = float(margin.min()) if margin.size else math.inf
+    return DDCheckResult(ok=not bad.size, worst_margin=worst, constant=L,
+                         failures=failures)
 
 
 # ----------------------------------------------------------------------------

@@ -117,7 +117,8 @@ def test_verify_exit_codes(capsys):
 
 def test_verify_detects_broken_constant(monkeypatch, capsys):
     import kinb.inequalities as ineq
-    monkeypatch.setattr(ineq, "_CM_SCALE", 1e-3)
+    good = ineq.kl_constant
+    monkeypatch.setattr(ineq, "kl_constant", lambda m, lam: 1e-3 * good(m, lam))
     assert main(["verify", "kl", "--n", "50"]) == 3
     out = capsys.readouterr().out
     assert "counterexample" in out.lower()
@@ -145,6 +146,17 @@ def test_diagnose_snapshot(tmp_path, capsys):
     # window with no usable shells
     assert main(["diagnose", p, "--fit-window", "16.5", "17.0",
                  "--out", str(tmp_path)]) == 1
+
+
+def test_diagnose_numerical_failure_exits_2(tmp_path, capsys):
+    g = GridSpec(dimension=1, mode="full-1d", n=257, eta_max=16.0)
+    st = init_state(g, InitialDatum(kind="gaussian", dimension=1, sigma=1.0))
+    p = str(tmp_path / "snap.csv")
+    write_snapshot(st, p)
+    # four shells inside the window, fewer than the fit needs
+    assert main(["diagnose", p, "--fit-window", "0.5", "0.7",
+                 "--out", str(tmp_path)]) == 2
+    assert "only 4 usable shells" in capsys.readouterr().err
 
 
 def test_induction_needs_room_for_scales(tmp_path, capsys):

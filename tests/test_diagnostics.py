@@ -1,6 +1,7 @@
 """Weights, norms, decay-order fitting, commutator bounds, induction pieces."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,10 @@ from kinb import (
     state_with_values,
     weighted_norms,
 )
-from kinb.diagnostics import angle_thresholds, bracket_integral
+import kinb.diagnostics as diag
+from kinb.diagnostics import (_grow, _omega_frame, _unit_directions,
+                              angle_thresholds, bracket_integral)
+from kinb.spectral import _InterpPlan, refine_array
 from kinb.inequalities import epsilon
 
 
@@ -131,7 +135,7 @@ def test_fit_window_errors():
         fit_gevrey_order(ev, fit_window=(0.0, 4.0))
     with pytest.raises(ConfigError):
         fit_gevrey_order(ev, fit_window=(5.0, 2.0))
-    with pytest.raises(NumericalFailure):
+    with pytest.raises(ConfigError):
         fit_gevrey_order(ev, fit_window=(16.5, 17.0))  # beyond the grid
     with pytest.raises(NumericalFailure):
         fit_gevrey_order(ev, fit_window=(2.0, 2.2), min_points=64)
@@ -330,6 +334,79 @@ def test_hypothesis_rows_pass_on_short_run():
         assert r.hyp2 is None and r.hyp3 is None  # part I tracks Hyp1 only
         assert r.weighted_l2 <= r.l2_cap * (1 + 1e-9)
         assert r.passed
+
+
+def _hyp3_per_direction(state, fine, sched, lam, dirs, omega_nodes=16,
+                        theta_nodes=48, n_radii=24):
+    """Part-III supremum with one interpolation plan per (direction, radius,
+    angle branch)."""
+    grid = state.grid
+    d = grid.dimension
+    p = 2.0 * sched.m / (2.0 * sched.m + 1.0)
+    bt = sched.beta * state.t
+    sq2lam = math.sqrt(2.0) * lam
+    radii = np.linspace(sq2lam / n_radii, sq2lam, n_radii)
+    th_a, w_a = diag._gl_rule(sched.theta0, math.pi / 2.0, theta_nodes)
+    th_b, w_b = diag._gl_rule(sched.vartheta0, math.pi / 4.0, theta_nodes)
+    sup = 0.0
+    for ehat in dirs:
+        om, om_w = _omega_frame(ehat, omega_nodes)
+        for r0 in radii:
+            half = th_a / 2.0
+            base = (r0 * np.sin(half) ** 2)[:, None] * ehat[None, :]
+            swing = (r0 * np.sin(half) * np.cos(half))
+            pts = base[:, None, :] - swing[:, None, None] * om[None, :, :]
+            rad = np.linalg.norm(pts, axis=-1)
+            vals = np.abs(_InterpPlan(grid, pts.reshape(-1, d)).apply(fine))
+            vals = vals.reshape(len(th_a), len(om))
+            g = _grow(bt, rad ** 2, power=p, alpha=sched.alpha)
+            ind = rad <= lam * (1.0 + 1e-12)
+            sup = max(sup, float(np.sum(w_a * ((g * vals * ind) @ om_w))))
+            pts = -(r0 * np.tan(th_b))[:, None, None] * om[None, :, :]
+            rad = np.linalg.norm(pts, axis=-1)
+            vals = np.abs(_InterpPlan(grid, pts.reshape(-1, d)).apply(fine))
+            vals = vals.reshape(len(th_b), len(om))
+            g = _grow(bt, rad ** 2, power=p, alpha=sched.alpha)
+            ind = rad <= lam * (1.0 + 1e-12)
+            sup = max(sup, float(np.sum(w_b * ((g * vals * ind) @ om_w))))
+    return sup
+
+
+@pytest.mark.parametrize("branch", [None, "theta_a", "theta_b"])
+def test_part3_hypotheses_match_per_direction_sweep(branch, monkeypatch):
+    if branch is not None:
+        # zero the angle rule of the other branch, so that the supremum
+        # comes from this one (the theta_a branch dominates otherwise)
+        rule = diag._gl_rule
+        other = math.pi / 4.0 if branch == "theta_a" else math.pi / 2.0
+
+        def one_branch(lo, hi, n):
+            x, w = rule(lo, hi, n)
+            return x, w * (hi != other)
+        monkeypatch.setattr(diag, "_gl_rule", one_branch)
+    g = GridSpec(dimension=2, mode="full-2d", n=32, eta_max=8.0)
+    s0 = init_state(g, InitialDatum(kind="gaussian", dimension=2, sigma=0.3))
+    s1 = fractional_heat_evolve(s0, 0.8, 0.5)
+    # alpha = 0.8 opens the theta_b window: vartheta0 = 0.61 < pi/4
+    sched = build_induction_schedule([s0, s1], part="III", m=2, alpha=0.8,
+                                     T0=0.5, cs=CrossSection(nu=0.8))
+    assert sched.vartheta0 < 0.7
+    # a flat transform at t > 0: the weighted integrand grows with the
+    # radius, so the cutoff at the scale decides the supremum
+    flat = state_with_values(s0, np.ones(g.shape, dtype=complex), t=0.25)
+    flow = SimpleNamespace(snapshots=[(0.0, s0), (0.25, flat), (0.5, s1)],
+                           final=s1)
+    rows = check_hypotheses(flow, sched, n_random=8, seed=3)
+    assert len(sched.scales) >= 3
+    assert len(rows) == 3 * len(sched.scales)
+    dirs = _unit_directions(2, 8, np.random.default_rng(3))
+    states = dict(flow.snapshots)
+    for r in rows:
+        s = states[r.t]
+        want = _hyp3_per_direction(s, refine_array(g, s.values), sched,
+                                   r.scale, dirs)
+        assert want > 0.0
+        assert r.hyp3 == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Closed-form constants and the elementary inequality checks."""
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kinb.inequalities import (TrigPoly, alpha_md, epsilon, expdiff_check,
-                               kl_check, kl_constant,
+import kinb.inequalities as ineq
+from kinb.inequalities import (LambdaPoints, TrigPoly, alpha_md, epsilon,
+                               expdiff_check, kl_check, kl_constant,
                                kl_vandermonde_norm_matrix, optimize_lambdas,
                                pointwise_from_l2_check, required_moment)
 
@@ -131,6 +133,46 @@ def test_optimize_lambdas_m2_and_determinism():
     assert again.constant <= kl_constant(3, [0.5, 1.0]) + 1e-9
 
 
+# optimize_lambdas(m) as the per-point line search returned it
+_PINNED_LAMBDAS = (
+    LambdaPoints(m=2, points=(1.0,), constant=8.0),
+    LambdaPoints(m=3, points=(0.5, 1.0), constant=768.0),
+    LambdaPoints(m=4, points=(0.26045394803329514, 0.8440014265382731, 1.0),
+                 constant=37798.22123991975),
+    LambdaPoints(m=5, points=(0.15658100424918756, 0.5672090054968679,
+                              0.8765865132862163, 1.0),
+                 constant=2313928.2481047427),
+    LambdaPoints(m=6, points=(0.09142064403446253, 0.3966702859800407,
+                              0.6901593972193657, 0.924959963389065, 1.0),
+                 constant=165474076.31988192),
+)
+
+
+def test_optimize_lambdas_pinned():
+    for want in _PINNED_LAMBDAS:
+        assert optimize_lambdas(want.m) == want
+
+
+def test_batched_kl_constants_match_scalar_formula():
+    rng = np.random.default_rng(11)
+    for m in range(2, 9):
+        lam = np.sort(rng.uniform(0.01, 1.0, size=(300, m - 1)), axis=1)
+        lam = lam[np.all(np.diff(lam, axis=1) > 1e-6, axis=1)]
+        rows = ineq._kl_constants(m, lam)
+        for point, got in zip(lam, rows):
+            # the closed form as a scalar loop, in the same operation order
+            best = 0.0
+            for b in range(m - 1):
+                prod = 1.0
+                for v in range(m - 1):
+                    if v != b:
+                        prod *= (1.0 + point[v]) / abs(point[v] - point[b])
+                best = max(best, prod / point[b])
+            want = 2.0 ** m * math.factorial(m) * (m - 1) * best
+            assert got == want
+            assert kl_constant(m, point) == want
+
+
 def test_kl_check_hand_example():
     # w(x) = x^2, m=2, k=1, u=1: ||w'|| = 2 <= 8 * (1 + 0 ... wait, with
     # ||w|| = 1 and ||w''|| = 2 the additive bound is 8 * (1 + 2) = 24
@@ -183,6 +225,70 @@ def test_pointwise_from_l2_random_2d():
         pts = rng.uniform(-3.0, 3.0, size=(100, 2))
         res = pointwise_from_l2_check(H, m=2, points=pts)
         assert res.ok, res.failures
+
+
+def _pointwise_reference(H, m, pts, L, side=2.0):
+    """Per-point margins and failing indices of the pointwise-from-L2 check,
+    with the cube integral of H^2 summed term by term."""
+    sq = {}
+    for k1, c1 in H.coeffs.items():
+        for k2, c2 in H.coeffs.items():
+            key = tuple(a + b for a, b in zip(k1, k2))
+            sq[key] = sq.get(key, 0.0) + c1 * c2
+    w = 2.0j * math.pi / H.period
+    expo = m / (2.0 * m + H.n)
+    integrals, margins, lhss, bad = [], [], [], []
+    for i, x in enumerate(pts):
+        total = 0.0j
+        for k, c in sq.items():
+            term = c
+            for ki, xi in zip(k, x):
+                a = xi if xi >= 0 else xi - side
+                if ki == 0:
+                    term *= side
+                else:
+                    term *= (cmath.exp(w * ki * (a + side)) - cmath.exp(w * ki * a)) / (w * ki)
+            total += term
+        lhs = abs(float(H.eval(x[None, :])[0]))
+        margin = L * max(total.real, 0.0) ** expo - lhs
+        integrals.append(total.real)
+        margins.append(margin)
+        lhss.append(lhs)
+        if margin < -1e-9 * max(1.0, lhs):
+            bad.append(i)
+    return np.array(integrals), np.array(margins), np.array(lhss), bad
+
+
+@pytest.mark.parametrize("dim,kmax", [(1, 4), (2, 2)])
+def test_pointwise_from_l2_matches_per_point_reference(dim, kmax, monkeypatch):
+    rng = np.random.default_rng(20 + dim)
+    H = TrigPoly.random(dim, kmax, period=8.0, seed=dim)
+    pts = rng.uniform(-3.0, 3.0, size=(400, dim))
+    corners = np.where(pts >= 0, pts, pts - 2.0)
+    for m in (2, 3):
+        res = pointwise_from_l2_check(H, m, pts)
+        assert res.constant == ineq._chain_constant(H, m)
+        integrals, margins, lhs, bad = _pointwise_reference(H, m, pts, res.constant)
+        scale = np.maximum(1.0, lhs)
+        got = H.cube_integral_sq(corners)
+        assert got.shape == (pts.shape[0],)
+        assert np.all(np.abs(got - integrals) <= 1e-12 * np.maximum(1.0, np.abs(integrals)))
+        assert isinstance(H.cube_integral_sq(corners[0]), float)
+        i = int(np.argmin(margins))
+        assert abs(res.worst_margin - margins[i]) <= 1e-12 * scale[i]
+        assert res.ok and not bad and res.failures == ()
+    # a constant far too small: most points fail, the first five are reported
+    chain = ineq._chain_constant
+    monkeypatch.setattr(ineq, "_chain_constant", lambda H, m: 1e-3 * chain(H, m))
+    res = pointwise_from_l2_check(H, 2, pts)
+    _, margins, lhs, bad = _pointwise_reference(H, 2, pts, res.constant)
+    assert not res.ok and len(bad) > 5
+    assert len(res.failures) == 5
+    for (x, f_lhs, f_rhs), j in zip(res.failures, bad):
+        assert x == tuple(pts[j])
+        assert abs(f_lhs - lhs[j]) <= 1e-12 * max(1.0, lhs[j])
+        assert abs((f_rhs - f_lhs) - margins[j]) <= 1e-12 * max(1.0, lhs[j])
+    assert abs(res.worst_margin - margins.min()) <= 1e-12 * max(1.0, lhs.max())
 
 
 # ---------------------------------------------------------------------------
