@@ -11,9 +11,8 @@ from .collision import (CrossSection, AngularQuadrature, from_inverse_power,
                         truncation_error_bound, coercivity_probe)
 from .evolution import (MonitorRow, RunConfig, Trajectory, entropy, run,
                         simulate, step)
-from .inequalities import (epsilon, epsilon_split_gap, alpha_md,
-                           required_moment, LambdaPoints, kl_constant,
-                           optimize_lambdas, kl_check, TrigPoly,
+from .inequalities import (epsilon, alpha_md, required_moment, LambdaPoints,
+                           kl_constant, optimize_lambdas, kl_check, TrigPoly,
                            pointwise_from_l2_check, expdiff_check)
 from .diagnostics import (GevreyWeight, WeightedNorms, weighted_norms,
                           fractional_heat_evolve, FitReport, fit_gevrey_order,
@@ -39,7 +38,7 @@ __all__ = [
     "truncation_error_bound", "coercivity_probe",
     "MonitorRow", "RunConfig", "Trajectory", "step", "run", "entropy",
     "simulate",
-    "epsilon", "epsilon_split_gap", "alpha_md", "required_moment",
+    "epsilon", "alpha_md", "required_moment",
     "LambdaPoints", "kl_constant", "optimize_lambdas", "kl_check",
     "TrigPoly", "pointwise_from_l2_check", "expdiff_check",
     "GevreyWeight", "WeightedNorms", "weighted_norms",

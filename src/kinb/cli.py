@@ -6,7 +6,6 @@ failure, 3 property-suite counterexample.
 
 Configuration files are INI text with a fixed schema; unknown sections or
 keys are rejected so typos fail loudly instead of silently using defaults.
-The KINB_THREADS environment variable caps the BLAS thread pool.
 """
 from __future__ import annotations
 
@@ -24,11 +23,11 @@ from .collision import AngularQuadrature, CrossSection
 from .diagnostics import (GevreyWeight, build_induction_schedule,
                           cb_constant, check_hypotheses, commutation_error,
                           fit_gevrey_order, weighted_norms, _default_lambda0)
-from .evolution import Trajectory, run
+from .evolution import RunConfig, Trajectory, simulate
 from .inequalities import (alpha_md, epsilon, optimize_lambdas,
                            required_moment)
 from .spectral import (ConfigError, GridSpec, InitialDatum, NumericalFailure,
-                       SpectralState, init_state)
+                       SpectralState)
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main", "load_config", "write_manifest", "read_snapshot",
@@ -183,27 +182,21 @@ def _build_datum(dimension: int, kind: str, params: str) -> InitialDatum:
     return InitialDatum(**kw)
 
 
-def _build_grid(cfg: dict) -> GridSpec:
-    g = cfg["grid"]
-    return GridSpec(dimension=g["dimension"], mode=g["mode"], n=g["n"],
+def _run_config(cfg: dict) -> RunConfig:
+    g, q, tm = cfg["grid"], cfg["quad"], cfg["time"]
+    grid = GridSpec(dimension=g["dimension"], mode=g["mode"], n=g["n"],
                     eta_max=g["eta_max"])
-
-
-def _build_quad(cfg: dict) -> AngularQuadrature:
-    q = cfg["quad"]
-    return AngularQuadrature(theta_min=q["theta_min"], panels=q["panels"],
-                             nodes_per_panel=q["nodes_per_panel"],
-                             azimuthal_nodes=q["azimuthal_nodes"])
-
-
-def _snapshot_times(cfg: dict) -> tuple:
-    t_end = cfg["time"]["t_end"]
-    k = cfg["time"]["snapshots"]
-    if k <= 0:
-        return ()
-    if k == 1:
-        return (t_end,)
-    return tuple(i * t_end / (k - 1) for i in range(k))
+    return RunConfig(
+        grid=grid,
+        cross_section=CrossSection(nu=cfg["kernel"]["nu"],
+                                   kappa=cfg["kernel"]["kappa"]),
+        quadrature=AngularQuadrature(theta_min=q["theta_min"],
+                                     panels=q["panels"],
+                                     nodes_per_panel=q["nodes_per_panel"],
+                                     azimuthal_nodes=q["azimuthal_nodes"]),
+        datum=_build_datum(grid.dimension, cfg["init"]["kind"],
+                           cfg["init"]["params"]),
+        dt=tm["dt"], t_end=tm["t_end"], snapshots=tm["snapshots"])
 
 
 # ----------------------------------------------------------------------------
@@ -241,14 +234,20 @@ def read_snapshot(path: str) -> SpectralState:
                 continue
             if line.startswith("re,"):
                 continue
-            a, b = line.split(",")
-            rows.append(complex(float(a), float(b)))
+            try:
+                a, b = line.split(",")
+                rows.append(complex(float(a), float(b)))
+            except ValueError:
+                raise ConfigError(
+                    f"snapshot {path!r} has a malformed row {line!r}") from None
     try:
         grid = GridSpec(dimension=int(meta["dimension"]), mode=meta["mode"],
                         n=int(meta["n"]), eta_max=float(meta["eta_max"]))
         t = float(meta["t"])
     except KeyError as exc:
         raise ConfigError(f"snapshot {path!r} is missing header {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"snapshot {path!r} has a malformed header: {exc}") from None
     vals = np.array(rows, dtype=complex)
     if vals.size != int(np.prod(grid.shape)):
         raise ConfigError(f"snapshot {path!r} has {vals.size} values, "
@@ -290,15 +289,7 @@ def _write_induction_csv(rows, schedule, path: str) -> None:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     _require_sections(cfg, ("grid", "kernel", "quad", "time", "init"))
-    grid = _build_grid(cfg)
-    cs = CrossSection(nu=cfg["kernel"]["nu"], kappa=cfg["kernel"]["kappa"])
-    quad = _build_quad(cfg)
-    datum = _build_datum(grid.dimension, cfg["init"]["kind"],
-                         cfg["init"]["params"])
-    state = init_state(grid, datum)
-    times = _snapshot_times(cfg)
-    traj = run(state, cs, quad, dt=cfg["time"]["dt"],
-               t_end=cfg["time"]["t_end"], snapshot_times=times)
+    traj = simulate(_run_config(cfg))
     os.makedirs(args.out, exist_ok=True)
     _write_run_csv(traj, os.path.join(args.out, "run.csv"))
     for i, (t, snap) in enumerate(traj.snapshots):
@@ -468,7 +459,7 @@ def cmd_induction(args) -> int:
     omega = cfg.get("quad", {}).get("azimuthal_nodes", 8)
     traj = Trajectory(grid=grid, dt=cfg.get("time", {}).get("dt", 0.0),
                       rows=[], snapshots=[(s.t, s) for s in states],
-                      final=states[-1], w_total=0.0, dt_limit=math.inf)
+                      final=states[-1], dt_limit=math.inf)
     rows = check_hypotheses(traj, schedule, n_random=args.n_random,
                             omega_nodes=omega, seed=args.seed)
     _write_induction_csv(rows, schedule,
@@ -542,32 +533,12 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-_THREAD_LIMITER = None
-
-
-def _apply_thread_cap() -> None:
-    global _THREAD_LIMITER
-    raw = os.environ.get("KINB_THREADS")
-    if not raw:
-        return
-    try:
-        k = max(1, int(raw))
-    except ValueError:
-        raise ConfigError("KINB_THREADS must be an integer") from None
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return
-    _THREAD_LIMITER = threadpool_limits(limits=k)
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        _apply_thread_cap()
         return args.fn(args)
     except ConfigError as exc:
         print(f"kinb: config error: {exc}", file=sys.stderr)

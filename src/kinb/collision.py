@@ -33,6 +33,7 @@ angles fold into one with doubled weight:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -238,12 +239,7 @@ class _Evaluator:
         self.theta = theta
         self.weights = weights
         self.total_weight = float(weights.sum())
-        if grid.mode == "full-2d":
-            self.abs_minus = np.linalg.norm(minus, axis=-1)
-            self.abs_plus = np.linalg.norm(plus, axis=-1)
-        else:
-            self.abs_minus, self.abs_plus = np.abs(minus), np.abs(plus)
-        self.n_nodes, self.n_theta = self.abs_minus.shape
+        self.n_nodes, self.n_theta = self.keep.size, theta.size
         self.plan_minus = _InterpPlan(grid, minus)
         self.plan_plus = _InterpPlan(grid, plus)
 
@@ -259,18 +255,7 @@ class _Evaluator:
         return out.reshape(self.grid.shape)
 
 
-_EVAL_CACHE: dict = {}
-
-
-def _evaluator(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature) -> _Evaluator:
-    key = (grid, cs, quad)
-    ev = _EVAL_CACHE.get(key)
-    if ev is None:
-        ev = _Evaluator(grid, cs, quad)
-        if len(_EVAL_CACHE) >= 8:
-            _EVAL_CACHE.pop(next(iter(_EVAL_CACHE)))
-        _EVAL_CACHE[key] = ev
-    return ev
+_evaluator = functools.lru_cache(maxsize=8)(_Evaluator)
 
 
 # ----------------------------------------------------------------------------

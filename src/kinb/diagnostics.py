@@ -251,12 +251,16 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     theta = ev.theta
 
     half = theta / 2.0
+    r_kept = grid.abs_nodes().reshape(-1)[ev.keep][:, None]
     if d == 1:
         sin_sq = np.sin(theta) ** 2          # = 1 - |eta+|^2/|eta|^2
         ratio_pm = 1.0 / np.tan(theta) ** 2   # |eta+|^2 / |eta-|^2
+        abs_minus, abs_plus = r_kept * np.sin(theta), r_kept * np.cos(theta)
     else:
         sin_sq = np.sin(half) ** 2
         ratio_pm = 1.0 / np.tan(half) ** 2
+        abs_minus = r_kept * np.abs(np.sin(half))
+        abs_plus = r_kept * np.cos(half)
     eps_prop = epsilon(alpha, ratio_pm)
     eps_lem = epsilon(alpha, 1.0 / np.tan(half) ** 2)
 
@@ -266,18 +270,18 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     bt = beta * t
 
     # product bound over the collision sphere
-    g_minus_eps = _grow(bt, ev.abs_minus ** 2, power=eps_prop[None, :], alpha=alpha)
-    glam_plus = _grow(bt, ev.abs_plus ** 2, alpha=alpha)
-    glam_plus = np.where(ev.abs_plus <= lam * (1.0 + 1e-12), glam_plus, 0.0)
-    bracket_plus = (1.0 + ev.abs_plus ** 2) ** alpha
+    g_minus_eps = _grow(bt, abs_minus ** 2, power=eps_prop[None, :], alpha=alpha)
+    glam_plus = _grow(bt, abs_plus ** 2, alpha=alpha)
+    glam_plus = np.where(abs_plus <= lam * (1.0 + 1e-12), glam_plus, 0.0)
+    bracket_plus = (1.0 + abs_plus ** 2) ** alpha
     inner = ev.expand(((g_minus_eps * fm * glam_plus * fp * bracket_plus)
                        * (ev.weights * sin_sq)).sum(axis=1)).reshape(-1)
     rhs_bound = 2.0 * ab_t * float(np.sum(cells * g_mag * inner))
 
     # square-weighted bound, outer variable eta; the evaluator weights carry
     # b(cos t)*sin^{d-2}t, so sin^2 of the full angle completes sin^d t * b
-    ind_minus = ev.abs_minus <= lam / math.sqrt(2.0) * (1.0 + 1e-12)
-    g_minus_lem = _grow(bt, ev.abs_minus ** 2, power=eps_lem[None, :], alpha=alpha)
+    ind_minus = abs_minus <= lam / math.sqrt(2.0) * (1.0 + 1e-12)
+    g_minus_lem = _grow(bt, abs_minus ** 2, power=eps_lem[None, :], alpha=alpha)
     inner_i = ev.expand((g_minus_lem * fm * ind_minus
                          * (ev.weights * np.sin(theta) ** 2)).sum(axis=1)).reshape(-1)
     bracket_nodes = (1.0 + r_nodes ** 2) ** alpha

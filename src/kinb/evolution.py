@@ -20,7 +20,7 @@ from .errors import ConfigError, NumericalFailure
 from .spectral import (GridSpec, InitialDatum, SpectralState, init_state,
                        moments, state_with_values, to_physical)
 from .collision import (AngularQuadrature, CrossSection, rhs_bilinear,
-                        stability_limit, total_weight)
+                        stability_limit)
 
 __all__ = [
     "RunConfig", "MonitorRow", "Trajectory", "entropy", "step", "run",
@@ -52,9 +52,12 @@ class RunConfig:
             raise ConfigError("grid and datum dimensions disagree")
 
     def snapshot_times(self) -> tuple:
-        """snapshots = k asks for k evenly spaced times ending at t_end."""
+        """snapshots = k asks for k evenly spaced times on [0, t_end], both
+        ends included; k = 1 gives (t_end,)."""
         k = self.snapshots
-        return tuple(self.t_end * (j + 1) / k for j in range(k))
+        if k == 1:
+            return (self.t_end,)
+        return tuple(i * self.t_end / (k - 1) for i in range(k))
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,6 @@ class Trajectory:
     rows: list
     snapshots: list
     final: SpectralState
-    w_total: float
     dt_limit: float
 
     @property
@@ -144,7 +146,7 @@ def _monitor(state: SpectralState, t: float, tail_mask: np.ndarray,
     return MonitorRow(
         t=t,
         mass=mass,
-        energy=float(np.real(m[2])) if state.grid.dimension > 1 else float(m[2]),
+        energy=float(m[2]),
         entropy=ent,
         sup_ratio=float(mag.max() / mass),
         tail=float(mag[tail_mask].max()) if tail_mask.any() else 0.0,
@@ -206,8 +208,7 @@ def run(state: SpectralState, cs: CrossSection, quad: AngularQuadrature,
 
     final = state_with_values(state, vals, t=t_end if n_total else 0.0)
     return Trajectory(grid=grid, dt=dt, rows=rows, snapshots=snaps,
-                      final=final, w_total=total_weight(grid, cs, quad),
-                      dt_limit=limit)
+                      final=final, dt_limit=limit)
 
 
 def simulate(config: RunConfig, monitor_every: int = 1) -> Trajectory:

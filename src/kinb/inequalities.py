@@ -19,7 +19,6 @@ from .errors import ConfigError
 
 __all__ = [
     "epsilon",
-    "epsilon_split_gap",
     "alpha_md",
     "required_moment",
     "LambdaPoints",
@@ -65,17 +64,6 @@ def epsilon(alpha, u):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def epsilon_split_gap(alpha: float, s_minus: float, s_plus: float) -> float:
-    """Slack of (1+s-+s+)^a <= eps(a, s+/s-) (1+s-)^a + (1+s+)^a, for
-    0 <= s- <= s+. Nonnegative when the inequality holds."""
-    if not 0 <= s_minus <= s_plus:
-        raise ValueError("need 0 <= s_minus <= s_plus")
-    lhs = (1.0 + s_minus + s_plus) ** alpha
-    eps = 0.0 if s_minus == 0 else epsilon(alpha, s_plus / s_minus)
-    rhs = eps * (1.0 + s_minus) ** alpha + (1.0 + s_plus) ** alpha
-    return rhs - lhs
 
 
 # ----------------------------------------------------------------------------

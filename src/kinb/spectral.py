@@ -48,7 +48,6 @@ __all__ = [
     "InitialDatum",
     "init_state",
     "refine_array",
-    "interpolate",
     "interpolate_array",
     "moments",
     "to_physical",
@@ -552,11 +551,6 @@ def interpolate_array(grid: GridSpec, values: np.ndarray, points) -> np.ndarray:
         return complex(out[0])
     shape = pts.shape[:-1] if grid.mode == "full-2d" else pts.shape
     return out.reshape(shape)
-
-
-def interpolate(state: SpectralState, points) -> np.ndarray:
-    """Evaluate the state off-grid (see interpolate_array)."""
-    return interpolate_array(state.grid, state.values, points)
 
 
 # ----------------------------------------------------------------------------

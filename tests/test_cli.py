@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from kinb import GridSpec, InitialDatum, init_state
+from kinb import (AngularQuadrature, CrossSection, GridSpec, InitialDatum,
+                  RunConfig, init_state, simulate)
 from kinb.cli import load_config, main, read_snapshot, write_manifest, write_snapshot
 from kinb.errors import ConfigError
 
@@ -187,3 +188,77 @@ def test_induction_chain_end_to_end(tmp_path, capsys):
     scale0 = 4.0 / (math.sqrt(2) - 1)
     assert abs(float(rows[0]["scale"]) - scale0) < 1e-9
     assert all(r["cap_ok"] == "1" for r in rows)
+
+
+def test_library_and_cli_share_the_snapshot_convention(tmp_path, capsys):
+    ini = KAC_INI.replace("snapshots = 2", "snapshots = 3")
+    out = str(tmp_path / "run")
+    assert main(["simulate", _write(tmp_path, "kac.ini", ini), "--out", out]) == 0
+    capsys.readouterr()
+    traj = simulate(RunConfig(
+        grid=GridSpec(dimension=1, mode="full-1d", n=129, eta_max=12.0),
+        cross_section=CrossSection(nu=0.25),
+        quadrature=AngularQuadrature(theta_min=5e-3, panels=8, nodes_per_panel=5),
+        datum=InitialDatum(kind="laplace", dimension=1, a=1.0),
+        dt=2e-3, t_end=0.01, snapshots=3))
+    snaps = sorted(f for f in os.listdir(out) if f.startswith("snapshot_"))
+    states = [read_snapshot(os.path.join(out, f)) for f in snaps]
+    assert [st.t for st in states] == [t for t, _ in traj.snapshots]
+    assert states[0].t == 0.0 and states[-1].t == 0.01
+    for st, (_, snap) in zip(states, traj.snapshots):
+        assert np.array_equal(st.values, snap.values)
+    with open(os.path.join(out, "run.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(traj.rows)
+    for r, want in zip(rows, traj.rows):
+        assert [float(r[k]) for k in ("t", "mass", "energy", "entropy",
+                                      "sup_ratio", "tail")] == [
+            want.t, want.mass, want.energy, want.entropy, want.sup_ratio,
+            want.tail]
+
+
+def test_malformed_snapshot_is_a_config_error(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["simulate", _write(tmp_path, "kac.ini", KAC_INI),
+                 "--out", out]) == 0
+    capsys.readouterr()
+    path = os.path.join(out, sorted(f for f in os.listdir(out)
+                                    if f.startswith("snapshot_"))[-1])
+    with open(path) as fh:
+        good = fh.read()
+    with open(path, "w") as fh:
+        fh.write(good + "1.0,0.0,7\n")
+    assert main(["induction", out]) == 1
+    assert "malformed row" in capsys.readouterr().err
+    with open(path, "w") as fh:
+        fh.write(good.replace("# n=129", "# n=many"))
+    with pytest.raises(ConfigError, match="malformed header"):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize("suite", ["commutator", "conservation"])
+def test_verify_operator_suites_pass(suite, capsys):
+    assert main(["verify", suite, "--n", "2"]) == 0
+    assert "counterexample" not in capsys.readouterr().out.lower()
+
+
+def test_induction_angle_overrides(tmp_path, capsys):
+    ini = KAC_INI.replace("n = 129", "n = 161").replace(
+        "eta_max = 12.0", "eta_max = 16.0")
+    out = str(tmp_path / "run")
+    assert main(["simulate", _write(tmp_path, "kac.ini", ini), "--out", out]) == 0
+    capsys.readouterr()
+    # nu = 0.9 lets the part-I exponent reach alpha_{2,1} = 0.848, where
+    # vartheta0 = 0.7 leaves the grazing cone; theta0 = 0.8 exceeds pi/4
+    ini = ini.replace("nu = 0.25", "nu = 0.9")
+    for line, code in (("theta0 = 0.1", 0), ("vartheta0 = 0.1", 0),
+                       ("theta0 = 0.8", 1), ("vartheta0 = 0.7", 1)):
+        cfg = _write(tmp_path, "ind.ini", ini.replace("part = I",
+                                                      "part = I\n" + line))
+        assert main(["induction", out, "--config", cfg,
+                     "--n-random", "4"]) == code, line
+        captured = capsys.readouterr()
+        if code:
+            assert "violates the grazing-cone condition" in captured.err
+        else:
+            assert "largest passing scale" in captured.out

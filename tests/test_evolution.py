@@ -1,5 +1,7 @@
 """Time integrator tests: order, conservation, entropy decay, bookkeeping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -181,8 +183,13 @@ def test_runconfig_and_simulate():
                   datum=InitialDatum(kind="laplace", dimension=2, a=1.0),
                   dt=0.01, t_end=1.0)
     cfg = RunConfig(grid=g, cross_section=CS, quadrature=QUAD, datum=datum,
-                    dt=0.01, t_end=0.03, snapshots=3)
-    assert cfg.snapshot_times() == (0.01, 0.02, 0.03)
+                    dt=0.01, t_end=0.03, snapshots=4)
+    # k snapshots evenly spaced on [0, t_end], both ends included
+    assert cfg.snapshot_times() == (0.0, 0.01, 0.02, 0.03)
+    assert replace(cfg, snapshots=1).snapshot_times() == (0.03,)
+    assert replace(cfg, snapshots=0).snapshot_times() == ()
     traj = simulate(cfg)
-    assert [t for t, _ in traj.snapshots] == [0.01, 0.02, 0.03]
+    assert [t for t, _ in traj.snapshots] == [0.0, 0.01, 0.02, 0.03]
+    # the first snapshot is the initial datum itself
+    assert np.array_equal(traj.snapshots[0][1].values, init_state(g, datum).values)
     assert traj.final.t == 0.03
