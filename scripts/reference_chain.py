@@ -62,7 +62,7 @@ def main():
     print(f"  A_m={sched.A_m:.6f} M={sched.M:.6f} B={sched.B:.6f}")
     print(f"  K_empirical={sched.K_empirical:.6f} beta={sched.beta:.6f} "
           f"(formula {sched.beta_formula:.6f})")
-    rows = check_hypotheses(traj, sched, n_random=64, omega_nodes=16, seed=0)
+    rows = check_hypotheses(traj, sched, n_random=64, seed=0)
     _write_induction_csv(rows, sched, os.path.join(args.out, "induction.csv"))
     worst = max(r.hyp1 for r in rows)
     n_pass = sum(r.passed for r in rows)

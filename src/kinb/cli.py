@@ -22,10 +22,10 @@ import numpy as np
 from .collision import AngularQuadrature, CrossSection
 from .diagnostics import (GevreyWeight, build_induction_schedule,
                           cb_constant, check_hypotheses, commutation_error,
-                          fit_gevrey_order, weighted_norms, _default_lambda0)
+                          fit_gevrey_order, weighted_norms, _alpha_cap,
+                          _default_lambda0)
 from .evolution import RunConfig, Trajectory, simulate
-from .inequalities import (alpha_md, epsilon, optimize_lambdas,
-                           required_moment)
+from .inequalities import alpha_md, optimize_lambdas, required_moment
 from .spectral import (ConfigError, GridSpec, InitialDatum, NumericalFailure,
                        SpectralState)
 from .verify import SUITE_NAMES, run_suite
@@ -45,7 +45,7 @@ _SCHEMA = {
              "azimuthal_nodes": int},
     "time": {"dt": float, "t_end": float, "snapshots": int},
     "init": {"kind": str, "params": str},
-    "weight": {"alpha": float, "beta": float, "lambda": float},
+    "weight": {"alpha": float, "beta": float},
     "induction": {"part": str, "lambda0": float, "n_max": int, "m": int,
                   "M": float, "B": float, "T0": float, "theta0": float,
                   "vartheta0": float},
@@ -154,32 +154,26 @@ def _parse_params(raw: str) -> dict:
     return out
 
 
+# the [init] params each datum kind accepts
+_DATUM_PARAMS = {
+    "gaussian": ("sigma", "mass", "center"),
+    "gaussian-mixture": ("components",),
+    "laplace": ("a", "mass"),
+}
+
+
 def _build_datum(dimension: int, kind: str, params: str) -> InitialDatum:
-    p = _parse_params(params)
-    kw: dict = {"kind": kind, "dimension": dimension}
-    if kind == "gaussian":
-        kw["sigma"] = p.get("sigma", 1.0)
-        kw["mass"] = p.get("mass", 1.0)
-        if "center" in p:
-            c = p["center"]
-            kw["center"] = c if isinstance(c, tuple) else (c,)
-    elif kind == "gaussian-mixture":
-        if "components" not in p:
-            raise ConfigError("gaussian-mixture needs params components=...")
-        comps = []
-        for w, c, s in p["components"]:
-            comps.append((w, c, s))
-        kw["components"] = tuple(comps)
-    elif kind == "laplace":
-        kw["a"] = p.get("a", 1.0)
-        kw["mass"] = p.get("mass", 1.0)
-    else:
+    if kind not in _DATUM_PARAMS:
         raise ConfigError(f"unknown init kind {kind!r}")
-    known = {"sigma", "mass", "center", "components", "a"}
-    for key in p:
-        if key not in known:
-            raise ConfigError(f"unknown init param {key!r}")
-    return InitialDatum(**kw)
+    p = _parse_params(params)
+    for key, val in p.items():
+        if key not in _DATUM_PARAMS[kind]:
+            raise ConfigError(f"init kind {kind!r} takes no param {key!r}")
+        if isinstance(val, tuple) and key not in ("center", "components"):
+            raise ConfigError(f"init param {key!r} takes one number")
+    if "center" in p and not isinstance(p["center"], tuple):
+        p["center"] = (p["center"],)
+    return InitialDatum(kind=kind, dimension=dimension, **p)
 
 
 def _run_config(cfg: dict) -> RunConfig:
@@ -304,51 +298,47 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    try:
-        reports = []
-        for path in args.snapshots:
-            state = read_snapshot(path)
-            window = tuple(args.fit_window) if args.fit_window else None
-            rep = fit_gevrey_order(state, fit_window=window)
-            reports.append((path, state, rep))
-            print(f"{path}: t={state.t!r}")
-            print(f"  alpha_hat  = {rep.alpha_hat!r}")
-            print(f"  beta_t_hat = {rep.beta_t_hat!r}")
-            if state.t > 0:
-                print(f"  beta_hat   = {rep.beta_hat(state.t)!r}")
-            print(f"  residual   = {rep.residual!r}")
-            print(f"  window     = {rep.window!r}  n_points = {rep.n_points}")
-            if args.alpha is not None and args.beta is not None:
-                lam = args.lam if args.lam is not None else math.inf
-                w = GevreyWeight(alpha=args.alpha, beta=args.beta,
-                                 t=state.t, lam=lam)
-                norms = weighted_norms(state, w)
-                print(f"  weighted l2={norms.l2!r} sup={norms.sup!r} "
-                      f"h_alpha={norms.h_alpha!r}")
-                clam = lam if math.isfinite(lam) else \
-                    state.grid.eta_max / math.sqrt(2.0)
-                cw = w if math.isfinite(lam) else replace(w, lam=clam)
-                cs = CrossSection(nu=args.nu, kappa=1.0)
-                quad = AngularQuadrature(theta_min=0.05, panels=6,
-                                         nodes_per_panel=4)
-                com = commutation_error(state, cw, cs, quad)
-                print(f"  commutator lhs={com.lhs!r} rhs_bound={com.rhs_bound!r}")
-                print(f"             i_term={com.i_term!r} "
-                      f"i_plus_term={com.i_plus_term!r}")
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "fit.csv"), "w", newline="") as fh:
-            fh.write("snapshot,t,alpha_hat,beta_t_hat,residual,"
-                     "window_lo,window_hi,n_points\n")
-            wr = csv.writer(fh)
-            for path, state, rep in reports:
-                wr.writerow([path, _fmt(state.t), _fmt(rep.alpha_hat),
-                             _fmt(rep.beta_t_hat), _fmt(rep.residual),
-                             _fmt(rep.window[0]), _fmt(rep.window[1]),
-                             rep.n_points])
-        return 0
-    except (OSError, ValueError) as exc:
-        print(f"kinb diagnose: error: {exc}", file=sys.stderr)
-        return 1
+    reports = []
+    for path in args.snapshots:
+        state = read_snapshot(path)
+        window = tuple(args.fit_window) if args.fit_window else None
+        rep = fit_gevrey_order(state, fit_window=window)
+        reports.append((path, state, rep))
+        print(f"{path}: t={state.t!r}")
+        print(f"  alpha_hat  = {rep.alpha_hat!r}")
+        print(f"  beta_t_hat = {rep.beta_t_hat!r}")
+        if state.t > 0:
+            print(f"  beta_hat   = {rep.beta_hat(state.t)!r}")
+        print(f"  residual   = {rep.residual!r}")
+        print(f"  window     = {rep.window!r}  n_points = {rep.n_points}")
+        if args.alpha is not None and args.beta is not None:
+            lam = args.lam if args.lam is not None else math.inf
+            w = GevreyWeight(alpha=args.alpha, beta=args.beta,
+                             t=state.t, lam=lam)
+            norms = weighted_norms(state, w)
+            print(f"  weighted l2={norms.l2!r} sup={norms.sup!r} "
+                  f"h_alpha={norms.h_alpha!r}")
+            clam = lam if math.isfinite(lam) else \
+                state.grid.eta_max / math.sqrt(2.0)
+            cw = w if math.isfinite(lam) else replace(w, lam=clam)
+            cs = CrossSection(nu=args.nu, kappa=1.0)
+            quad = AngularQuadrature(theta_min=0.05, panels=6,
+                                     nodes_per_panel=4)
+            com = commutation_error(state, cw, cs, quad)
+            print(f"  commutator lhs={com.lhs!r} rhs_bound={com.rhs_bound!r}")
+            print(f"             i_term={com.i_term!r} "
+                  f"i_plus_term={com.i_plus_term!r}")
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "fit.csv"), "w", newline="") as fh:
+        fh.write("snapshot,t,alpha_hat,beta_t_hat,residual,"
+                 "window_lo,window_hi,n_points\n")
+        wr = csv.writer(fh)
+        for path, state, rep in reports:
+            wr.writerow([path, _fmt(state.t), _fmt(rep.alpha_hat),
+                         _fmt(rep.beta_t_hat), _fmt(rep.residual),
+                         _fmt(rep.window[0]), _fmt(rep.window[1]),
+                         rep.n_points])
+    return 0
 
 
 def cmd_constants(args) -> int:
@@ -402,16 +392,6 @@ def cmd_verify(args) -> int:
     return 3
 
 
-def _angle_condition(name: str, angle: float, alpha: float, m: int,
-                     half: bool) -> None:
-    target = 2.0 * m / (2.0 * m + 2.0)
-    u = 1.0 / math.tan(angle / 2.0 if half else angle) ** 2
-    if not 0.0 < angle < math.pi / 4.0 or epsilon(alpha, u) > target + 1e-12:
-        raise ConfigError(
-            f"{name}={angle:g} violates the grazing-cone condition "
-            f"eps <= 2m/(2m+2) = {target:g}; shrink the angle")
-
-
 def cmd_induction(args) -> int:
     cfg_path = args.config or os.path.join(args.rundir, "manifest.ini")
     cfg = load_config(cfg_path)
@@ -430,38 +410,38 @@ def cmd_induction(args) -> int:
     part = ind["part"]
     m = ind.get("m", 2)
     T0 = ind.get("T0", states[-1].t)
-    n_sec = {"I": grid.dimension, "1": grid.dimension, "II": 2, "2": 2,
-             "III": 1, "3": 1}.get(part)
-    if n_sec is None:
-        raise ConfigError(f"unknown induction part {part!r}")
-    alpha = cfg.get("weight", {}).get(
-        "alpha", min(alpha_md(m, n_sec), cs.nu))
+    alpha = cfg.get("weight", {}).get("alpha")
+    if alpha is None:
+        alpha = _alpha_cap(part, m, grid.dimension, cs.nu)
 
     schedule = build_induction_schedule(
         states, part=part, m=m, alpha=alpha, T0=T0, cs=cs,
         lambda0=ind.get("lambda0"), n_max=ind.get("n_max", 16))
-    if ind.get("theta0") is not None:
-        _angle_condition("theta0", ind["theta0"], alpha, m, half=True)
-        schedule = replace(schedule, theta0=ind["theta0"])
-    if ind.get("vartheta0") is not None:
-        _angle_condition("vartheta0", ind["vartheta0"], alpha, m, half=False)
-        schedule = replace(schedule, vartheta0=ind["vartheta0"])
     over = {}
-    if "M" in ind:
-        over["M"] = ind["M"]
-    if "B" in ind:
-        over["B"] = ind["B"]
+    # the split angles may shrink below the largest ones the grazing-cone
+    # condition admits, which only part III reads
+    for key in ("theta0", "vartheta0"):
+        if key in ind:
+            limit = getattr(schedule, key)
+            if limit is None:
+                raise ConfigError(f"{key} applies to part III only")
+            if not 0.0 < ind[key] <= limit:
+                raise ConfigError(f"{key}={ind[key]:g} violates the grazing-cone "
+                                  f"condition; need 0 < {key} <= {limit:g}")
+            over[key] = ind[key]
+    for key in ("M", "B"):
+        if key in ind:
+            over[key] = ind[key]
     if "beta" in cfg.get("weight", {}):
         over["beta"] = cfg["weight"]["beta"]
     if over:
         schedule = replace(schedule, **over)
 
-    omega = cfg.get("quad", {}).get("azimuthal_nodes", 8)
     traj = Trajectory(grid=grid, dt=cfg.get("time", {}).get("dt", 0.0),
                       rows=[], snapshots=[(s.t, s) for s in states],
                       final=states[-1], dt_limit=math.inf)
     rows = check_hypotheses(traj, schedule, n_random=args.n_random,
-                            omega_nodes=omega, seed=args.seed)
+                            seed=args.seed)
     _write_induction_csv(rows, schedule,
                          os.path.join(args.rundir, "induction.csv"))
     by_scale: dict = {}
@@ -546,6 +526,9 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"kinb: numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"kinb: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

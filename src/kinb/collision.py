@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import GridSpec, SpectralState, _InterpPlan, moments, refine_array
+from .spectral import (GridSpec, SpectralState, _InterpPlan, _SPHERE_AREA, moments,
+                       refine_array)
 
 __all__ = [
     "CrossSection",
@@ -220,8 +221,7 @@ class _Evaluator:
             minus, plus = kac_pair(self.pts[:, None], theta[None, :])
         elif grid.mode == "radial":
             theta, w = quad.angles(math.pi / 2)
-            mult = 2.0 * math.pi if d == 3 else 2.0
-            weights = mult * w * cs.collapsed(theta)
+            weights = _SPHERE_AREA[d - 1] * w * cs.collapsed(theta)
             r = self.pts
             minus = r[:, None] * np.sin(theta[None, :] / 2.0)
             plus = r[:, None] * np.cos(theta[None, :] / 2.0)
@@ -342,7 +342,7 @@ def truncation_error_bound(state_g: SpectralState, state_h: SpectralState,
     else:
         c = (math.pi ** 2 * (m2g * m0h + m0g * m2h) * r ** 2
              + math.pi * (M1g * m0h + m0g * M1h) * r)
-        mult = 2.0 * math.pi if d == 3 else 2.0
+        mult = _SPHERE_AREA[d - 1]
     tail = cs.kappa * quad.theta_min ** (2.0 - 2.0 * cs.nu) / (2.0 - 2.0 * cs.nu)
     return mult * tail * c
 

@@ -24,7 +24,7 @@ from .errors import ConfigError, NumericalFailure
 from .inequalities import alpha_md, epsilon, optimize_lambdas
 from .spectral import (GridSpec, SpectralState, moments, refine_array,
                        state_with_values, to_physical, _InterpPlan, _SPHERE_AREA)
-from .collision import AngularQuadrature, CrossSection, _evaluator
+from .collision import AngularQuadrature, CrossSection, _evaluator, perp_unit
 
 __all__ = [
     "GevreyWeight", "WeightedNorms", "weighted_norms",
@@ -107,11 +107,18 @@ def weighted_norms(state: SpectralState, w: GevreyWeight) -> WeightedNorms:
     w2 = (gv * mag) ** 2
     l2 = math.sqrt(float(np.sum(cells * w2)))
     h_alpha = math.sqrt(float(np.sum(cells * (1.0 + r * r) ** w.alpha * w2)))
-    inside = r <= (w.lam * (1.0 + 1e-12) if math.isfinite(w.lam) else np.inf)
-    eps1 = epsilon(w.alpha, 1.0)
-    sup = float((_grow(w.beta * w.t, r[inside] ** 2, power=eps1,
-                       alpha=w.alpha) * mag[inside]).max())
+    sup = _weighted_sup(state, w.beta * w.t, w.lam, epsilon(w.alpha, 1.0), w.alpha)
     return WeightedNorms(l2=l2, sup=sup, h_alpha=h_alpha)
+
+
+def _weighted_sup(state: SpectralState, beta_t: float, lam: float, power,
+                  alpha: float) -> float:
+    """max over the nodes with |eta| <= lam of
+    exp(beta_t * power * <eta>^{2 alpha}) |fhat(eta)|."""
+    r = state.grid.abs_nodes().reshape(-1)
+    inside = r <= lam * (1.0 + 1e-12)
+    g = _grow(beta_t, r[inside] ** 2, power=power, alpha=alpha)
+    return float((g * np.abs(state.values).reshape(-1)[inside]).max())
 
 
 def fractional_heat_evolve(state: SpectralState, nu: float,
@@ -208,8 +215,15 @@ def _plus_angles(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature):
     if d >= 3:
         kernel = kernel / np.sin(2.0 * th) ** (d - 2)
     if grid.mode == "radial":
-        kernel = kernel * (2.0 * math.pi if d == 3 else 2.0)
+        kernel = kernel * _SPHERE_AREA[d - 1]
     return th, kernel * wq
+
+
+def _abs_at(grid: GridSpec, fine: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """|fhat| at off-grid points through one interpolation plan; planar
+    points carry their coordinates on the last axis."""
+    shape = pts.shape[:-1] if grid.mode == "full-2d" else pts.shape
+    return np.abs(_InterpPlan(grid, pts).apply(fine)).reshape(shape)
 
 
 def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
@@ -309,7 +323,7 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
             pts = np.concatenate([-base, base], axis=1)
             kernel_plus = np.concatenate([kernel_plus, kernel_plus])
             eps_plus = np.concatenate([eps_plus, eps_plus])
-    fmp = np.abs(_InterpPlan(grid, pts).apply(fine)).reshape(ev.n_nodes, -1)
+    fmp = _abs_at(grid, fine, pts)
     if grid.mode == "full-2d":
         abs_pts = np.linalg.norm(pts, axis=-1)
     else:
@@ -462,10 +476,9 @@ def _l1m_norm(state: SpectralState, m: int) -> float:
     exact; m = 3 and 4 use the m = 4 majorant (a safe overestimate)."""
     if m == 2:
         m0, _, m2 = moments(state, order=2)
-        return float(m0 + (m2 if np.isscalar(m2) else np.real(m2)))
+        return m0 + m2
     mom = moments(state, order=4)
-    m0, m2, m4 = float(mom[0]), float(np.real(mom[2])), float(mom[-1])
-    return m0 + 2.0 * m2 + m4
+    return mom[0] + 2.0 * mom[2] + mom[-1]
 
 
 def _default_lambda0(part: int, d: int) -> float:
@@ -476,9 +489,18 @@ def _default_lambda0(part: int, d: int) -> float:
     return 3.0
 
 
+def _part_n(part: int, d: int) -> int:
+    """Index n of alpha_{m,n} and of the decay exponent for a part."""
+    return {1: d, 2: 2, 3: 1}[part]
+
+
 def _decay_exponent(part: int, m: int, d: int) -> float:
-    n = {1: d, 2: 2, 3: 1}[part]
-    return 2.0 * m / (2.0 * m + n)
+    return 2.0 * m / (2.0 * m + _part_n(part, d))
+
+
+def _alpha_cap(part, m: int, d: int, nu: float) -> float:
+    """Largest admissible weight order min(alpha_{m,n}, nu) for a part."""
+    return min(alpha_md(m, _part_n(_canonical_part(part), d)), nu)
 
 
 def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
@@ -505,11 +527,9 @@ def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
         raise ConfigError("parts II and III need d >= 2")
     if m < 2:
         raise ConfigError("m must be >= 2")
-    n_sec = {1: d, 2: 2, 3: 1}[part]
-    a_cap = alpha_md(m, n_sec)
-    if alpha > min(a_cap, cs.nu) * (1.0 + 1e-12):
-        raise ConfigError(
-            f"alpha {alpha:g} exceeds min(alpha_m_n {a_cap:g}, nu {cs.nu:g})")
+    a_cap = _alpha_cap(part, m, d, cs.nu)
+    if alpha > a_cap * (1.0 + 1e-12):
+        raise ConfigError(f"alpha {alpha:g} exceeds min(alpha_m_n, nu) = {a_cap:g}")
 
     lam0 = _default_lambda0(part, d) if lambda0 is None else float(lambda0)
     if lam0 < _default_lambda0(part, d) * (1.0 - 1e-12):
@@ -568,13 +588,9 @@ def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
     # hypothesis functionals of parts II and III
     p = _decay_exponent(part, m, d)
     tilde_max = _SCALE_FACTOR * scales[-1]
-    r = grid.abs_nodes().reshape(-1)
-    inside = r <= min(tilde_max, grid.eta_max) * (1.0 + 1e-12)
-    k_emp = 0.0
-    for s in states:
-        g = _grow(beta_a * s.t, r[inside] ** 2, power=p, alpha=alpha)
-        k_emp = max(k_emp, float((g * np.abs(s.values).reshape(-1)[inside]).max()))
-    k_emp *= start_measure
+    window = min(tilde_max, grid.eta_max)
+    k_emp = start_measure * max(_weighted_sup(s, beta_a * s.t, window, p, alpha)
+                                for s in states)
     M_final = max(floor, k_emp)
     beta = min(beta_a, cap_parts(M_final))
 
@@ -593,58 +609,35 @@ def _unit_directions(d: int, n_random: int, rng) -> np.ndarray:
     return np.concatenate([axes, extra])
 
 
-def _omega_frame(zeta: np.ndarray, n_nodes: int) -> tuple:
-    """Quadrature nodes and weights for the unit sphere orthogonal to zeta.
-    d=2: the two perpendicular units with counting weight 1 each; d=3: a
-    uniform circle rule with total weight 2 pi."""
-    d = zeta.shape[-1]
-    if d == 2:
-        om = np.array([[-zeta[1], zeta[0]], [zeta[1], -zeta[0]]])
-        return om, np.ones(2)
-    a = np.array([1.0, 0.0, 0.0])
-    if abs(zeta @ a) > 0.9:
-        a = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(zeta, a)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(zeta, e1)
-    phi = 2.0 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes
-    om = np.cos(phi)[:, None] * e1[None, :] + np.sin(phi)[:, None] * e2[None, :]
-    return om, np.full(n_nodes, 2.0 * math.pi / n_nodes)
+def _omega_frames(dirs: np.ndarray) -> np.ndarray:
+    """The unit circle S^0 orthogonal to each planar direction: the two
+    vectors +-zeta_perp, axes (direction, omega node, coordinate).  Its
+    measure |S^0| = 2 counts the two nodes, so the omega average is the sum
+    over the omega axis."""
+    perp = perp_unit(dirs)
+    return np.stack([perp, -perp], axis=1)
 
 
-def _hyp1_sup(state, alpha, beta, lam) -> float:
-    r = state.grid.abs_nodes().reshape(-1)
-    inside = r <= lam * (1.0 + 1e-12)
-    g = _grow(beta * state.t, r[inside] ** 2, power=epsilon(alpha, 1.0),
-              alpha=alpha)
-    return float((g * np.abs(state.values).reshape(-1)[inside]).max())
-
-
-def _hyp2_sup(state, fine, alpha, beta, lam, dirs, omega_nodes,
-              lattice) -> float:
+def _hyp2_sup(state, fine, alpha, beta, lam, dirs) -> float:
     grid = state.grid
-    d = grid.dimension
     eps1 = epsilon(alpha, 1.0)
     bt = beta * state.t
     if grid.mode == "radial":
         # radially symmetric data: the direction average collapses to the
         # sphere measure times the profile at radius sqrt(z^2 + rho^2)
-        r = grid.axis_nodes()
-        inside = r <= lam * (1.0 + 1e-12)
-        g = _grow(bt, r[inside] ** 2, power=eps1, alpha=alpha)
-        mult = 2.0 * math.pi if d == 3 else 2.0
-        return mult * float((g * np.abs(state.values)[inside]).max())
-    z, rho = lattice
-    sup = 0.0
+        sphere = _SPHERE_AREA[grid.dimension - 1]
+        return sphere * _weighted_sup(state, bt, lam, eps1, alpha)
+    # (z, rho) on a 32 x 32 polar lattice of the sector pi/4 < phi < pi/2
+    # of the disk of radius lam; one plan for every direction, with axes
+    # (direction, lattice point, omega node, coordinate)
+    idx = np.arange(32)
+    rad = (lam * (idx + 1) / 32.0)[:, None]
+    phi = math.pi / 4.0 + math.pi / 4.0 * (idx + 0.5) / 32.0
+    z, rho = (rad * np.cos(phi)).reshape(-1), (rad * np.sin(phi)).reshape(-1)
+    pts = (z[:, None, None] * dirs[:, None, None, :]
+           - rho[:, None, None] * _omega_frames(dirs)[:, None])
     g = _grow(bt, z ** 2 + rho ** 2, power=eps1, alpha=alpha)
-    for zeta in dirs:
-        om, om_w = _omega_frame(zeta, omega_nodes)
-        pts = (z[:, None, None] * zeta[None, None, :]
-               - rho[:, None, None] * om[None, :, :])
-        vals = np.abs(_InterpPlan(grid, pts.reshape(-1, d)).apply(fine))
-        vals = vals.reshape(len(z), len(om))
-        sup = max(sup, float((g * (vals @ om_w)).max()))
-    return sup
+    return float((g * _abs_at(grid, fine, pts).sum(axis=-1)).max())
 
 
 def _gl_rule(lo, hi, n):
@@ -652,12 +645,10 @@ def _gl_rule(lo, hi, n):
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * wq
 
 
-def _hyp3_sup(state, fine, alpha, beta, lam, m, theta0, vartheta0,
-              dirs, omega_nodes, theta_nodes: int = 48,
-              n_radii: int = 24) -> float:
+def _hyp3_sup(state, fine, alpha, beta, lam, m, theta0, vartheta0, dirs,
+              theta_nodes: int = 48, n_radii: int = 24) -> float:
     grid = state.grid
-    d = grid.dimension
-    p = 2.0 * m / (2.0 * m + 1.0)
+    p = _decay_exponent(3, m, grid.dimension)
     bt = beta * state.t
     sq2lam = math.sqrt(2.0) * lam
     if sq2lam > grid.eta_max * (1.0 + 1e-9):
@@ -670,22 +661,19 @@ def _hyp3_sup(state, fine, alpha, beta, lam, m, theta0, vartheta0,
     if grid.mode == "radial":
         # |eta^-| depends only on |eta| and the angle, the direction
         # average is the sphere measure
-        mult = 2.0 * math.pi if d == 3 else 2.0
+        sphere = _SPHERE_AREA[grid.dimension - 1]
         sup = 0.0
         for rm, wq in ((radii[:, None] * np.sin(th_a / 2.0)[None, :], w_a),
                        (radii[:, None] * np.tan(th_b)[None, :], w_b)):
-            vals = np.abs(_InterpPlan(grid, rm.reshape(-1)).apply(fine))
-            vals = vals.reshape(rm.shape)
             g = _grow(bt, rm ** 2, power=p, alpha=alpha)
             ind = rm <= lam * (1.0 + 1e-12)
-            sup = max(sup, mult * float(((g * vals * ind) @ wq).max()))
+            vals = _abs_at(grid, fine, rm)
+            sup = max(sup, sphere * float(((g * vals * ind) @ wq).max()))
         return sup
 
     # one plan per angle branch for every direction and radius; axes are
     # (direction, radius, angle, omega node, coordinate)
-    frames = [_omega_frame(ehat, omega_nodes) for ehat in dirs]
-    om = np.stack([f[0] for f in frames])[:, None, None]
-    om_w = frames[0][1]
+    om = _omega_frames(dirs)[:, None, None]
     r = radii[:, None, None, None]
     sa, ca = np.sin(th_a / 2.0)[:, None, None], np.cos(th_a / 2.0)[:, None, None]
     branches = ((r * sa ** 2 * dirs[:, None, None, None, :] - r * sa * ca * om, w_a),
@@ -693,11 +681,10 @@ def _hyp3_sup(state, fine, alpha, beta, lam, m, theta0, vartheta0,
     sup = 0.0
     for pts, wq in branches:
         rad = np.linalg.norm(pts, axis=-1)
-        vals = np.abs(_InterpPlan(grid, pts.reshape(-1, d)).apply(fine))
-        vals = vals.reshape(rad.shape)
         g = _grow(bt, rad ** 2, power=p, alpha=alpha)
         ind = rad <= lam * (1.0 + 1e-12)
-        sup = max(sup, float(np.sum(wq * ((g * vals * ind) @ om_w), axis=-1).max()))
+        omega_avg = (g * _abs_at(grid, fine, pts) * ind).sum(axis=-1)
+        sup = max(sup, float(np.sum(wq * omega_avg, axis=-1).max()))
     return sup
 
 
@@ -714,8 +701,7 @@ class HypothesisRow:
 
 
 def check_hypotheses(trajectory, schedule: InductionSchedule,
-                     n_random: int = 64, omega_nodes: int = 16,
-                     seed: int = 0) -> list:
+                     n_random: int = 64, seed: int = 0) -> list:
     """Evaluate the chain hypotheses on every (scale, snapshot) pair.
 
     Returns HypothesisRow records; `passed` requires the part's hypothesis
@@ -732,14 +718,7 @@ def check_hypotheses(trajectory, schedule: InductionSchedule,
     rng = np.random.default_rng(seed)
     dirs = _unit_directions(d, n_random, rng) if d >= 2 else None
     dirs3 = dirs[: d + min(n_random, 16)] if d >= 2 else None
-
-    def lattice_for(lam):
-        idx = np.arange(32)
-        rad = lam * (idx + 1) / 32.0
-        phi = math.pi / 4.0 + math.pi / 4.0 * (idx + 0.5) / 32.0
-        rr, pp = np.meshgrid(rad, phi, indexing="ij")
-        return (rr.reshape(-1) * np.cos(pp.reshape(-1)),
-                rr.reshape(-1) * np.sin(pp.reshape(-1)))
+    alpha, beta = schedule.alpha, schedule.beta
 
     rows = []
     slack = 1.0 + 1e-9
@@ -747,17 +726,15 @@ def check_hypotheses(trajectory, schedule: InductionSchedule,
         need_fine = part >= 2 and (grid.mode != "radial" or part == 3)
         fine = refine_array(grid, s.values) if need_fine else None
         for lam in schedule.scales:
-            h1 = _hyp1_sup(s, schedule.alpha, schedule.beta, lam)
+            h1 = _weighted_sup(s, beta * s.t, lam, epsilon(alpha, 1.0), alpha)
             h2 = h3 = None
             if part == 2:
-                h2 = _hyp2_sup(s, fine, schedule.alpha, schedule.beta, lam,
-                               dirs, omega_nodes, lattice_for(lam))
+                h2 = _hyp2_sup(s, fine, alpha, beta, lam, dirs)
             if part == 3:
-                h3 = _hyp3_sup(s, fine, schedule.alpha, schedule.beta, lam,
-                               schedule.m, schedule.theta0, schedule.vartheta0,
-                               dirs3, omega_nodes)
-            wn = weighted_norms(s, GevreyWeight(schedule.alpha, schedule.beta,
-                                                t=t, lam=math.sqrt(2.0) * lam))
+                h3 = _hyp3_sup(s, fine, alpha, beta, lam, schedule.m,
+                               schedule.theta0, schedule.vartheta0, dirs3)
+            wn = weighted_norms(s, GevreyWeight(alpha, beta, t=t,
+                                                lam=math.sqrt(2.0) * lam))
             relevant = {1: h1, 2: h2, 3: h3}[part]
             ok = (relevant is not None and relevant <= schedule.M * slack
                   and wn.l2 <= schedule.B * slack)

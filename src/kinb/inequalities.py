@@ -50,9 +50,9 @@ def epsilon(alpha, u):
     alpha = np.asarray(alpha, dtype=float)
     u = np.asarray(u, dtype=float)
     if np.any(alpha < 0) or np.any(alpha > 1):
-        raise ValueError("alpha must lie in [0, 1]")
+        raise ConfigError("alpha must lie in [0, 1]")
     if np.any(u < 0):
-        raise ValueError("u must be nonnegative")
+        raise ConfigError("u must be nonnegative")
     small = u <= 1.0
     us = np.where(small, u, 1.0)
     ul = np.where(small, 1.0, u)
@@ -77,7 +77,7 @@ def alpha_md(m: int, n: int) -> float:
     decreasing in the dimension-like index n.
     """
     if m < 1 or n < 1:
-        raise ValueError("m and n must be positive integers")
+        raise ConfigError("m and n must be positive integers")
     return math.log((4 * m + n) / (2 * m + n)) / math.log(2.0)
 
 
@@ -88,7 +88,7 @@ def required_moment(nu: float, bounded: bool = False) -> int:
     bounded=True:  m >= max(2, (2^nu - 1)/(2 (2 - 2^nu))).
     """
     if not 0 < nu < 1:
-        raise ValueError("nu must lie in (0, 1)")
+        raise ConfigError("nu must lie in (0, 1)")
     r = (2.0 ** nu - 1.0) / (2.0 - 2.0 ** nu)
     if bounded:
         r /= 2.0
@@ -111,13 +111,13 @@ class LambdaPoints:
 def _validate_lambdas(m: int, lambdas: Sequence[float]) -> np.ndarray:
     lam = np.asarray(lambdas, dtype=float)
     if m < 2:
-        raise ValueError("m must be >= 2")
+        raise ConfigError("m must be >= 2")
     if lam.shape != (m - 1,):
-        raise ValueError(f"need {m - 1} points for m={m}")
+        raise ConfigError(f"need {m - 1} points for m={m}")
     if not (np.all(lam > 0) and np.all(lam <= 1)):
-        raise ValueError("points must lie in (0, 1]")
+        raise ConfigError("points must lie in (0, 1]")
     if m > 2 and not np.all(np.diff(lam) > 0):
-        raise ValueError("points must be strictly increasing")
+        raise ConfigError("points must be strictly increasing")
     return lam
 
 
@@ -160,7 +160,7 @@ def optimize_lambdas(m: int, seed: int = 0, starts: int = 16) -> LambdaPoints:
     orderings plus the equispaced one. m=2 recovers l=[1], C_2 = 8.
     """
     if not 2 <= m <= 8:
-        raise ValueError("optimize_lambdas supports 2 <= m <= 8")
+        raise ConfigError("optimize_lambdas supports 2 <= m <= 8")
     rng = np.random.default_rng(seed)
     dim = m - 1
 
@@ -260,9 +260,9 @@ def kl_check(coeffs: Sequence[float], m: int, k: int, u: float,
     cm defaults to the optimized constant for this m.
     """
     if not (m >= 2 and 1 <= k < m):
-        raise ValueError("need m >= 2 and 1 <= k < m")
+        raise ConfigError("need m >= 2 and 1 <= k < m")
     if not 0 < u <= 1:
-        raise ValueError("u must lie in (0, 1]")
+        raise ConfigError("u must lie in (0, 1]")
     if cm is None:
         cm = _default_cm(m)
     p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
@@ -291,7 +291,7 @@ class TrigPoly:
 
     def __init__(self, n: int, period: float, coeffs: dict):
         if n not in (1, 2):
-            raise ValueError("TrigPoly supports n in {1, 2}")
+            raise ConfigError("TrigPoly supports n in {1, 2}")
         self.n = n
         self.period = float(period)
         self.coeffs = {tuple(k): complex(c) for k, c in coeffs.items()}
@@ -423,7 +423,7 @@ def pointwise_from_l2_check(H: TrigPoly, m: int, points: np.ndarray,
     if pts.ndim == 1:
         pts = pts[:, None] if n == 1 else pts[None, :]
     if pts.shape[1] != n:
-        raise ValueError("points dimension mismatch")
+        raise ConfigError("points dimension mismatch")
     L = _chain_constant(H, m)
     expo = m / (2.0 * m + n)
     corners = np.where(pts >= 0, pts, pts - side)
@@ -460,9 +460,9 @@ def expdiff_check(alpha: float, beta_t: float, s_minus: float, s_plus: float,
     """
     import mpmath as mp
     if not 0 <= s_minus <= s_plus:
-        raise ValueError("need 0 <= s_minus <= s_plus")
+        raise ConfigError("need 0 <= s_minus <= s_plus")
     if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+        raise ConfigError("alpha must lie in (0, 1)")
     with mp.workdps(dps):
         a = mp.mpf(alpha)
         bt = mp.mpf(beta_t)

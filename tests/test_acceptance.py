@@ -210,7 +210,7 @@ def test_criterion_09_induction_chain(reference_run, tmp_path):
     cap = 32.0 / math.sqrt(2)
     assert all(lam <= cap * (1 + 1e-12) for lam in sched.scales)
     assert len(sched.scales) >= 3
-    rows = check_hypotheses(traj, sched, n_random=64, omega_nodes=16, seed=0)
+    rows = check_hypotheses(traj, sched, n_random=64, seed=0)
     assert len(rows) == len(sched.scales) * len(REF_TIMES)
     for r in rows:
         assert r.hyp1 <= sched.M * (1 + 1e-9), (r.scale, r.t, r.hyp1)

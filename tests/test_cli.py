@@ -7,9 +7,11 @@ import os
 import numpy as np
 import pytest
 
-from kinb import (AngularQuadrature, CrossSection, GridSpec, InitialDatum,
-                  RunConfig, init_state, simulate)
-from kinb.cli import load_config, main, read_snapshot, write_manifest, write_snapshot
+from kinb import (AngularQuadrature, CrossSection, GevreyWeight, GridSpec,
+                  InitialDatum, RunConfig, commutation_error,
+                  fractional_heat_evolve, init_state, simulate)
+from kinb.cli import (_run_config, load_config, main, read_snapshot,
+                      write_manifest, write_snapshot)
 from kinb.errors import ConfigError
 
 KAC_INI = """\
@@ -69,6 +71,9 @@ def test_load_config_rejects_unknown_and_missing(tmp_path):
     bad4 = _write(tmp_path, "d.ini", KAC_INI.replace("n = 129", "n = many"))
     with pytest.raises(ConfigError):
         load_config(bad4)
+    bad5 = _write(tmp_path, "e.ini", KAC_INI + "\n[weight]\nlambda = 3.0\n")
+    with pytest.raises(ConfigError, match="unknown key 'lambda'"):
+        load_config(bad5)
 
 
 def test_simulate_writes_run_and_snapshots(tmp_path, capsys):
@@ -242,19 +247,56 @@ def test_verify_operator_suites_pass(suite, capsys):
     assert "counterexample" not in capsys.readouterr().out.lower()
 
 
+RADIAL_PART3_INI = """\
+[grid]
+dimension = 2
+mode = radial
+n = 64
+eta_max = 8.0
+
+[kernel]
+nu = 0.9
+
+[quad]
+theta_min = 0.05
+
+[time]
+dt = 1e-3
+t_end = 0.01
+snapshots = 2
+
+[init]
+kind = laplace
+params = a=1.0
+
+[induction]
+part = III
+"""
+
+
 def test_induction_angle_overrides(tmp_path, capsys):
+    # parts I and II read neither split angle
     ini = KAC_INI.replace("n = 129", "n = 161").replace(
         "eta_max = 12.0", "eta_max = 16.0")
-    out = str(tmp_path / "run")
+    out = str(tmp_path / "kac")
     assert main(["simulate", _write(tmp_path, "kac.ini", ini), "--out", out]) == 0
     capsys.readouterr()
-    # nu = 0.9 lets the part-I exponent reach alpha_{2,1} = 0.848, where
-    # vartheta0 = 0.7 leaves the grazing cone; theta0 = 0.8 exceeds pi/4
-    ini = ini.replace("nu = 0.25", "nu = 0.9")
-    for line, code in (("theta0 = 0.1", 0), ("vartheta0 = 0.1", 0),
-                       ("theta0 = 0.8", 1), ("vartheta0 = 0.7", 1)):
+    for line in ("theta0 = 0.1", "vartheta0 = 0.1"):
         cfg = _write(tmp_path, "ind.ini", ini.replace("part = I",
                                                       "part = I\n" + line))
+        assert main(["induction", out, "--config", cfg,
+                     "--n-random", "4"]) == 1, line
+        assert "applies to part III only" in capsys.readouterr().err
+    out = str(tmp_path / "rad")
+    assert main(["simulate", _write(tmp_path, "rad.ini", RADIAL_PART3_INI),
+                 "--out", out]) == 0
+    capsys.readouterr()
+    # nu = 0.9 lets the part-III exponent reach alpha_{2,1} = 0.848, where
+    # the grazing cone admits theta0 <= pi/4 and vartheta0 <= 0.446
+    for line, code in (("theta0 = 0.1", 0), ("vartheta0 = 0.1", 0),
+                       ("theta0 = 0.8", 1), ("vartheta0 = 0.5", 1)):
+        cfg = _write(tmp_path, "ind.ini", RADIAL_PART3_INI.replace(
+            "part = III", "part = III\n" + line))
         assert main(["induction", out, "--config", cfg,
                      "--n-random", "4"]) == code, line
         captured = capsys.readouterr()
@@ -262,3 +304,97 @@ def test_induction_angle_overrides(tmp_path, capsys):
             assert "violates the grazing-cone condition" in captured.err
         else:
             assert "largest passing scale" in captured.out
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("laplace", "a=1.0 sigma=7 center=3"),
+    ("gaussian", "sigma=1.0 a=2"),
+    ("gaussian-mixture", "components=1:0:0.5 mass=2"),
+])
+def test_init_params_of_another_kind_are_rejected(tmp_path, capsys, kind, params):
+    ini = KAC_INI.replace("kind = laplace", f"kind = {kind}").replace(
+        "params = a=1.0", f"params = {params}")
+    assert main(["simulate", _write(tmp_path, "kac.ini", ini),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert f"init kind {kind!r} takes no param" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_planar_script_config_is_the_bench_mixture():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                        "boltzmann_2d.ini")
+    rc = _run_config(load_config(path))
+    assert rc.grid == GridSpec(dimension=2, mode="full-2d", n=64, eta_max=2.0)
+    assert rc.quadrature == AngularQuadrature(theta_min=4e-3, panels=8,
+                                              nodes_per_panel=5)
+    assert rc.datum == InitialDatum(kind="gaussian-mixture", dimension=2,
+                                    components=((0.5, (0.75, 0.0), 0.6),
+                                                (0.5, (-0.75, 0.0), 0.6)))
+    assert (rc.dt, rc.t_end, rc.snapshots) == (4e-3, 0.5, 4)
+
+
+def _missing_csv_dir(tmp_path):
+    return ["constants", "--csv", str(tmp_path / "missing" / "x.csv")]
+
+
+def _simulate_onto_a_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return ["simulate", _write(tmp_path, "kac.ini", KAC_INI),
+            "--out", str(tmp_path / "taken")]
+
+
+def _simulate_list_for_a_number(tmp_path):
+    ini = KAC_INI.replace("params = a=1.0", "params = a=0.5,1")
+    return ["simulate", _write(tmp_path, "kac.ini", ini),
+            "--out", str(tmp_path / "run")]
+
+
+def _induction_missing_dir(tmp_path):
+    return ["induction", str(tmp_path / "missing"),
+            "--config", _write(tmp_path, "kac.ini", KAC_INI)]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp_path: ["constants", "--m", "9"],
+    lambda tmp_path: ["constants", "--nu", "1.5"],
+    _simulate_onto_a_file,
+    _simulate_list_for_a_number,
+    _missing_csv_dir,
+    _induction_missing_dir,
+], ids=["constants-m9", "constants-nu1.5", "simulate-out-file",
+        "simulate-list-for-a-number", "constants-csv-missing-dir",
+        "induction-missing-dir"])
+def test_bad_arguments_and_paths_exit_1(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 1
+    assert "kinb:" in capsys.readouterr().err
+
+
+def test_diagnose_commutator_matches_library(tmp_path, capsys):
+    g = GridSpec(dimension=1, mode="full-1d", n=257, eta_max=16.0)
+    st = fractional_heat_evolve(
+        init_state(g, InitialDatum(kind="gaussian", dimension=1, sigma=1.0)),
+        0.5, 0.2)
+    p = str(tmp_path / "snap.csv")
+    write_snapshot(st, p)
+    assert main(["diagnose", p, "--fit-window", "0.5", "2.0", "--alpha", "0.3",
+                 "--beta", "0.1", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    # no --lambda: the commutator cutoff is eta_max/sqrt(2), the kernel and
+    # quadrature are the command's fixed ones
+    com = commutation_error(
+        read_snapshot(p), GevreyWeight(alpha=0.3, beta=0.1, t=st.t,
+                                       lam=16.0 / math.sqrt(2.0)),
+        CrossSection(nu=0.5, kappa=1.0),
+        AngularQuadrature(theta_min=0.05, panels=6, nodes_per_panel=4))
+    assert f"  commutator lhs={com.lhs!r} rhs_bound={com.rhs_bound!r}\n" in out
+    assert f"i_term={com.i_term!r} i_plus_term={com.i_plus_term!r}\n" in out
+
+
+def test_constants_writes_one_csv_row_per_dimension(tmp_path, capsys):
+    path = tmp_path / "constants.csv"
+    assert main(["constants", "--m", "3", "--nu", "0.5", "--csv", str(path)]) == 0
+    capsys.readouterr()
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["m"], r["n"]) for r in rows] == [("3", "1"), ("3", "2"), ("3", "3")]
+    assert all(float(r["alpha_md"]) > 0 and float(r["C_m"]) > 0 for r in rows)

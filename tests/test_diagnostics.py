@@ -32,10 +32,10 @@ from kinb import (
     weighted_norms,
 )
 import kinb.diagnostics as diag
-from kinb.diagnostics import (_grow, _omega_frame, _unit_directions,
-                              angle_thresholds, bracket_integral)
+from kinb.diagnostics import (_grow, _unit_directions, angle_thresholds,
+                              bracket_integral)
 from kinb.spectral import _InterpPlan, refine_array
-from kinb.inequalities import epsilon
+from kinb.inequalities import alpha_md, epsilon
 
 
 def _flat_state(n=257, eta_max=16.0):
@@ -327,7 +327,7 @@ def test_hypothesis_rows_pass_on_short_run():
     states = [s for _, s in traj.snapshots]
     sched = build_induction_schedule(states, part="I", m=2, alpha=0.2,
                                      T0=0.2, cs=cs)
-    rows = check_hypotheses(traj, sched, n_random=16, omega_nodes=8, seed=0)
+    rows = check_hypotheses(traj, sched, n_random=16, seed=0)
     assert len(rows) == len(sched.scales) * len(traj.snapshots)
     for r in rows:
         assert r.hyp1 <= sched.M * (1 + 1e-9)
@@ -336,8 +336,13 @@ def test_hypothesis_rows_pass_on_short_run():
         assert r.passed
 
 
-def _hyp3_per_direction(state, fine, sched, lam, dirs, omega_nodes=16,
-                        theta_nodes=48, n_radii=24):
+def _planar_frame(ehat):
+    """The two unit vectors orthogonal to a planar direction, weight 1 each."""
+    return np.array([[-ehat[1], ehat[0]], [ehat[1], -ehat[0]]]), np.ones(2)
+
+
+def _hyp3_per_direction(state, fine, sched, lam, dirs, theta_nodes=48,
+                        n_radii=24):
     """Part-III supremum with one interpolation plan per (direction, radius,
     angle branch)."""
     grid = state.grid
@@ -350,7 +355,7 @@ def _hyp3_per_direction(state, fine, sched, lam, dirs, omega_nodes=16,
     th_b, w_b = diag._gl_rule(sched.vartheta0, math.pi / 4.0, theta_nodes)
     sup = 0.0
     for ehat in dirs:
-        om, om_w = _omega_frame(ehat, omega_nodes)
+        om, om_w = _planar_frame(ehat)
         for r0 in radii:
             half = th_a / 2.0
             base = (r0 * np.sin(half) ** 2)[:, None] * ehat[None, :]
@@ -372,18 +377,23 @@ def _hyp3_per_direction(state, fine, sched, lam, dirs, omega_nodes=16,
     return sup
 
 
+def _keep_one_angle_branch(monkeypatch, branch):
+    """Zero the angle rule of the other part-III branch, so that the
+    supremum comes from this one (the theta_a branch dominates otherwise)."""
+    if branch is None:
+        return
+    rule = diag._gl_rule
+    other = math.pi / 4.0 if branch == "theta_a" else math.pi / 2.0
+
+    def one_branch(lo, hi, n):
+        x, w = rule(lo, hi, n)
+        return x, w * (hi != other)
+    monkeypatch.setattr(diag, "_gl_rule", one_branch)
+
+
 @pytest.mark.parametrize("branch", [None, "theta_a", "theta_b"])
 def test_part3_hypotheses_match_per_direction_sweep(branch, monkeypatch):
-    if branch is not None:
-        # zero the angle rule of the other branch, so that the supremum
-        # comes from this one (the theta_a branch dominates otherwise)
-        rule = diag._gl_rule
-        other = math.pi / 4.0 if branch == "theta_a" else math.pi / 2.0
-
-        def one_branch(lo, hi, n):
-            x, w = rule(lo, hi, n)
-            return x, w * (hi != other)
-        monkeypatch.setattr(diag, "_gl_rule", one_branch)
+    _keep_one_angle_branch(monkeypatch, branch)
     g = GridSpec(dimension=2, mode="full-2d", n=32, eta_max=8.0)
     s0 = init_state(g, InitialDatum(kind="gaussian", dimension=2, sigma=0.3))
     s1 = fractional_heat_evolve(s0, 0.8, 0.5)
@@ -407,6 +417,143 @@ def test_part3_hypotheses_match_per_direction_sweep(branch, monkeypatch):
                                    r.scale, dirs)
         assert want > 0.0
         assert r.hyp3 == want
+
+
+def _hyp2_per_direction(state, fine, sched, lam, dirs):
+    """Part-II supremum with one interpolation plan per direction, over the
+    32 x 32 polar (z, rho) lattice of the sector pi/4 < phi < pi/2."""
+    idx = np.arange(32)
+    rad = lam * (idx + 1) / 32.0
+    phi = math.pi / 4.0 + math.pi / 4.0 * (idx + 0.5) / 32.0
+    rr, pp = np.meshgrid(rad, phi, indexing="ij")
+    z = rr.reshape(-1) * np.cos(pp.reshape(-1))
+    rho = rr.reshape(-1) * np.sin(pp.reshape(-1))
+    g = _grow(sched.beta * state.t, z ** 2 + rho ** 2,
+              power=epsilon(sched.alpha, 1.0), alpha=sched.alpha)
+    sup = 0.0
+    for zeta in dirs:
+        om, om_w = _planar_frame(zeta)
+        pts = (z[:, None, None] * zeta[None, None, :]
+               - rho[:, None, None] * om[None, :, :])
+        vals = np.abs(_InterpPlan(state.grid, pts.reshape(-1, 2)).apply(fine))
+        sup = max(sup, float((g * (vals.reshape(len(z), 2) @ om_w)).max()))
+    return sup
+
+
+def test_part2_hypotheses_match_per_direction_sweep():
+    g = GridSpec(dimension=2, mode="full-2d", n=48, eta_max=24.0)
+    comps = ((0.6, (0.8, -0.3), 0.12), (0.4, (-0.5, 0.6), 0.08))
+    s0 = init_state(g, InitialDatum(kind="gaussian-mixture", dimension=2,
+                                    components=comps))
+    s1 = fractional_heat_evolve(s0, 0.5, 0.5)
+    sched = build_induction_schedule([s0, s1], part="II", m=2, alpha=0.5,
+                                     T0=0.5, cs=CrossSection(nu=0.5))
+    # off-center components make |fhat| depend on the direction; the flat
+    # transform puts the supremum at the edge of the lattice
+    flat = state_with_values(s0, np.ones(g.shape, dtype=complex), t=0.25)
+    flow = SimpleNamespace(snapshots=[(0.0, s0), (0.25, flat), (0.5, s1)],
+                           final=s1)
+    rows = check_hypotheses(flow, sched, n_random=8, seed=3)
+    assert len(sched.scales) == 2
+    assert len(rows) == 3 * len(sched.scales)
+    dirs = _unit_directions(2, 8, np.random.default_rng(3))
+    states = dict(flow.snapshots)
+    for r in rows:
+        s = states[r.t]
+        want = _hyp2_per_direction(s, refine_array(g, s.values), sched,
+                                   r.scale, dirs)
+        assert want > 0.0
+        assert r.hyp2 == want and r.hyp1 is not None and r.hyp3 is None
+
+
+def _radial_flow(d):
+    """A laplace datum and its fractional-heat flow, which the schedule is
+    built from, and between them a flat transform at t > 0, whose weighted
+    supremum sits at the cutoff."""
+    g = GridSpec(dimension=d, mode="radial", n=128, eta_max=24.0)
+    s0 = init_state(g, InitialDatum(kind="laplace", dimension=d, a=0.5))
+    s1 = fractional_heat_evolve(s0, 0.5, 0.5)
+    flat = state_with_values(s0, np.ones(g.shape, dtype=complex), t=0.25)
+    return SimpleNamespace(snapshots=[(0.0, s0), (0.25, flat), (0.5, s1)],
+                           final=s1), [s0, s1]
+
+
+# |S^{d-2}|: the two points of S^0, the circumference of S^1
+_RADIAL_MEASURE = {2: 2.0, 3: 2.0 * math.pi}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_part2_hypotheses_on_radial_grids(d):
+    flow, states = _radial_flow(d)
+    sched = build_induction_schedule(states, part="II", m=2, alpha=0.5,
+                                     T0=0.5, cs=CrossSection(nu=0.5))
+    rows = check_hypotheses(flow, sched, seed=2)
+    assert len(rows) == 3 * len(sched.scales)
+    for r in rows:
+        s = dict(flow.snapshots)[r.t]
+        radii = s.grid.axis_nodes()
+        inside = radii <= r.scale * (1.0 + 1e-12)
+        g = _grow(sched.beta * s.t, radii[inside] ** 2,
+                  power=epsilon(sched.alpha, 1.0), alpha=sched.alpha)
+        want = _RADIAL_MEASURE[d] * float((g * np.abs(s.values)[inside]).max())
+        assert r.hyp2 == want and r.hyp3 is None
+    assert rows[0].hyp2 == _RADIAL_MEASURE[d]  # fhat(0) = 1 at t = 0
+
+
+def _hyp3_per_radius(state, fine, sched, lam, theta_nodes=48, n_radii=24):
+    """Radial part-III supremum with one interpolation plan per radius and
+    angle branch."""
+    grid = state.grid
+    p = 2.0 * sched.m / (2.0 * sched.m + 1.0)
+    sq2lam = math.sqrt(2.0) * lam
+    th_a, w_a = diag._gl_rule(sched.theta0, math.pi / 2.0, theta_nodes)
+    th_b, w_b = diag._gl_rule(sched.vartheta0, math.pi / 4.0, theta_nodes)
+    sup = 0.0
+    for r0 in np.linspace(sq2lam / n_radii, sq2lam, n_radii):
+        for rm, wq in ((r0 * np.sin(th_a / 2.0), w_a), (r0 * np.tan(th_b), w_b)):
+            vals = np.abs(_InterpPlan(grid, rm).apply(fine))
+            g = _grow(sched.beta * state.t, rm ** 2, power=p, alpha=sched.alpha)
+            ind = rm <= lam * (1.0 + 1e-12)
+            sup = max(sup, _RADIAL_MEASURE[grid.dimension]
+                      * float(np.sum(wq * g * vals * ind)))
+    return sup
+
+
+@pytest.mark.parametrize("branch", [None, "theta_a", "theta_b"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_part3_hypotheses_on_radial_grids(d, branch, monkeypatch):
+    _keep_one_angle_branch(monkeypatch, branch)
+    flow, states = _radial_flow(d)
+    # nu = 0.9 lets alpha reach alpha_{2,1} = 0.848: vartheta0 = 0.45 < pi/4
+    sched = build_induction_schedule(states, part="III", m=2,
+                                     alpha=alpha_md(2, 1), T0=0.5,
+                                     cs=CrossSection(nu=0.9))
+    assert sched.vartheta0 < 0.5
+    rows = check_hypotheses(flow, sched, seed=2)
+    assert len(rows) == 3 * len(sched.scales) and len(sched.scales) >= 3
+    for r in rows:
+        s = dict(flow.snapshots)[r.t]
+        want = _hyp3_per_radius(s, refine_array(s.grid, s.values), sched, r.scale)
+        assert want > 0.0
+        assert r.hyp3 == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert r.hyp2 is None
+
+
+def test_hypotheses_of_a_run_without_snapshots_and_the_window_guard():
+    flow, states = _radial_flow(2)
+    sched = build_induction_schedule(states, part="III", m=2,
+                                     alpha=alpha_md(2, 1), T0=0.5,
+                                     cs=CrossSection(nu=0.9))
+    # no snapshots: the final state is checked
+    rows = check_hypotheses(SimpleNamespace(snapshots=[], final=states[1]),
+                            sched, seed=2)
+    assert rows == [r for r in check_hypotheses(flow, sched, seed=2)
+                    if r.t == 0.5]
+    # the schedule's upper scales do not fit this grid's sqrt(2) window
+    g = GridSpec(dimension=2, mode="radial", n=64, eta_max=8.0)
+    s = init_state(g, InitialDatum(kind="laplace", dimension=2, a=0.5))
+    with pytest.raises(ConfigError, match="exceeds the grid"):
+        check_hypotheses(SimpleNamespace(snapshots=[(0.0, s)], final=s), sched)
 
 
 # ---------------------------------------------------------------------------
