@@ -283,8 +283,9 @@ def _write_induction_csv(rows, schedule, path: str) -> None:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     _require_sections(cfg, ("grid", "kernel", "quad", "time", "init"))
-    traj = simulate(_run_config(cfg))
+    rc = _run_config(cfg)
     os.makedirs(args.out, exist_ok=True)
+    traj = simulate(rc)
     _write_run_csv(traj, os.path.join(args.out, "run.csv"))
     for i, (t, snap) in enumerate(traj.snapshots):
         write_snapshot(snap, os.path.join(args.out,
@@ -298,6 +299,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    os.makedirs(args.out, exist_ok=True)
     reports = []
     for path in args.snapshots:
         state = read_snapshot(path)
@@ -328,7 +330,6 @@ def cmd_diagnose(args) -> int:
             print(f"  commutator lhs={com.lhs!r} rhs_bound={com.rhs_bound!r}")
             print(f"             i_term={com.i_term!r} "
                   f"i_plus_term={com.i_plus_term!r}")
-    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "fit.csv"), "w", newline="") as fh:
         fh.write("snapshot,t,alpha_hat,beta_t_hat,residual,"
                  "window_lo,window_hi,n_points\n")

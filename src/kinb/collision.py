@@ -173,7 +173,8 @@ def transform_jacobian(eta: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def kac_pair(eta, theta) -> tuple:
-    """(eta_minus, eta_plus) = (eta sin theta, eta cos theta) for d = 1."""
+    """(eta_minus, eta_plus) = (eta sin theta, eta cos theta) for d = 1; at
+    half the deviation angle, also |eta-| and |eta+| for radii eta."""
     eta = np.asarray(eta, dtype=float)
     th = np.asarray(theta, dtype=float)
     return eta * np.sin(th), eta * np.cos(th)
@@ -183,31 +184,21 @@ def kac_pair(eta, theta) -> tuple:
 # cached evaluator
 # ----------------------------------------------------------------------------
 
-def _mirror(grid: GridSpec) -> np.ndarray:
-    """Flat index of the node at -eta for every node (itself if unpaired)."""
-    if grid.mode == "full-1d":
-        return np.arange(grid.shape[0])[::-1]
-    if grid.mode == "radial":
-        return np.arange(grid.n)
-    # full-2d: index 0 along either axis is the unpaired -n/2 row/column
-    n = grid.n
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.where((i > 0) & (j > 0), (n - i) * n + (n - j), i * n + j).ravel()
-
-
 class _Evaluator:
     """Precomputed angular nodes, sample coordinates, and interpolation plans
     for one (grid, cross-section, quadrature) triple.
 
     Everything is built on the kept nodes: one node of each conjugate pair
     (eta, -eta) plus the unpaired nodes; `expand` restores the full array.
-    For d = 1 only theta > 0 is stored, with doubled weights.
+    For d = 1 only theta > 0 is stored, with doubled weights. `phi` is the
+    split angle of each angular node, |eta-| = |eta| |sin phi| and
+    |eta+| = |eta| cos phi: theta for d = 1, theta/2 for d >= 2.
     """
 
     def __init__(self, grid: GridSpec, cs: CrossSection, quad: AngularQuadrature):
         self.grid = grid
         d = grid.dimension
-        mirror = _mirror(grid)
+        mirror = grid.mirror()
         flat = np.arange(mirror.size)
         self.keep = np.flatnonzero(mirror <= flat)
         self.drop = np.flatnonzero(mirror > flat)
@@ -215,19 +206,18 @@ class _Evaluator:
         pos[self.keep] = np.arange(self.keep.size)
         self.drop_src = pos[mirror[self.drop]]
         self.pts = grid.nodes()[self.keep]
-        if d == 1:
-            theta, w = quad.angles(math.pi / 4)
-            weights = 2.0 * w * cs.collapsed(theta)
-            minus, plus = kac_pair(self.pts[:, None], theta[None, :])
-        elif grid.mode == "radial":
-            theta, w = quad.angles(math.pi / 2)
-            weights = _SPHERE_AREA[d - 1] * w * cs.collapsed(theta)
-            r = self.pts
-            minus = r[:, None] * np.sin(theta[None, :] / 2.0)
-            plus = r[:, None] * np.cos(theta[None, :] / 2.0)
-        else:  # full-2d
+        if grid.mode != "full-2d":
+            # the Kac line folds theta < 0 onto theta > 0; radial data
+            # integrate the sphere of directions in closed form
+            kac = d == 1
+            theta, w = quad.angles(math.pi / 4 if kac else math.pi / 2)
+            weights = (2.0 if kac else _SPHERE_AREA[d - 1]) * w * cs.collapsed(theta)
+            phi = theta if kac else theta / 2.0
+            minus, plus = kac_pair(self.pts[:, None], phi[None, :])
+        else:
             th, w = quad.angles(math.pi / 2)
             theta = np.concatenate([-th[::-1], th])
+            phi = theta / 2.0
             weights = np.concatenate([w[::-1], w]) * cs.collapsed(theta)
             pts = self.pts
             r = np.linalg.norm(pts, axis=-1, keepdims=True)
@@ -236,16 +226,15 @@ class _Evaluator:
                      + np.sin(theta)[None, :, None] * perp_unit(ehat)[:, None, :])
             plus = 0.5 * (pts[:, None, :] + r[:, None, :] * sigma)
             minus = pts[:, None, :] - plus
-        self.theta = theta
+        self.theta, self.phi = theta, phi
         self.weights = weights
         self.total_weight = float(weights.sum())
-        self.n_nodes, self.n_theta = self.keep.size, theta.size
         self.plan_minus = _InterpPlan(grid, minus)
         self.plan_plus = _InterpPlan(grid, plus)
 
     def gather(self, fine: np.ndarray, side: str) -> np.ndarray:
-        plan = self.plan_minus if side == "minus" else self.plan_plus
-        return plan.apply(fine).reshape(self.n_nodes, self.n_theta)
+        """Values at eta- or eta+, axes (kept node, angle)."""
+        return (self.plan_minus if side == "minus" else self.plan_plus).apply(fine)
 
     def expand(self, kept: np.ndarray) -> np.ndarray:
         """Full node array from kept-node values by x(-eta) = conj x(eta)."""

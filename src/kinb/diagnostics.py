@@ -24,7 +24,8 @@ from .errors import ConfigError, NumericalFailure
 from .inequalities import alpha_md, epsilon, optimize_lambdas
 from .spectral import (GridSpec, SpectralState, moments, refine_array,
                        state_with_values, to_physical, _InterpPlan, _SPHERE_AREA)
-from .collision import AngularQuadrature, CrossSection, _evaluator, perp_unit
+from .collision import (AngularQuadrature, CrossSection, _evaluator, kac_pair,
+                        perp_unit)
 
 __all__ = [
     "GevreyWeight", "WeightedNorms", "weighted_norms",
@@ -219,13 +220,6 @@ def _plus_angles(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature):
     return th, kernel * wq
 
 
-def _abs_at(grid: GridSpec, fine: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """|fhat| at off-grid points through one interpolation plan; planar
-    points carry their coordinates on the last axis."""
-    shape = pts.shape[:-1] if grid.mode == "full-2d" else pts.shape
-    return np.abs(_InterpPlan(grid, pts).apply(fine)).reshape(shape)
-
-
 def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
                       quad: AngularQuadrature) -> CommutatorReport:
     """The weighted-commutator inner product and two upper bounds for it.
@@ -262,21 +256,14 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     fine = refine_array(grid, f)
     fm = np.abs(ev.gather(fine, "minus"))
     fp = np.abs(ev.gather(fine, "plus"))
-    theta = ev.theta
+    theta, phi = ev.theta, ev.phi
 
-    half = theta / 2.0
     r_kept = grid.abs_nodes().reshape(-1)[ev.keep][:, None]
-    if d == 1:
-        sin_sq = np.sin(theta) ** 2          # = 1 - |eta+|^2/|eta|^2
-        ratio_pm = 1.0 / np.tan(theta) ** 2   # |eta+|^2 / |eta-|^2
-        abs_minus, abs_plus = r_kept * np.sin(theta), r_kept * np.cos(theta)
-    else:
-        sin_sq = np.sin(half) ** 2
-        ratio_pm = 1.0 / np.tan(half) ** 2
-        abs_minus = r_kept * np.abs(np.sin(half))
-        abs_plus = r_kept * np.cos(half)
+    sin_sq = np.sin(phi) ** 2          # = 1 - |eta+|^2/|eta|^2
+    ratio_pm = 1.0 / np.tan(phi) ** 2   # |eta+|^2 / |eta-|^2
+    abs_minus, abs_plus = np.abs(kac_pair(r_kept, phi))   # planar phi is signed
     eps_prop = epsilon(alpha, ratio_pm)
-    eps_lem = epsilon(alpha, 1.0 / np.tan(half) ** 2)
+    eps_lem = epsilon(alpha, 1.0 / np.tan(theta / 2.0) ** 2)
 
     r_nodes = grid.abs_nodes().reshape(-1)
     mag = np.abs(f).reshape(-1)
@@ -317,13 +304,13 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
             nodes = ev.pts
             rr = np.linalg.norm(nodes, axis=-1, keepdims=True)
             ehat = np.divide(nodes, rr, out=np.zeros_like(nodes), where=rr > 0)
-            omega = np.stack([-ehat[:, 1], ehat[:, 0]], axis=-1)
+            omega = perp_unit(ehat)
             tanv = np.tan(th_p)
             base = rr[:, :, None] * tanv[None, :, None] * omega[:, None, :]
             pts = np.concatenate([-base, base], axis=1)
             kernel_plus = np.concatenate([kernel_plus, kernel_plus])
             eps_plus = np.concatenate([eps_plus, eps_plus])
-    fmp = _abs_at(grid, fine, pts)
+    fmp = np.abs(_InterpPlan(grid, pts).apply(fine))
     if grid.mode == "full-2d":
         abs_pts = np.linalg.norm(pts, axis=-1)
     else:
@@ -399,7 +386,8 @@ def beta_recommendation(M: float, T0: float, alpha: float, cs: CrossSection,
     c_v0 = cs.b_value(2.0 * vartheta0, d)
     denom = alpha * T0 * ((1.0 + 2.0 ** (d - 1)) * cb2 * M2
                           + (c_t0 + 2.0 ** d * c_v0) * M) + 1.0
-    return C_tilde / denom
+    # b_value returns a numpy scalar
+    return float(C_tilde / denom)
 
 
 def _canonical_part(part) -> int:
@@ -637,7 +625,7 @@ def _hyp2_sup(state, fine, alpha, beta, lam, dirs) -> float:
     pts = (z[:, None, None] * dirs[:, None, None, :]
            - rho[:, None, None] * _omega_frames(dirs)[:, None])
     g = _grow(bt, z ** 2 + rho ** 2, power=eps1, alpha=alpha)
-    return float((g * _abs_at(grid, fine, pts).sum(axis=-1)).max())
+    return float((g * np.abs(_InterpPlan(grid, pts).apply(fine)).sum(axis=-1)).max())
 
 
 def _gl_rule(lo, hi, n):
@@ -667,7 +655,7 @@ def _hyp3_sup(state, fine, alpha, beta, lam, m, theta0, vartheta0, dirs,
                        (radii[:, None] * np.tan(th_b)[None, :], w_b)):
             g = _grow(bt, rm ** 2, power=p, alpha=alpha)
             ind = rm <= lam * (1.0 + 1e-12)
-            vals = _abs_at(grid, fine, rm)
+            vals = np.abs(_InterpPlan(grid, rm).apply(fine))
             sup = max(sup, sphere * float(((g * vals * ind) @ wq).max()))
         return sup
 
@@ -683,7 +671,7 @@ def _hyp3_sup(state, fine, alpha, beta, lam, m, theta0, vartheta0, dirs,
         rad = np.linalg.norm(pts, axis=-1)
         g = _grow(bt, rad ** 2, power=p, alpha=alpha)
         ind = rad <= lam * (1.0 + 1e-12)
-        omega_avg = (g * _abs_at(grid, fine, pts) * ind).sum(axis=-1)
+        omega_avg = (g * np.abs(_InterpPlan(grid, pts).apply(fine)) * ind).sum(axis=-1)
         sup = max(sup, float(np.sum(wq * omega_avg, axis=-1).max()))
     return sup
 

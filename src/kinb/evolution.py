@@ -2,11 +2,10 @@
 
 The state is advanced with classical RK4 on the Fourier lattice.  After
 each step the array is re-symmetrized so that it stays the transform of
-a real density: full-1d pairs eta with -eta, full-2d pairs lattice
-points on the sub-block that has a mirror partner, radial data is kept
-real.  The update is then revalidated through the state constructor, so
-a blown-up run fails fast with NumericalFailure instead of producing
-garbage monitor rows.
+a real density: every node is paired with its mirror -eta (GridSpec.mirror)
+and the unpaired nodes of the planar lattice are zeroed.  The update is
+then revalidated through the state constructor, so a blown-up run fails
+fast with NumericalFailure instead of producing garbage monitor rows.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .spectral import (GridSpec, InitialDatum, SpectralState, init_state,
-                       moments, state_with_values, to_physical)
+from .spectral import (GridSpec, InitialDatum, SpectralState, _hermitize,
+                       init_state, moments, state_with_values, to_physical)
 from .collision import (AngularQuadrature, CrossSection, rhs_bilinear,
                         stability_limit)
 
@@ -100,22 +99,6 @@ def entropy(state: SpectralState) -> float:
     cell = dv ** state.grid.dimension
     pos = dens > 0.0
     return float(np.sum(dens[pos] * np.log(dens[pos])) * cell)
-
-
-def _hermitize(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    if grid.mode == "full-1d":
-        return 0.5 * (values + np.conj(values[::-1]))
-    if grid.mode == "radial":
-        return values.real.astype(complex)
-    # full-2d: index 0 along each axis is the unpaired -n/2 row/column.
-    # Those modes have no conjugate partner on the even lattice, so any
-    # value parked there makes the reconstruction complex; zero them.
-    out = values.copy()
-    out[0, :] = 0.0
-    out[:, 0] = 0.0
-    block = values[1:, 1:]
-    out[1:, 1:] = 0.5 * (block + np.conj(block[::-1, ::-1]))
-    return out
 
 
 def _rk4_step(grid, cs, quad, values, dt):

@@ -129,6 +129,18 @@ class GridSpec:
             return np.stack([gx.ravel(), gy.ravel()], axis=1)
         return ax
 
+    def mirror(self) -> np.ndarray:
+        """Flat index of the node at -eta for every node. Radial nodes and
+        the zero node are their own mirror; the -n/2 row and column of
+        full-2d have no partner on the even lattice and read -1."""
+        if self.mode == "full-1d":
+            return np.arange(self.shape[0])[::-1]
+        if self.mode == "radial":
+            return np.arange(self.n)
+        n = self.n
+        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        return np.where((i > 0) & (j > 0), (n - i) * n + (n - j), -1).ravel()
+
     def abs_nodes(self) -> np.ndarray:
         """|eta| per node, same layout as the stored values."""
         if self.mode == "full-2d":
@@ -182,23 +194,36 @@ class SpectralState:
         if sup > z.real * (1 + 1e-9):
             raise NumericalFailure(
                 f"|fhat| exceeds fhat(0) by {sup / z.real - 1:.3e} (instability)")
-        if self.grid.mode == "full-1d":
-            mirror = vals[::-1]
-            if np.abs(vals - mirror.conj()).max() > 1e-12 * z.real:
-                raise ConfigError("values are not Hermitian")
-        elif self.grid.mode == "full-2d":
-            # index -n/2 has no mirror on the even lattice; check the rest
-            sub = vals[1:, 1:]
-            if np.abs(sub - sub[::-1, ::-1].conj()).max() > 1e-12 * z.real:
-                raise ConfigError("values are not Hermitian")
-        elif np.abs(vals.imag).max() > 1e-12 * z.real:
-            raise ConfigError("radial values are not real")
+        if self.grid.mode == "radial":
+            if np.abs(vals.imag).max() > 1e-12 * z.real:
+                raise ConfigError("radial values are not real")
+        elif _hermitian_residue(self.grid, vals) > 1e-12 * z.real:
+            raise ConfigError("values are not Hermitian")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
     def mass(self) -> float:
         return float(self.values[self.grid.zero_index].real)
+
+
+def _hermitian_residue(grid: GridSpec, values: np.ndarray) -> float:
+    """max |x(eta) - conj x(-eta)| over the paired nodes."""
+    mirror = grid.mirror()
+    paired = mirror >= 0
+    flat = values.reshape(-1)
+    return np.abs(flat[paired] - flat[mirror[paired]].conj()).max()
+
+
+def _hermitize(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """The nearest transform of a real density: 0.5 (x(eta) + conj x(-eta))
+    on every node, 0 on the unpaired ones (their value would make the
+    reconstruction complex). Radial data keep their real part."""
+    mirror = grid.mirror()
+    flat = values.reshape(-1)
+    out = 0.5 * (flat + np.conj(flat[mirror]))
+    out[mirror < 0] = 0.0
+    return out.reshape(grid.shape)
 
 
 def state_with_values(state: SpectralState, values: np.ndarray,
@@ -455,14 +480,18 @@ class _InterpPlan:
     band of refined-lattice rows they read, and `apply` sums them in blocks
     of consecutive points, so that a block's 16 taps read a few rows that
     stay in cache; it scatters the sums back to the caller's order.
+    `apply` returns the caller's point shape (planar: without the
+    coordinate axis).
     """
 
     def __init__(self, grid: GridSpec, points: np.ndarray):
         g = grid
         x0, hf, cnt = _fine_axis(g)
+        points = np.asarray(points, dtype=float)
         self.planar = g.mode == "full-2d"
+        self.shape = points.shape[:-1] if self.planar else points.shape
         if self.planar:
-            pts = np.asarray(points, dtype=float).reshape(-1, 2)
+            pts = points.reshape(-1, 2)
             self.size = pts.shape[0]
             order = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1])
                                    <= g.eta_max * (1 + 1e-12))
@@ -485,7 +514,7 @@ class _InterpPlan:
         else:
             # the refined axis holds eta >= 0: full-1d reads x < 0 at |x|
             # and conjugates, radial data are even
-            x = np.asarray(points, dtype=float).reshape(-1)
+            x = points.reshape(-1)
             neg = x < 0
             self.conj = neg if g.mode == "full-1d" and neg.any() else None
             x = np.abs(x)
@@ -513,15 +542,15 @@ class _InterpPlan:
                         acc[blk] += wx[a] * partial
             out = np.zeros(self.size, dtype=complex)
             out[self.order] = acc
-            return out
+            return out.reshape(self.shape)
         out = self.wx[0] * fine[self.first]
         for a in range(1, 4):
             out += self.wx[a] * fine[a:][self.first]
         if self.conj is not None:
             out = np.where(self.conj, out.conj(), out)
-        if self.mask.all():
-            return out
-        return np.where(self.mask, out, 0.0)
+        if not self.mask.all():
+            out = np.where(self.mask, out, 0.0)
+        return out.reshape(self.shape)
 
 
 def interpolate_array(grid: GridSpec, values: np.ndarray, points) -> np.ndarray:
@@ -536,21 +565,15 @@ def interpolate_array(grid: GridSpec, values: np.ndarray, points) -> np.ndarray:
     values = np.asarray(values, dtype=complex).reshape(grid.shape)
     if grid.mode != "full-2d":
         if grid.mode == "full-1d":
-            resid = np.abs(values - values[::-1].conj()).max()
+            resid, kind = _hermitian_residue(grid, values), "Hermitian"
         else:
-            resid = np.abs(values.imag).max()
+            resid, kind = np.abs(values.imag).max(), "real"
         if resid > 1e-12 * np.abs(values).max():
-            kind = "Hermitian" if grid.mode == "full-1d" else "real"
             raise ConfigError(f"{grid.mode} samples must be {kind} "
                               f"(residue {resid:.2e})")
-    pts = np.asarray(points, dtype=float)
-    scalar = pts.ndim == 0 or (grid.mode == "full-2d" and pts.ndim == 1)
-    plan = _InterpPlan(grid, pts)
-    out = plan.apply(refine_array(grid, values)).astype(complex, copy=False)
-    if scalar:
-        return complex(out[0])
-    shape = pts.shape[:-1] if grid.mode == "full-2d" else pts.shape
-    return out.reshape(shape)
+    out = _InterpPlan(grid, points).apply(refine_array(grid, values))
+    out = out.astype(complex, copy=False)
+    return complex(out) if out.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------------

@@ -127,8 +127,12 @@ def test_criterion_05_gevrey_smoothing_observed():
     quad = AngularQuadrature(theta_min=2.5e-3, panels=10, nodes_per_panel=5)
     traj = run(st, cs, quad, dt=5e-4, t_end=0.5, snapshot_times=(0.05, 0.5),
                monitor_every=100)
-    # the decaying envelope sits above the quadrature error floor only for
-    # |eta| below ~2 at these parameters; the window tracks that transition
+    # the decaying envelope sits above the window-aliasing floor only for
+    # |eta| below ~2 at these parameters: the density is not small at the
+    # edge of the physical window (half-width 8), so |fhat| flattens like
+    # |eta|^-2 beyond. Raising the refinement factor from 32 to 128 changes
+    # no digit of it; doubling n to 512 brings |fhat(4)| to 4.2e-12. The fit
+    # window tracks that transition
     window = (0.5, 1.5)
     fits = {t: fit_gevrey_order(s, fit_window=window) for t, s in traj.snapshots}
     a_early, a_late = fits[0.05].alpha_hat, fits[0.5].alpha_hat

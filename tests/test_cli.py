@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, file formats, exit codes."""
 
 import csv
+import dataclasses
 import math
 import os
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from kinb import (AngularQuadrature, CrossSection, GevreyWeight, GridSpec,
-                  InitialDatum, RunConfig, commutation_error,
-                  fractional_heat_evolve, init_state, simulate)
+                  InitialDatum, RunConfig, build_induction_schedule,
+                  commutation_error, fractional_heat_evolve, init_state,
+                  simulate)
 from kinb.cli import (_run_config, load_config, main, read_snapshot,
                       write_manifest, write_snapshot)
 from kinb.errors import ConfigError
@@ -304,6 +306,42 @@ def test_induction_angle_overrides(tmp_path, capsys):
             assert "violates the grazing-cone condition" in captured.err
         else:
             assert "largest passing scale" in captured.out
+
+
+def test_part3_schedule_holds_plain_floats(tmp_path, capsys):
+    out = str(tmp_path / "rad")
+    assert main(["simulate", _write(tmp_path, "rad.ini", RADIAL_PART3_INI),
+                 "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["induction", out, "--n-random", "4"]) == 0
+    text = capsys.readouterr().out
+    assert "induction part III: beta=" in text and "np.float64(" not in text
+    states = [read_snapshot(os.path.join(out, f)) for f in sorted(os.listdir(out))
+              if f.startswith("snapshot_")]
+    sched = build_induction_schedule(states, part="III", m=2, alpha=0.3,
+                                     T0=states[-1].t, cs=CrossSection(nu=0.9))
+    for f in dataclasses.fields(sched):
+        value = getattr(sched, f.name)
+        if f.name != "scales":
+            assert type(value) in (str, int, float), (f.name, type(value))
+    assert all(type(s) is float for s in sched.scales)
+
+
+def test_output_paths_are_checked_before_the_work(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("kinb.cli.simulate", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr("kinb.cli.fit_gevrey_order", lambda *a, **k: calls.append(a))
+    (tmp_path / "taken").write_text("")
+    taken = str(tmp_path / "taken")
+    assert main(["simulate", _write(tmp_path, "kac.ini", KAC_INI),
+                 "--out", taken]) == 1
+    assert "kinb:" in capsys.readouterr().err and calls == []
+    g = GridSpec(dimension=1, mode="full-1d", n=65, eta_max=8.0)
+    snap = str(tmp_path / "snap.csv")
+    write_snapshot(init_state(g, InitialDatum(kind="gaussian", dimension=1)), snap)
+    assert main(["diagnose", snap, "--out", os.path.join(taken, "sub")]) == 1
+    assert "kinb:" in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind,params", [

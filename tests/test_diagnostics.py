@@ -178,6 +178,33 @@ def test_sandwich_holds_on_every_mode():
         assert abs(rep.lhs) <= rep.rhs_bound + 1e-12
 
 
+def test_commutator_values_are_pinned():
+    # the sandwich is loose enough to hold for a wrong split angle (phi = theta
+    # instead of theta/2 for d >= 2 about triples rhs_bound), so pin the values
+    want = {
+        ("full-1d", 1): (-0.0007108451181859264, 0.02232641652799845,
+                         0.010640819410513423, 0.014728419876653891),
+        ("radial", 2): (-0.00045176393741981586, 0.008330426464794493,
+                        0.012265082271121679, 0.007334069556733263),
+        ("radial", 3): (-0.0013081882593070702, 0.016840658442156275,
+                        0.02392987385006485, 0.015663278654987938),
+        ("full-2d", 2): (-0.0005915185819088539, 0.009690925186019274,
+                         0.014317853584484445, 0.008548555080505404),
+    }
+    grids = (
+        GridSpec(dimension=1, mode="full-1d", n=129, eta_max=12.0),
+        GridSpec(dimension=2, mode="radial", n=128, eta_max=6.0),
+        GridSpec(dimension=3, mode="radial", n=128, eta_max=6.0),
+        GridSpec(dimension=2, mode="full-2d", n=48, eta_max=4.5),
+    )
+    for g in grids:
+        w = GevreyWeight(alpha=0.5, beta=0.15, t=0.2, lam=g.eta_max / math.sqrt(2))
+        rep = commutation_error(_mixture_state(g), w, _CS, _QUAD)
+        got = (rep.lhs, rep.rhs_bound, rep.i_term, rep.i_plus_term)
+        np.testing.assert_allclose(got, want[g.mode, g.dimension], rtol=1e-14,
+                                   atol=0, err_msg=f"{g.mode} d={g.dimension}")
+
+
 def test_sandwich_zero_at_t0():
     g = GridSpec(dimension=1, mode="full-1d", n=129, eta_max=12.0)
     st = _mixture_state(g)

@@ -56,6 +56,56 @@ def test_grid_validation():
         GridSpec(dimension=1, mode="full-1d", n=64, eta_max=-1.0)
 
 
+_PAIR_GRIDS = (GridSpec(dimension=1, mode="full-1d", n=33, eta_max=4.0),
+               GridSpec(dimension=2, mode="radial", n=33, eta_max=4.0),
+               GridSpec(dimension=3, mode="radial", n=33, eta_max=4.0),
+               GridSpec(dimension=2, mode="full-2d", n=16, eta_max=4.0))
+_PAIR_IDS = ("full-1d", "radial-2d", "radial-3d", "full-2d")
+
+
+@pytest.mark.parametrize("grid", _PAIR_GRIDS, ids=_PAIR_IDS)
+def test_mirror_pairs_each_node_with_its_negative(grid):
+    mirror = grid.mirror()
+    paired = np.flatnonzero(mirror >= 0)
+    nodes = grid.nodes()
+    # radial nodes are radii, and |-eta| = |eta|
+    want = nodes if grid.mode == "radial" else -nodes
+    assert np.array_equal(nodes[mirror[paired]], want[paired])
+    assert np.array_equal(mirror[mirror[paired]], paired)
+    unpaired = np.zeros(grid.shape, dtype=bool)
+    if grid.mode == "full-2d":
+        unpaired[0, :] = unpaired[:, 0] = True   # the -n/2 row and column
+    assert np.array_equal(mirror.reshape(grid.shape) < 0, unpaired)
+    assert np.all(mirror[~unpaired.reshape(-1)] >= 0)
+
+
+def _hermitize_per_mode(grid, values):
+    """The three per-mode formulas that the mirror-based one replaces."""
+    if grid.mode == "full-1d":
+        return 0.5 * (values + np.conj(values[::-1]))
+    if grid.mode == "radial":
+        return values.real.astype(complex)
+    out = values.copy()
+    out[0, :] = 0.0
+    out[:, 0] = 0.0
+    block = values[1:, 1:]
+    out[1:, 1:] = 0.5 * (block + np.conj(block[::-1, ::-1]))
+    return out
+
+
+@pytest.mark.parametrize("grid", _PAIR_GRIDS, ids=_PAIR_IDS)
+def test_hermitize_matches_the_per_mode_formulas(grid):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    flat = x.reshape(-1)
+    flat.imag[::5] = -0.0      # signed zeros in the imaginary part
+    flat[1::7] = 0.0
+    got = spectral._hermitize(grid, x)
+    want = _hermitize_per_mode(grid, x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # states
 # ---------------------------------------------------------------------------
@@ -276,7 +326,8 @@ def test_planar_plan_matches_direct_16_tap_sum():
     # the caller's layout comes back, whatever order the points arrive in
     perm = rng.permutation(len(pts))
     np.testing.assert_array_equal(
-        spectral._InterpPlan(g, pts[perm].reshape(-1, 4, 2)).apply(fine), got[perm])
+        spectral._InterpPlan(g, pts[perm].reshape(-1, 4, 2)).apply(fine),
+        got[perm].reshape(-1, 4))
 
 
 def test_interpolate_array_rejects_non_real_samples():
