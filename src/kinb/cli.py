@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import math
 import os
@@ -280,12 +281,30 @@ def _write_induction_csv(rows, schedule, path: str) -> None:
 # subcommands
 # ----------------------------------------------------------------------------
 
+def _new_dirs(path: str) -> list:
+    """The directories `os.makedirs(path)` would create, deepest first."""
+    made = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    return made
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     _require_sections(cfg, ("grid", "kernel", "quad", "time", "init"))
     rc = _run_config(cfg)
+    made = _new_dirs(args.out)
     os.makedirs(args.out, exist_ok=True)
-    traj = simulate(rc)
+    try:
+        traj = simulate(rc)
+    except BaseException:
+        # keep the run's own exit code if something else wrote there
+        with contextlib.suppress(OSError):
+            for path in made:
+                os.rmdir(path)
+        raise
     _write_run_csv(traj, os.path.join(args.out, "run.csv"))
     for i, (t, snap) in enumerate(traj.snapshots):
         write_snapshot(snap, os.path.join(args.out,

@@ -478,3 +478,55 @@ def expdiff_check(alpha: float, beta_t: float, s_minus: float, s_plus: float,
             rhs = 2 * a * bt * (1 + sp) ** a * (1 - sp / s) * gt(sm) ** eps * gt(sp)
         ok = bool(lhs <= rhs * (1 + mp.mpf(10) ** (5 - dps)))
         return ExpDiffResult(ok=ok, lhs=float(lhs), rhs=float(rhs))
+
+
+def _expdiff_screen(alpha, beta_t, s_minus, s_plus) -> np.ndarray:
+    """True where float64 arithmetic proves that `expdiff_check` passes.
+
+    Both sides are divided by Gt(s_plus). With s = s_minus + s_plus,
+    y = beta_t ((1+s)^alpha - (1+s_plus)^alpha) and
+    x = beta_t (1+s_minus)^alpha eps(alpha, s_plus/s_minus),
+
+      lhs = expm1(y),  y = beta_t (1+s_plus)^alpha
+                           * expm1(alpha log1p(s_minus / (1+s_plus))),
+      rhs = 2 alpha beta_t (1+s_plus)^alpha (s_minus/s) exp(x).
+
+    The difference in y is taken in the stable form that `epsilon` uses, so
+    nothing cancels. A case is certified when beta_t > 0, s_minus > 0, both
+    sides are finite, lhs > 1e-15 and rhs >= lhs (1 + 1e-9).
+
+    Why 1e-9 is safe (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3): let u = 2^-53, let each operation err by at
+    most u, and each of pow, exp, expm1, log1p by at most 8u (4 ulp).
+    - y: s_minus/(1+s_plus) < 1, so the expm1 argument is below log 2 and
+      expm1 amplifies its error at most twofold; the chain carries a
+      relative error below 45u. expm1(y) amplifies that by
+      y e^y/(e^y - 1) <= 1 + y, so lhs errs by at most (1 + X) 45u + 8u,
+      where X bounds both exponent arguments y and x.
+    - x: eps(alpha, r) at r = s_plus/s_minus >= 1 is at most 1 and has an
+      absolute error below 45u (the tail form is well conditioned; at r = 1
+      the direct difference 2^alpha - 1 errs by a few u absolutely). So x
+      errs absolutely by at most 56u X, which is exp's relative error; the
+      prefactor and the last product add 16u.
+    Both sides are finite, so X < 710, and the computed ratio rhs/lhs is
+    within a factor 1 +- 110u (1 + X) < 1 +- 9e-12 of the exact one. A
+    certified case therefore holds in exact arithmetic with a relative
+    margin above 9.9e-10. The verify suite draws beta_t < 2 and s < 40,
+    so there X < 2 * 41 and the factor is about 1 +- 1e-12.
+
+    `expdiff_check` at 30 digits then passes it: its lhs, a difference of
+    two exponentials of arguments below 710, errs by about 1e-27 Gt(s_plus),
+    under 1e-12 of an lhs above 1e-15, and its rhs is a product good to far
+    more digits. Every case not certified must be decided by
+    `expdiff_check`.
+    """
+    a, bt, sm, sp = (np.asarray(v, dtype=float)
+                     for v in (alpha, beta_t, s_minus, s_plus))
+    pos = (bt > 0) & (sm > 0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gp = (1.0 + sp) ** a
+        lhs = np.expm1(bt * gp * np.expm1(a * np.log1p(sm / (1.0 + sp))))
+        x = bt * (1.0 + sm) ** a * epsilon(a, sp / np.where(pos, sm, 1.0))
+        rhs = 2.0 * a * bt * gp * (sm / (sm + sp)) * np.exp(x)
+    return (pos & np.isfinite(lhs) & np.isfinite(rhs) & (lhs > 1e-15)
+            & (rhs >= lhs * (1.0 + 1e-9)))

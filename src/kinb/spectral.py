@@ -88,6 +88,8 @@ class GridSpec:
             raise ConfigError(f"mode {self.mode!r} requires dimension in {ok}")
         if self.n < 16:
             raise ConfigError(f"n must be >= 16, got {self.n}")
+        if self.mode == "full-2d" and self.n % 2:
+            raise ConfigError(f"full-2d needs an even n, got {self.n}")
         if not self.eta_max > 0:
             raise ConfigError("eta_max must be positive")
 
@@ -138,8 +140,9 @@ class GridSpec:
         if self.mode == "radial":
             return np.arange(self.n)
         n = self.n
-        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        return np.where((i > 0) & (j > 0), (n - i) * n + (n - j), -1).ravel()
+        k = np.arange(n)
+        m = np.where(k > 0, n - k, -1)
+        return np.where((m[:, None] >= 0) & (m >= 0), m[:, None] * n + m, -1).ravel()
 
     def abs_nodes(self) -> np.ndarray:
         """|eta| per node, same layout as the stored values."""

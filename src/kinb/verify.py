@@ -16,6 +16,7 @@ from . import inequalities as ineq
 from .collision import (AngularQuadrature, CrossSection, collision_geometry,
                         kac_pair, rhs_bilinear, transform_jacobian)
 from .diagnostics import GevreyWeight, commutation_error
+from .errors import ConfigError
 from .evolution import run
 from .spectral import GridSpec, InitialDatum, init_state, moments
 
@@ -44,34 +45,46 @@ def _failed(checked: int, label: str, counterexample: str) -> VerifyResult:
 # defining identity of the smoothing exponents
 # ----------------------------------------------------------------------------
 
+def _uniform(x: np.ndarray, lo, hi) -> np.ndarray:
+    """Map `Generator.random` draws onto [lo, hi) by the expression
+    `Generator.uniform` uses, so a batched draw repeats a scalar one bit for
+    bit."""
+    return lo + (hi - lo) * x
+
+
 def suite_epsilon(seed: int = 0, n: int = 10_000) -> VerifyResult:
-    rng = np.random.default_rng(seed)
-    checked = 0
-    for _ in range(n):
-        a = rng.uniform(1e-3, 1.0)
-        u1, u2 = np.sort(rng.uniform(0.0, 50.0, size=2))
-        e1, e2 = ineq.epsilon(a, u1), ineq.epsilon(a, u2)
-        checked += 1
-        if u2 > u1 and e2 > e1 + 1e-12:
-            return _failed(checked, "epsilon",
-                           "not decreasing in u: alpha=%r u=(%r,%r)" % (a, u1, u2))
-        a1, a2 = np.sort(rng.uniform(1e-3, 1.0, size=2))
-        u = rng.uniform(1e-6, 50.0)
-        if a2 > a1 and ineq.epsilon(a2, u) < ineq.epsilon(a1, u) - 1e-12:
-            return _failed(checked, "epsilon",
-                           "not increasing in alpha: u=%r alpha=(%r,%r)" % (u, a1, a2))
-        a = rng.uniform(1e-3, 1.0 - 1e-3)
-        u = rng.uniform(1e-6, 50.0)
-        if ineq.epsilon(a, u) > u ** (a - 1.0) + 1e-12:
-            return _failed(checked, "epsilon",
-                           "power bound fails: alpha=%r u=%r" % (a, u))
-        sm = rng.uniform(1e-6, 20.0)
-        sp = rng.uniform(sm, 40.0)
-        lhs = (1.0 + sm + sp) ** a
-        rhs = ineq.epsilon(a, sp / sm) * (1.0 + sm) ** a + (1.0 + sp) ** a
-        if lhs > rhs + 1e-10 * rhs:
-            return _failed(checked, "epsilon",
-                           "subadditivity fails: alpha=%r s=(%r,%r)" % (a, sm, sp))
+    # one row of uniforms per case, in the order its checks read them:
+    # alpha, a u pair, an alpha pair, u, alpha, u, s-, s+
+    x = np.random.default_rng(seed).random((n, 10))
+    a0 = _uniform(x[:, 0], 1e-3, 1.0)
+    u1, u2 = np.sort(_uniform(x[:, 1:3], 0.0, 50.0), axis=1).T
+    a1, a2 = np.sort(_uniform(x[:, 3:5], 1e-3, 1.0), axis=1).T
+    ua = _uniform(x[:, 5], 1e-6, 50.0)
+    a = _uniform(x[:, 6], 1e-3, 1.0 - 1e-3)
+    u = _uniform(x[:, 7], 1e-6, 50.0)
+    sm = _uniform(x[:, 8], 1e-6, 20.0)
+    sp = _uniform(x[:, 9], sm, 40.0)
+    eps = ineq.epsilon
+    lhs = (1.0 + sm + sp) ** a
+    rhs = eps(a, sp / sm) * (1.0 + sm) ** a + (1.0 + sp) ** a
+    fails = np.stack([
+        (u2 > u1) & (eps(a0, u2) > eps(a0, u1) + 1e-12),
+        (a2 > a1) & (eps(a2, ua) < eps(a1, ua) - 1e-12),
+        eps(a, u) > u ** (a - 1.0) + 1e-12,
+        lhs > rhs + 1e-10 * rhs,
+    ])
+    bad = np.flatnonzero(fails.any(axis=0))
+    if bad.size:
+        # the first failing case, and within it the first failing check;
+        # scalar draws print as float, sorted pairs as np.float64
+        i = int(bad[0])
+        msg = ("not decreasing in u: alpha=%r u=(%r,%r)" % (float(a0[i]), u1[i], u2[i]),
+               "not increasing in alpha: u=%r alpha=(%r,%r)" % (float(ua[i]), a1[i], a2[i]),
+               "power bound fails: alpha=%r u=%r" % (float(a[i]), float(u[i])),
+               "subadditivity fails: alpha=%r s=(%r,%r)" % (float(a[i]), float(sm[i]),
+                                                            float(sp[i])))
+        return _failed(i + 1, "epsilon", msg[int(np.argmax(fails[:, i]))])
+    checked = n
     for m in range(1, 17):
         for d in range(1, 9):
             checked += 1
@@ -139,20 +152,20 @@ def suite_ddlemma(seed: int = 0, n: int = 50) -> VerifyResult:
 # ----------------------------------------------------------------------------
 
 def suite_expdiff(seed: int = 0, n: int = 10_000) -> VerifyResult:
-    rng = np.random.default_rng(seed)
-    checked = 0
-    for _ in range(n):
-        a = float(rng.uniform(0.01, 0.99))
-        bt = float(rng.uniform(0.0, 2.0))
-        sm = float(rng.uniform(0.0, 10.0))
-        sp = float(rng.uniform(sm, 20.0 + sm))
-        res = ineq.expdiff_check(a, bt, sm, sp, dps=30)
-        checked += 1
+    x = np.random.default_rng(seed).random((n, 4))
+    a = _uniform(x[:, 0], 0.01, 0.99)
+    bt = _uniform(x[:, 1], 0.0, 2.0)
+    sm = _uniform(x[:, 2], 0.0, 10.0)
+    sp = _uniform(x[:, 3], sm, 20.0 + sm)
+    # the 30-digit check decides, in draw order, what float64 cannot certify
+    for i in np.flatnonzero(~ineq._expdiff_screen(a, bt, sm, sp)):
+        draw = (float(a[i]), float(bt[i]), float(sm[i]), float(sp[i]))
+        res = ineq.expdiff_check(*draw, dps=30)
         if not res.ok:
-            return _failed(checked, "expdiff",
+            return _failed(int(i) + 1, "expdiff",
                            "alpha=%r beta_t=%r s_minus=%r s_plus=%r lhs=%r rhs=%r" %
-                           (a, bt, sm, sp, res.lhs, res.rhs))
-    return _passed(checked, "expdiff")
+                           (*draw, res.lhs, res.rhs))
+    return _passed(n, "expdiff")
 
 
 # ----------------------------------------------------------------------------
@@ -325,8 +338,11 @@ _SUITES = {
 
 
 def run_suite(name: str, seed: int = 0, n: int | None = None) -> VerifyResult:
-    """Run one named suite. Unknown names raise KeyError."""
+    """Run one named suite. Unknown names raise KeyError; n < 1 raises
+    ConfigError."""
     fn = _SUITES[name]
     if n is None:
         return fn(seed=seed)
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
     return fn(seed=seed, n=n)

@@ -99,8 +99,14 @@ def test_simulate_writes_run_and_snapshots(tmp_path, capsys):
 def test_simulate_rejects_unstable_dt(tmp_path, capsys):
     cfg = _write(tmp_path, "kac.ini", KAC_INI.replace("dt = 2e-3", "dt = 10.0")
                  .replace("t_end = 0.01", "t_end = 20.0"))
-    assert main(["simulate", cfg, "--out", str(tmp_path / "x")]) == 2
+    # a failed run removes the directories it made and keeps one that existed
+    assert main(["simulate", cfg, "--out", str(tmp_path / "new" / "x")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "new")
+    (tmp_path / "kept").mkdir()
+    assert main(["simulate", cfg, "--out", str(tmp_path / "kept")]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert os.path.isdir(tmp_path / "kept")
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -121,6 +127,13 @@ def test_verify_exit_codes(capsys):
     # argparse rejects the unknown choice; main maps that to exit 1
     assert main(["verify", "nosuchsuite"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("suite", ["epsilon", "kl", "expdiff", "ddlemma", "geometry"])
+def test_verify_rejects_sizes_below_one(suite, capsys):
+    for n in ("0", "-1"):
+        assert main(["verify", suite, "--n", n]) == 1
+        assert "n must be >= 1" in capsys.readouterr().err
 
 
 def test_verify_detects_broken_constant(monkeypatch, capsys):

@@ -54,6 +54,9 @@ def test_grid_validation():
         GridSpec(dimension=1, mode="full-1d", n=3, eta_max=8.0)
     with pytest.raises(ConfigError):
         GridSpec(dimension=1, mode="full-1d", n=64, eta_max=-1.0)
+    # an odd planar lattice would put the zero node at -h
+    with pytest.raises(ConfigError, match="even n"):
+        GridSpec(dimension=2, mode="full-2d", n=17, eta_max=2.0)
 
 
 _PAIR_GRIDS = (GridSpec(dimension=1, mode="full-1d", n=33, eta_max=4.0),
@@ -77,6 +80,14 @@ def test_mirror_pairs_each_node_with_its_negative(grid):
         unpaired[0, :] = unpaired[:, 0] = True   # the -n/2 row and column
     assert np.array_equal(mirror.reshape(grid.shape) < 0, unpaired)
     assert np.all(mirror[~unpaired.reshape(-1)] >= 0)
+
+
+@pytest.mark.parametrize("n", [16, 18, 64])
+def test_planar_mirror_matches_the_meshgrid_formula(n):
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    want = np.where((i > 0) & (j > 0), (n - i) * n + (n - j), -1).ravel()
+    got = GridSpec(dimension=2, mode="full-2d", n=n, eta_max=2.0).mirror()
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _hermitize_per_mode(grid, values):
