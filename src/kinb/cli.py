@@ -281,30 +281,33 @@ def _write_induction_csv(rows, schedule, path: str) -> None:
 # subcommands
 # ----------------------------------------------------------------------------
 
-def _new_dirs(path: str) -> list:
-    """The directories `os.makedirs(path)` would create, deepest first."""
+@contextlib.contextmanager
+def _output_dir(path: str):
+    """Create `path` and its missing parents for the body; if the body
+    raises, remove the directories this call created. A directory that
+    already existed is kept."""
     made = []
-    path = os.path.abspath(path)
-    while not os.path.exists(path):
-        made.append(path)
-        path = os.path.dirname(path)
-    return made
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        made.append(probe)
+        probe = os.path.dirname(probe)
+    os.makedirs(path, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        # keep the command's own exit code if something else wrote there
+        with contextlib.suppress(OSError):
+            for made_dir in made:
+                os.rmdir(made_dir)
+        raise
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     _require_sections(cfg, ("grid", "kernel", "quad", "time", "init"))
     rc = _run_config(cfg)
-    made = _new_dirs(args.out)
-    os.makedirs(args.out, exist_ok=True)
-    try:
+    with _output_dir(args.out):
         traj = simulate(rc)
-    except BaseException:
-        # keep the run's own exit code if something else wrote there
-        with contextlib.suppress(OSError):
-            for path in made:
-                os.rmdir(path)
-        raise
     _write_run_csv(traj, os.path.join(args.out, "run.csv"))
     for i, (t, snap) in enumerate(traj.snapshots):
         write_snapshot(snap, os.path.join(args.out,
@@ -318,37 +321,41 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    reports = []
-    for path in args.snapshots:
-        state = read_snapshot(path)
-        window = tuple(args.fit_window) if args.fit_window else None
-        rep = fit_gevrey_order(state, fit_window=window)
-        reports.append((path, state, rep))
-        print(f"{path}: t={state.t!r}")
-        print(f"  alpha_hat  = {rep.alpha_hat!r}")
-        print(f"  beta_t_hat = {rep.beta_t_hat!r}")
-        if state.t > 0:
-            print(f"  beta_hat   = {rep.beta_hat(state.t)!r}")
-        print(f"  residual   = {rep.residual!r}")
-        print(f"  window     = {rep.window!r}  n_points = {rep.n_points}")
-        if args.alpha is not None and args.beta is not None:
-            lam = args.lam if args.lam is not None else math.inf
-            w = GevreyWeight(alpha=args.alpha, beta=args.beta,
-                             t=state.t, lam=lam)
-            norms = weighted_norms(state, w)
-            print(f"  weighted l2={norms.l2!r} sup={norms.sup!r} "
-                  f"h_alpha={norms.h_alpha!r}")
-            clam = lam if math.isfinite(lam) else \
-                state.grid.eta_max / math.sqrt(2.0)
-            cw = w if math.isfinite(lam) else replace(w, lam=clam)
-            cs = CrossSection(nu=args.nu, kappa=1.0)
-            quad = AngularQuadrature(theta_min=0.05, panels=6,
-                                     nodes_per_panel=4)
-            com = commutation_error(state, cw, cs, quad)
-            print(f"  commutator lhs={com.lhs!r} rhs_bound={com.rhs_bound!r}")
-            print(f"             i_term={com.i_term!r} "
-                  f"i_plus_term={com.i_plus_term!r}")
+    if (args.alpha is None) != (args.beta is None):
+        raise ConfigError("--alpha and --beta must be given together")
+    if args.lam is not None and args.alpha is None:
+        raise ConfigError("--lambda needs --alpha and --beta")
+    with _output_dir(args.out):
+        reports = []
+        for path in args.snapshots:
+            state = read_snapshot(path)
+            window = tuple(args.fit_window) if args.fit_window else None
+            rep = fit_gevrey_order(state, fit_window=window)
+            reports.append((path, state, rep))
+            print(f"{path}: t={state.t!r}")
+            print(f"  alpha_hat  = {rep.alpha_hat!r}")
+            print(f"  beta_t_hat = {rep.beta_t_hat!r}")
+            if state.t > 0:
+                print(f"  beta_hat   = {rep.beta_hat(state.t)!r}")
+            print(f"  residual   = {rep.residual!r}")
+            print(f"  window     = {rep.window!r}  n_points = {rep.n_points}")
+            if args.alpha is not None:
+                lam = args.lam if args.lam is not None else math.inf
+                w = GevreyWeight(alpha=args.alpha, beta=args.beta,
+                                 t=state.t, lam=lam)
+                norms = weighted_norms(state, w)
+                print(f"  weighted l2={norms.l2!r} sup={norms.sup!r} "
+                      f"h_alpha={norms.h_alpha!r}")
+                clam = lam if math.isfinite(lam) else \
+                    state.grid.eta_max / math.sqrt(2.0)
+                cw = w if math.isfinite(lam) else replace(w, lam=clam)
+                cs = CrossSection(nu=args.nu, kappa=1.0)
+                quad = AngularQuadrature(theta_min=0.05, panels=6,
+                                         nodes_per_panel=4)
+                com = commutation_error(state, cw, cs, quad)
+                print(f"  commutator lhs={com.lhs!r} rhs_bound={com.rhs_bound!r}")
+                print(f"             i_term={com.i_term!r} "
+                      f"i_plus_term={com.i_plus_term!r}")
     with open(os.path.join(args.out, "fit.csv"), "w", newline="") as fh:
         fh.write("snapshot,t,alpha_hat,beta_t_hat,residual,"
                  "window_lo,window_hi,n_points\n")

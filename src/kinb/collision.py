@@ -121,13 +121,16 @@ class AngularQuadrature:
         if self.azimuthal_nodes < 1:
             raise ConfigError("azimuthal_nodes must be >= 1")
 
-    def angles(self, theta_max: float, theta_min: float | None = None) -> tuple:
-        """Positive nodes and plain quadrature weights on [theta_min, theta_max]."""
-        tmin = self.theta_min if theta_min is None else theta_min
-        if not tmin < theta_max:
+    def angles(self, theta_max: float) -> tuple:
+        """Positive nodes and plain quadrature weights on [theta_min, theta_max].
+
+        This is the one angular rule: the operator, its commutator bounds and
+        the kernel-moment constants all read their angles from it.
+        """
+        if not self.theta_min < theta_max:
             raise ConfigError("theta_min must be below the upper angle limit")
         x, w = np.polynomial.legendre.leggauss(self.nodes_per_panel)
-        rho = (tmin / theta_max) ** (1.0 / self.panels)
+        rho = (self.theta_min / theta_max) ** (1.0 / self.panels)
         edges = theta_max * rho ** np.arange(self.panels, -1, -1)
         nodes, weights = [], []
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -219,13 +222,10 @@ class _Evaluator:
             theta = np.concatenate([-th[::-1], th])
             phi = theta / 2.0
             weights = np.concatenate([w[::-1], w]) * cs.collapsed(theta)
-            pts = self.pts
+            pts = self.pts[:, None, :]
             r = np.linalg.norm(pts, axis=-1, keepdims=True)
             ehat = np.divide(pts, r, out=np.zeros_like(pts), where=r > 0)
-            sigma = (np.cos(theta)[None, :, None] * ehat[:, None, :]
-                     + np.sin(theta)[None, :, None] * perp_unit(ehat)[:, None, :])
-            plus = 0.5 * (pts[:, None, :] + r[:, None, :] * sigma)
-            minus = pts[:, None, :] - plus
+            minus, plus = collision_geometry(pts, sigma_from_angle(ehat, theta))
         self.theta, self.phi = theta, phi
         self.weights = weights
         self.total_weight = float(weights.sum())

@@ -25,7 +25,7 @@ from .inequalities import alpha_md, epsilon, optimize_lambdas
 from .spectral import (GridSpec, SpectralState, moments, refine_array,
                        state_with_values, to_physical, _InterpPlan, _SPHERE_AREA)
 from .collision import (AngularQuadrature, CrossSection, _evaluator, kac_pair,
-                        perp_unit)
+                        perp_unit, rhs_bilinear)
 
 __all__ = [
     "GevreyWeight", "WeightedNorms", "weighted_norms",
@@ -206,20 +206,6 @@ class CommutatorReport:
                 and abs(self.lhs) <= self.rhs_bound + tol)
 
 
-def _plus_angles(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature):
-    """Half-angle nodes for the bound parametrized by eta+: angles in
-    (theta_min/2, pi/4], kernel sin^d(v) b(cos 2v), and the sphere factor
-    for the direction average."""
-    d = grid.dimension
-    th, wq = quad.angles(math.pi / 4.0, quad.theta_min / 2.0)
-    kernel = np.sin(th) ** d * cs.collapsed(2.0 * th)
-    if d >= 3:
-        kernel = kernel / np.sin(2.0 * th) ** (d - 2)
-    if grid.mode == "radial":
-        kernel = kernel * _SPHERE_AREA[d - 1]
-    return th, kernel * wq
-
-
 def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
                       quad: AngularQuadrature) -> CommutatorReport:
     """The weighted-commutator inner product and two upper bounds for it.
@@ -229,8 +215,21 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     product bound with the factor (1 - |eta+|^2/|eta|^2) and exponent
     eps(alpha, |eta+|^2/|eta-|^2).  i_term / i_plus_term: the two
     square-weighted integrals (parametrized by eta and by eta+), with the
-    indicator restricting |eta-| below lam/sqrt(2) and prefactors alpha*
-    beta*t, 2^d*alpha*beta*t (sqrt(2) for the one-dimensional model).
+    indicator restricting |eta-| below lam/sqrt(2) and prefactor
+    alpha*beta*t.
+
+    Every angular sum runs on the operator's own nodes: split angle phi
+    (ev.phi) and weights ev.weights = sin^{d-2}(theta) b(cos theta) dtheta
+    (sphere factor included).  The eta+ integral comes from the change of
+    variables eta -> eta+ with Jacobian 2^-d (1 + etahat.sigma); its inner
+    variable is the point |eta| tan(phi), along perp(etahat) for full-2d,
+    and its kernel follows from
+
+        2^d sin^d(v) b(cos 2v) dv
+            = 2 sin^2(phi) / cos^{d-2}(phi) * sin^{d-2}(theta) b(cos theta) dtheta,
+
+    with v = phi = theta/2, for d >= 2; the one-dimensional model has the
+    kernel sqrt(2) sin^2(phi) b1(theta) dtheta with phi = theta.
     """
     grid = state.grid
     d = grid.dimension
@@ -238,7 +237,6 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
         raise ConfigError("commutator bounds need a finite cutoff")
     if w.lam > grid.eta_max / math.sqrt(2.0) * (1.0 + 1e-12):
         raise ConfigError("cutoff must stay within eta_max/sqrt(2)")
-    from .collision import rhs_bilinear
 
     alpha, beta, t, lam = w.alpha, w.beta, w.t, w.lam
     ab_t = alpha * beta * t
@@ -288,36 +286,20 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     bracket_nodes = (1.0 + r_nodes ** 2) ** alpha
     i_term = ab_t * float(np.sum(cells * g_mag ** 2 * bracket_nodes * inner_i))
 
-    # square-weighted bound, outer variable eta+
-    if d == 1:
-        pts = ev.pts[:, None] * np.tan(theta)[None, :]
-        kernel_plus = ev.weights * sin_sq
-        eps_plus = eps_lem
-        pref = math.sqrt(2.0) * ab_t
-    else:
-        th_p, kernel_plus = _plus_angles(grid, cs, quad)
-        eps_plus = epsilon(alpha, 1.0 / np.tan(th_p) ** 2)
-        pref = 2.0 ** d * ab_t
-        if grid.mode == "radial":
-            pts = ev.pts[:, None] * np.tan(th_p)[None, :]
-        else:
-            nodes = ev.pts
-            rr = np.linalg.norm(nodes, axis=-1, keepdims=True)
-            ehat = np.divide(nodes, rr, out=np.zeros_like(nodes), where=rr > 0)
-            omega = perp_unit(ehat)
-            tanv = np.tan(th_p)
-            base = rr[:, :, None] * tanv[None, :, None] * omega[:, None, :]
-            pts = np.concatenate([-base, base], axis=1)
-            kernel_plus = np.concatenate([kernel_plus, kernel_plus])
-            eps_plus = np.concatenate([eps_plus, eps_plus])
-    fmp = np.abs(_InterpPlan(grid, pts).apply(fine))
+    # square-weighted bound, outer variable eta+ (see the docstring)
+    tan_phi = np.tan(phi)
+    abs_pts = np.abs(r_kept * tan_phi)
     if grid.mode == "full-2d":
-        abs_pts = np.linalg.norm(pts, axis=-1)
+        pts = tan_phi[None, :, None] * perp_unit(ev.pts)[:, None, :]
     else:
-        abs_pts = np.abs(pts)
+        pts = r_kept * tan_phi
+    if d == 1:
+        kernel_plus, pref = ev.weights * sin_sq, math.sqrt(2.0) * ab_t
+    else:
+        kernel_plus, pref = ev.weights * sin_sq / np.cos(phi) ** (d - 2), 2.0 * ab_t
+    fmp = np.abs(_InterpPlan(grid, pts).apply(fine))
     ind_plus = abs_pts <= lam / math.sqrt(2.0) * (1.0 + 1e-12)
-    g_minus_plus = _grow(bt, abs_pts ** 2, power=np.broadcast_to(eps_plus, abs_pts.shape),
-                         alpha=alpha)
+    g_minus_plus = _grow(bt, abs_pts ** 2, power=eps_lem[None, :], alpha=alpha)
     inner_p = ev.expand((g_minus_plus * fmp * ind_plus
                          * kernel_plus).sum(axis=1)).reshape(-1)
     i_plus_term = pref * float(np.sum(cells * g_mag ** 2 * bracket_nodes * inner_p))

@@ -141,7 +141,8 @@ def run(state: SpectralState, cs: CrossSection, quad: AngularQuadrature,
         stability_guard: bool = True) -> Trajectory:
     """Advance to t_end, recording monitor rows and snapshot states.
 
-    Snapshot times are rounded to the nearest step boundary.  The guard
+    Snapshot times are rounded to the nearest step boundary; the last
+    step, its monitor row and the final state carry t_end itself.  The guard
     rejects dt above 0.5 / (mass * total cross-section weight); mass and
     the truncated cross-section are both constant along the flow, so one
     check at the start covers the whole run.
@@ -178,18 +179,17 @@ def run(state: SpectralState, cs: CrossSection, quad: AngularQuadrature,
         snaps.append((0.0, state))
 
     vals = state.values
-    t = 0.0
     for k in range(1, n_total + 1):
         h = dt if k <= n_full else remainder
         vals = _rk4_step(grid, cs, quad, vals, h)
-        t = k * dt if k <= n_full else t_end
+        t = t_end if k == n_total else k * dt
         cur = state_with_values(state, vals, t=t)
         if k % monitor_every == 0 or k == n_total:
             rows.append(_monitor(cur, t, tail_mask, track_entropy))
         if k in want:
             snaps.append((want[k], cur))
 
-    final = state_with_values(state, vals, t=t_end if n_total else 0.0)
+    final = cur if n_total else state_with_values(state, vals, t=0.0)
     return Trajectory(grid=grid, dt=dt, rows=rows, snapshots=snaps,
                       final=final, dt_limit=limit)
 

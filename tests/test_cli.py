@@ -174,10 +174,32 @@ def test_diagnose_numerical_failure_exits_2(tmp_path, capsys):
     st = init_state(g, InitialDatum(kind="gaussian", dimension=1, sigma=1.0))
     p = str(tmp_path / "snap.csv")
     write_snapshot(st, p)
-    # four shells inside the window, fewer than the fit needs
-    assert main(["diagnose", p, "--fit-window", "0.5", "0.7",
-                 "--out", str(tmp_path)]) == 2
-    assert "only 4 usable shells" in capsys.readouterr().err
+    # four shells inside the window, fewer than the fit needs; the failed
+    # command removes the directories it made and keeps one that existed
+    for out in (tmp_path, tmp_path / "new" / "sub"):
+        assert main(["diagnose", p, "--fit-window", "0.5", "0.7",
+                     "--out", str(out)]) == 2
+        assert "only 4 usable shells" in capsys.readouterr().err
+    assert os.path.isdir(tmp_path)
+    assert not os.path.exists(tmp_path / "new")
+
+
+@pytest.mark.parametrize("weight", [
+    ["--alpha", "0.3"],
+    ["--beta", "0.1"],
+    ["--lambda", "3"],
+    ["--alpha", "0.3", "--lambda", "3"],
+], ids=["alpha-alone", "beta-alone", "lambda-alone", "lambda-without-beta"])
+def test_diagnose_rejects_half_a_weight(tmp_path, capsys, monkeypatch, weight):
+    calls = []
+    monkeypatch.setattr("kinb.cli.fit_gevrey_order", lambda *a, **k: calls.append(a))
+    g = GridSpec(dimension=1, mode="full-1d", n=65, eta_max=8.0)
+    snap = str(tmp_path / "snap.csv")
+    write_snapshot(init_state(g, InitialDatum(kind="gaussian", dimension=1)), snap)
+    out = tmp_path / "out"
+    assert main(["diagnose", snap, *weight, "--out", str(out)]) == 1
+    assert "kinb: config error:" in capsys.readouterr().err
+    assert calls == [] and not os.path.exists(out)
 
 
 def test_induction_needs_room_for_scales(tmp_path, capsys):

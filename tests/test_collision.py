@@ -88,10 +88,6 @@ def test_quadrature_weights_and_range():
     assert th[0] > 1e-3 and th[-1] < np.pi / 4
     # plain weights integrate the constant 1 over [theta_min, theta_max]
     assert np.isclose(w.sum(), np.pi / 4 - 1e-3, rtol=1e-13)
-    # theta_min override narrows the window
-    th2, w2 = q.angles(np.pi / 4, theta_min=0.1)
-    assert th2[0] > 0.1
-    assert np.isclose(w2.sum(), np.pi / 4 - 0.1, rtol=1e-13)
 
 
 def test_quadrature_singular_integral():
@@ -131,6 +127,27 @@ def test_geometry_identities():
                 np.linalg.norm(minus) ** 2 + np.linalg.norm(plus) ** 2, r * r,
                 rtol=1e-12)
             assert np.allclose(minus + plus, eta, atol=1e-12)
+
+
+def test_planar_split_from_signed_angle():
+    # the planar operator's own construction: sigma at a signed deviation
+    # angle theta from etahat, then the split; commutation_error reads
+    # |eta-| and |eta+| through the half angle phi = theta/2
+    rng = np.random.default_rng(13)
+    eta = rng.normal(size=(200, 2)) * 3.0
+    r = np.linalg.norm(eta, axis=-1)
+    ehat = eta / r[:, None]
+    theta = rng.uniform(-np.pi, np.pi, size=200)
+    sigma = col.sigma_from_angle(ehat, theta)
+    assert np.allclose(np.linalg.norm(sigma, axis=-1), 1.0, rtol=0, atol=1e-15)
+    assert np.allclose((sigma * ehat).sum(-1), np.cos(theta), rtol=0, atol=1e-15)
+    assert np.allclose((sigma * col.perp_unit(ehat)).sum(-1), np.sin(theta),
+                       rtol=0, atol=1e-15)
+    minus, plus = collision_geometry(eta, sigma)
+    assert np.allclose(np.linalg.norm(minus, axis=-1), r * np.abs(np.sin(theta / 2)),
+                       rtol=0, atol=1e-14 * r.max())
+    assert np.allclose(np.linalg.norm(plus, axis=-1), r * np.cos(theta / 2),
+                       rtol=0, atol=1e-14 * r.max())
 
 
 def test_transform_jacobian_matches_finite_differences():

@@ -135,6 +135,20 @@ def test_monitor_every_thins_rows():
     assert t5.rows[-1].t == 0.05
 
 
+def test_last_step_carries_t_end():
+    # the ninth step boundary k * dt rounds to 0.009000000000000001, not t_end
+    assert 9 * 1e-3 != 9e-3
+    st = _kac_state()
+    traj = run(st, CS, QUAD, dt=1e-3, t_end=9e-3, snapshot_times=(9e-3,))
+    assert traj.rows[-1].t == traj.final.t == 9e-3
+    assert traj.snapshots[-1][0] == traj.snapshots[-1][1].t == 9e-3
+    assert traj.snapshots[-1][1] is traj.final
+    stepped = st
+    for _ in range(9):
+        stepped = step(stepped, CS, QUAD, 1e-3)
+    assert np.array_equal(traj.final.values, stepped.values)
+
+
 def test_radial_runs_skip_entropy():
     g = GridSpec(dimension=2, mode="radial", n=96, eta_max=8.0)
     st = init_state(g, InitialDatum(kind="gaussian", dimension=2, sigma=0.6))
