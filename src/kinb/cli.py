@@ -74,9 +74,9 @@ _DEFAULTS = {
 def load_config(path: str) -> dict:
     """Parse and validate an INI config into {section: {key: typed value}}.
 
-    Unknown sections or keys, type errors, and missing required keys all
-    raise ConfigError. Sections listed in _DEFAULTS get their optional
-    keys filled, so the result is fully resolved.
+    Unknown sections or keys, type errors, non-finite floats and missing
+    required keys all raise ConfigError. Sections listed in _DEFAULTS get
+    their optional keys filled, so the result is fully resolved.
     """
     cp = configparser.ConfigParser(interpolation=None)
     read = cp.read(path)
@@ -97,6 +97,8 @@ def load_config(path: str) -> dict:
                 raise ConfigError(
                     f"key {key!r} in [{sec}]: cannot parse {raw!r} as "
                     f"{typ.__name__}") from None
+            if typ is float and not math.isfinite(out[key]):
+                raise ConfigError(f"key {key!r} in [{sec}]: {raw!r} is not finite")
         for key in _REQUIRED[sec]:
             if key not in out:
                 raise ConfigError(f"missing key {key!r} in [{sec}]")

@@ -78,8 +78,8 @@ class CrossSection:
     def __post_init__(self):
         if not 0.0 < self.nu < 1.0:
             raise ConfigError(f"nu must lie in (0, 1), got {self.nu}")
-        if not self.kappa > 0:
-            raise ConfigError("kappa must be positive")
+        if not 0 < self.kappa < math.inf:
+            raise ConfigError(f"kappa must be positive and finite, got {self.kappa!r}")
 
     @classmethod
     def maxwellian(cls, kappa: float = 1.0) -> "CrossSection":

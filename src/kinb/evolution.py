@@ -43,8 +43,7 @@ class RunConfig:
     snapshots: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ConfigError("dt and t_end must be positive")
+        _check_times(self.dt, self.t_end)
         if self.snapshots < 0:
             raise ConfigError("snapshots must be >= 0")
         if self.grid.dimension != self.datum.dimension:
@@ -136,19 +135,25 @@ def _monitor(state: SpectralState, t: float, tail_mask: np.ndarray,
     )
 
 
+def _check_times(dt: float, t_end: float) -> None:
+    if not (0 < dt < math.inf and 0 < t_end < math.inf):
+        raise ConfigError(f"dt and t_end must be positive and finite, "
+                          f"got {dt!r} and {t_end!r}")
+
+
 def run(state: SpectralState, cs: CrossSection, quad: AngularQuadrature,
         dt: float, t_end: float, snapshot_times=(), monitor_every: int = 1,
         stability_guard: bool = True) -> Trajectory:
     """Advance to t_end, recording monitor rows and snapshot states.
 
-    Snapshot times are rounded to the nearest step boundary; the last
-    step, its monitor row and the final state carry t_end itself.  The guard
+    Snapshot times are rounded to the nearest step boundary, t_end
+    counting as one when dt does not divide it; the last step, its monitor
+    row and the final state carry t_end itself.  The guard
     rejects dt above 0.5 / (mass * total cross-section weight); mass and
     the truncated cross-section are both constant along the flow, so one
     check at the start covers the whole run.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ConfigError("dt and t_end must be positive")
+    _check_times(dt, t_end)
     if monitor_every < 1:
         raise ConfigError("monitor_every must be >= 1")
     grid = state.grid
@@ -167,7 +172,9 @@ def run(state: SpectralState, cs: CrossSection, quad: AngularQuadrature,
     for ts in snapshot_times:
         if ts < -1e-12 or ts > t_end * (1 + 1e-12):
             raise ConfigError(f"snapshot time {ts:g} outside [0, t_end]")
-        k = min(int(round(ts / dt)), n_total)
+        k = min(int(round(ts / dt)), n_full)
+        if t_end - ts < abs(ts - k * dt):
+            k = n_total
         want[k] = k * dt if k < n_total else t_end
 
     tail_mask = grid.abs_nodes() >= _TAIL_FRACTION * grid.eta_max

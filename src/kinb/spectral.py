@@ -18,13 +18,16 @@ the coarse grid cannot reach the advertised tolerances for sharply peaked
 spectra; the refinement factor is an implementation constant, not a knob.
 
 Every sample set must be the transform of a real density: Hermitian on full
-grids, real in radial mode. The full-1d and radial refinements use this:
+grids, real in radial mode. Every refinement uses this and stores one half:
 irfft of the eta >= 0 nodes gives the real physical samples, rfft of their
 zero-padding gives the refined eta >= 0 half-axis (real in radial mode), and
-points eta < 0 are read at |eta| and conjugated. interpolate_array rejects
-samples that break the requirement. The planar refinement transforms only
-the nonzero columns of the padded coefficient block before the row
-transforms.
+points eta < 0 are read at |eta| and conjugated. The planar refinement keeps
+the rows kx <= 0 of the refined lattice, from rfft of the real parts of the
+inverse-DFT samples along kx; a point in kx > 0 keeps its stencil on the
+whole lattice and reads each tap at the mirror node, conjugated.
+interpolate_array rejects samples that break the requirement; the unpaired
+-n/2 row and column of a planar lattice enter through their Hermitian part
+(each paired with itself across the periodic edge).
 
 Moments need no refinement: the refined transform is the trigonometric
 polynomial sum_j c_j e^{-2 pi i v_j . eta} whose coefficients are the
@@ -90,8 +93,8 @@ class GridSpec:
             raise ConfigError(f"n must be >= 16, got {self.n}")
         if self.mode == "full-2d" and self.n % 2:
             raise ConfigError(f"full-2d needs an even n, got {self.n}")
-        if not self.eta_max > 0:
-            raise ConfigError("eta_max must be positive")
+        if not 0 < self.eta_max < math.inf:
+            raise ConfigError(f"eta_max must be positive and finite, got {self.eta_max!r}")
 
     @property
     def spacing(self) -> float:
@@ -381,31 +384,46 @@ def _refine_half(half: np.ndarray, upsample: int) -> np.ndarray:
 
 
 def _refine_2d(values: np.ndarray, upsample: int) -> np.ndarray:
-    """2-D refinement of an even M x M lattice, pruned to the nonzero data.
+    """2-D refinement of an even M x M lattice on the half-plane kx <= 0.
 
-    Only M of the U*M zero-padded columns are nonzero, so those are
-    transformed along axis 0 first and the rows after. For even M and U*M
-    the ifftshift of the input and the fftshift of the output are sign
-    modulations that cancel, so neither is applied.
+    Row i, column c of the Mf x Mf refined lattice (Mf = U*M) is the point
+    ((i, c) - Mf/2) h/U. The real physical samples Re ifft2(values) are
+    zero-padded; rfft along axis 0 of their M nonzero columns gives the
+    rows i = 0..Mf/2 (kx <= 0), and the row transforms run on those rows
+    only. For even M and Mf the ifftshift of the input and the fftshift of
+    the output are sign modulations that cancel, so neither is applied.
+
+    Returns those Mf/2 + 1 rows and three margin rows Mf/2 + k, k = 1..3,
+    filled by the mirror conj E[Mf/2 - k, (Mf - c) mod Mf], each with one
+    wrap column E[:, Mf] = E[:, 0] (the lattice is periodic). Every other
+    row is the mirror conj of a stored one; _InterpPlan reads it there.
     """
     M = values.shape[0]
     half = M // 2  # indices 0..M/2-1 hold v >= 0
     Mf = upsample * M
-    A = np.fft.ifft2(values)
-    cols = np.zeros((Mf, M), dtype=complex)
-    cols[:half] = A[:half]
-    cols[half - M:] = A[half:]
-    cols = np.fft.fft(cols, axis=0)
-    ext = np.zeros((Mf, Mf), dtype=complex)
-    ext[:, :half] = cols[:, :half]
-    ext[:, half - M:] = cols[:, half:]
-    return np.fft.fft(ext, axis=1)
+    H = Mf // 2
+    c = np.fft.ifft2(values).real
+    cols = np.zeros((Mf, M))
+    cols[:half] = c[:half]
+    cols[half - M:] = c[half:]
+    cols = np.fft.rfft(cols, axis=0)
+    fine = np.empty((H + 4, Mf + 1), dtype=complex)
+    body = fine[:H + 1, :Mf]
+    body[:, :half] = cols[:, :half]
+    body[:, half:half - M] = 0.0
+    body[:, half - M:] = cols[:, half:]
+    np.fft.fft(body, axis=1, out=body)
+    fine[H + 1:, 0] = fine[H - 1:H - 4:-1, 0].conj()
+    fine[H + 1:, 1:Mf] = fine[H - 1:H - 4:-1, Mf - 1:0:-1].conj()
+    fine[:, Mf] = fine[:, 0]
+    return fine
 
 
 def _fine_axis(grid: GridSpec) -> tuple:
-    """(origin, spacing, count) of the refined axis for each mode: the
-    whole periodic lattice for full-2d, the eta >= 0 half-axis with one
-    mirrored node at -h/U for full-1d and radial."""
+    """(origin, spacing, count) of the refined axis for each mode: either
+    axis of the whole periodic Mf x Mf lattice for full-2d (refine_array
+    stores its kx <= 0 half), the eta >= 0 half-axis with one mirrored
+    node at -h/U for full-1d and radial."""
     U = _UPSAMPLE[grid.mode]
     h = grid.spacing
     if grid.mode == "full-2d":
@@ -418,13 +436,15 @@ def _fine_axis(grid: GridSpec) -> tuple:
 
 
 def refine_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Band-limited refinement of node samples on the axis of _fine_axis.
+    """Band-limited refinement of node samples on the axes of _fine_axis.
 
     The samples must be transforms of real densities: Hermitian on full
     grids, real in radial mode (the even extension of a real profile).
-    full-1d and radial read only the eta >= 0 nodes, so for other input
-    the result is wrong without warning; interpolate_array checks this.
-    Radial results are real and returned as float64.
+    full-1d and radial read only the eta >= 0 nodes and full-2d only the
+    Hermitian part of the samples, so for other input the result is wrong
+    without warning; interpolate_array checks this. Radial results are
+    real and returned as float64; full-2d returns the kx <= 0 half of the
+    refined lattice, shape (Mf/2 + 4, Mf + 1) (see _refine_2d).
     """
     U = _UPSAMPLE[grid.mode]
     values = np.asarray(values, dtype=complex)
@@ -479,12 +499,16 @@ def _cubic_stencil(x: np.ndarray, x0: float, hf: float, count: int) -> tuple:
 class _InterpPlan:
     """Precomputed stencil for evaluating many fixed points repeatedly.
 
-    full-2d keeps only the points inside the eta_max disk, ordered by the
-    band of refined-lattice rows they read, and `apply` sums them in blocks
-    of consecutive points, so that a block's 16 taps read a few rows that
-    stay in cache; it scatters the sums back to the caller's order.
-    `apply` returns the caller's point shape (planar: without the
-    coordinate axis).
+    full-2d keeps only the points inside the eta_max disk. Each point has
+    the clipped cell (i, j) of the whole refined lattice and reads its 16
+    taps from the stored kx <= 0 half (see _refine_2d): directly when
+    i <= Mf/2 + 1, and otherwise from the mirror block, whose taps are the
+    conj of the ones it stands for, conjugating the sum. Direct points come
+    first, then mirrored ones, each ordered by the band of lattice rows
+    they read, and `apply` sums them in blocks of consecutive points of one
+    group, so that a block's taps read a few rows that stay in cache; it
+    scatters the sums back to the caller's order. `apply` returns the
+    caller's point shape (planar: without the coordinate axis).
     """
 
     def __init__(self, grid: GridSpec, points: np.ndarray):
@@ -499,21 +523,30 @@ class _InterpPlan:
             order = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1])
                                    <= g.eta_max * (1 + 1e-12))
             u, row = _fine_cell(pts[order, 0], x0, hf, cnt)
-            # sorted by bands of cnt/256 rows: the stable argsort of an
-            # 8-bit key is a one-pass radix sort
-            perm = np.argsort((row * (256 / cnt)).astype(np.uint8), kind="stable")
+            # sorted by bands of (cnt + 3)/256 rows: the stable argsort of
+            # an 8-bit key is a one-pass radix sort, and the key is below
+            # 128 exactly for the direct rows i <= cnt/2 + 1
+            key = (row * (256 / (cnt + 3))).astype(np.uint8)
+            perm = np.argsort(key, kind="stable")
+            self.split = int(np.count_nonzero(key < 128))
             order, u, row = order[perm], u[perm], row[perm]
             u -= row
             self.wx = _cubic_weights(u)
             u, col = _fine_cell(pts[order, 1], x0, hf, cnt)
             u -= col
             self.wy = _cubic_weights(u)
-            # tap (a, b) of a point reads flat[a*cnt + b:][base]
-            row *= cnt
+            # with row stride W = cnt + 1, tap (a, b) of a direct point
+            # reads flat[a*W + b:][base] from (i - 1, j - 1), and of a
+            # mirrored one flat[(3 - a)*W + 3 - b:][base] from
+            # (cnt - i - 2, cnt - j - 2)
+            W = cnt + 1
+            row *= W
             row += col
-            row -= cnt + 1
-            self.base = row.astype(np.int64)
-            self.order, self.count = order, cnt
+            base = row.astype(np.int64)
+            base[:self.split] -= W + 1
+            np.subtract((cnt - 2) * (W + 1), base[self.split:],
+                        out=base[self.split:])
+            self.base, self.order, self.stride = base, order, W
         else:
             # the refined axis holds eta >= 0: full-1d reads x < 0 at |x|
             # and conjugates, radial data are even
@@ -529,20 +562,23 @@ class _InterpPlan:
     def apply(self, fine: np.ndarray) -> np.ndarray:
         """Stencil sums on a refine_array result, in its dtype."""
         if self.planar:
-            flat, cnt = fine.ravel(), self.count
+            flat, W, split = fine.ravel(), self.stride, self.split
             acc = np.empty(self.base.size, dtype=complex)
-            for s in range(0, acc.size, _GATHER_BLOCK):
-                blk = slice(s, s + _GATHER_BLOCK)
-                base, wx, wy = self.base[blk], self.wx[:, blk], self.wy[:, blk]
-                for a in range(4):
-                    row = flat[a * cnt:]
-                    partial = wy[0] * row[base]
-                    for b in range(1, 4):
-                        partial += wy[b] * row[b:][base]
-                    if a == 0:
-                        np.multiply(wx[0], partial, out=acc[blk])
-                    else:
-                        acc[blk] += wx[a] * partial
+            for lo, hi, taps in ((0, split, (0, 1, 2, 3)),
+                                 (split, acc.size, (3, 2, 1, 0))):
+                for s in range(lo, hi, _GATHER_BLOCK):
+                    blk = slice(s, min(s + _GATHER_BLOCK, hi))
+                    base, wx, wy = self.base[blk], self.wx[:, blk], self.wy[:, blk]
+                    for a in range(4):
+                        row = flat[taps[a] * W:]
+                        partial = wy[0] * row[taps[0]:][base]
+                        for b in range(1, 4):
+                            partial += wy[b] * row[taps[b]:][base]
+                        if a == 0:
+                            np.multiply(wx[0], partial, out=acc[blk])
+                        else:
+                            acc[blk] += wx[a] * partial
+            np.conjugate(acc[split:], out=acc[split:])
             out = np.zeros(self.size, dtype=complex)
             out[self.order] = acc
             return out.reshape(self.shape)
@@ -562,18 +598,18 @@ def interpolate_array(grid: GridSpec, values: np.ndarray, points) -> np.ndarray:
     points: scalars/arrays of eta (full-1d), radii (radial), or (..., 2)
     coordinates (full-2d). Exact at grid nodes up to refinement roundoff.
     The samples must be transforms of real densities, as refine_array
-    requires: full-1d samples Hermitian and radial samples real, within
-    1e-12 of max |values|; other input raises ConfigError.
+    requires: full-grid samples Hermitian over the paired nodes and radial
+    samples real, within 1e-12 of max |values|; other input raises
+    ConfigError.
     """
     values = np.asarray(values, dtype=complex).reshape(grid.shape)
-    if grid.mode != "full-2d":
-        if grid.mode == "full-1d":
-            resid, kind = _hermitian_residue(grid, values), "Hermitian"
-        else:
-            resid, kind = np.abs(values.imag).max(), "real"
-        if resid > 1e-12 * np.abs(values).max():
-            raise ConfigError(f"{grid.mode} samples must be {kind} "
-                              f"(residue {resid:.2e})")
+    if grid.mode == "radial":
+        resid, kind = np.abs(values.imag).max(), "real"
+    else:
+        resid, kind = _hermitian_residue(grid, values), "Hermitian"
+    if resid > 1e-12 * np.abs(values).max():
+        raise ConfigError(f"{grid.mode} samples must be {kind} "
+                          f"(residue {resid:.2e})")
     out = _InterpPlan(grid, points).apply(refine_array(grid, values))
     out = out.astype(complex, copy=False)
     return complex(out) if out.ndim == 0 else out

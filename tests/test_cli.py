@@ -109,6 +109,23 @@ def test_simulate_rejects_unstable_dt(tmp_path, capsys):
     assert os.path.isdir(tmp_path / "kept")
 
 
+@pytest.mark.parametrize("old,new", [
+    ("t_end = 0.01", "t_end = nan"),
+    ("dt = 2e-3", "dt = nan"),
+    ("t_end = 0.01", "t_end = inf"),
+    ("eta_max = 12.0", "eta_max = inf"),
+    ("nu = 0.25", "nu = 0.25\nkappa = inf"),
+])
+def test_simulate_rejects_non_finite_values(tmp_path, capsys, old, new):
+    cfg = _write(tmp_path, "kac.ini", KAC_INI.replace(old, new))
+    with pytest.raises(ConfigError, match="not finite"):
+        load_config(cfg)
+    out = tmp_path / "run"
+    assert main(["simulate", cfg, "--out", str(out)]) == 1
+    assert "kinb: config error" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_snapshot_roundtrip(tmp_path):
     g = GridSpec(dimension=2, mode="full-2d", n=16, eta_max=2.0)
     st = init_state(g, InitialDatum(kind="gaussian", dimension=2, sigma=0.5,

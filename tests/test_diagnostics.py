@@ -188,7 +188,7 @@ def test_commutator_values_are_pinned():
                         0.012265082271121679, 0.007334069556733263),
         ("radial", 3): (-0.0013081882593070702, 0.016840658442156275,
                         0.02392987385006485, 0.015663278654987938),
-        ("full-2d", 2): (-0.0005915185819088539, 0.009690925186019274,
+        ("full-2d", 2): (-0.0005915185819084313, 0.009690925186019276,
                          0.014317853584484445, 0.008548555080505404),
     }
     grids = (

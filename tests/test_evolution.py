@@ -110,6 +110,24 @@ def test_run_validation():
         run(st, CS, QUAD, dt=0.01, t_end=0.1, monitor_every=0)
     with pytest.raises(ConfigError):
         run(st, CS, QUAD, dt=0.01, t_end=0.1, snapshot_times=(0.2,))
+    for dt, t_end in ((np.nan, 0.1), (0.01, np.nan), (0.01, np.inf), (np.inf, 0.1)):
+        with pytest.raises(ConfigError, match="finite"):
+            run(st, CS, QUAD, dt=dt, t_end=t_end)
+
+
+def test_non_finite_sizes_are_config_errors():
+    g = GridSpec(dimension=1, mode="full-1d", n=129, eta_max=12.0)
+    datum = InitialDatum(kind="laplace", dimension=1, a=1.0)
+    for dt, t_end in ((np.nan, 1.0), (0.01, np.nan), (0.01, np.inf), (np.inf, 1.0)):
+        with pytest.raises(ConfigError, match="finite"):
+            RunConfig(grid=g, cross_section=CS, quadrature=QUAD, datum=datum,
+                      dt=dt, t_end=t_end)
+    for eta_max in (np.inf, np.nan):
+        with pytest.raises(ConfigError, match="eta_max"):
+            GridSpec(dimension=1, mode="full-1d", n=129, eta_max=eta_max)
+    for kappa in (np.inf, np.nan):
+        with pytest.raises(ConfigError, match="kappa"):
+            CrossSection(nu=0.25, kappa=kappa)
 
 
 def test_snapshot_bookkeeping():
@@ -124,6 +142,19 @@ def test_snapshot_bookkeeping():
     assert traj.snapshots[0][1] is st
     assert traj.times[0] == 0.0
     assert traj.times[-1] == 0.05
+
+
+def test_snapshot_at_t_end_when_dt_does_not_divide_it():
+    # boundaries are 0, 3e-3, 6e-3, 9e-3 and t_end = 1e-2 (a short last
+    # step); 1e-2 is nearest to t_end, 5e-3 to 6e-3
+    st = _kac_state()
+    traj = run(st, CS, QUAD, dt=3e-3, t_end=1e-2, snapshot_times=(0.0, 5e-3, 1e-2))
+    assert [t for t, _ in traj.snapshots] == [0.0, 6e-3, 1e-2]
+    assert traj.snapshots[-1][1] is traj.final
+    assert traj.final.t == traj.rows[-1].t == 1e-2
+    # a time nearer to the last full step than to t_end stays there
+    traj = run(st, CS, QUAD, dt=3e-3, t_end=1e-2, snapshot_times=(9.4e-3,))
+    assert [t for t, _ in traj.snapshots] == [3 * 3e-3]
 
 
 def test_monitor_every_thins_rows():

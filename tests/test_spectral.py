@@ -255,7 +255,21 @@ _REFINE_CASES = {
                               components=((0.5, (), 0.3), (0.5, (), 0.6)))),
     "radial-3": (GridSpec(dimension=3, mode="radial", n=48, eta_max=6.0),
                  InitialDatum(kind="laplace", dimension=3, a=0.5)),
+    "full-2d": (GridSpec(dimension=2, mode="full-2d", n=32, eta_max=3.0),
+                InitialDatum(kind="gaussian-mixture", dimension=2,
+                             components=((0.6, (0.4, -0.3), 0.5),
+                                         (0.4, (-0.6, 0.2), 0.7)))),
 }
+
+
+def _full_lattice(fine: np.ndarray, Mf: int) -> np.ndarray:
+    """The Mf x Mf refined lattice defined by a stored planar half: rows
+    0..Mf/2 as stored, row i > Mf/2 the mirror conj of row Mf - i."""
+    H = Mf // 2
+    full = np.empty((Mf, Mf), dtype=complex)
+    full[:H + 1] = fine[:H + 1, :Mf]
+    full[H + 1:] = fine[Mf - np.arange(H + 1, Mf)][:, -np.arange(Mf) % Mf].conj()
+    return full
 
 
 @pytest.mark.parametrize("case", sorted(_REFINE_CASES))
@@ -266,6 +280,9 @@ def test_refine_array_matches_direct_trigonometric_sum(case):
     # the sum are evaluated directly here, without an FFT
     grid, datum = _REFINE_CASES[case]
     values = init_state(grid, datum).values
+    if grid.mode == "full-2d":
+        _check_planar_refinement(grid, values)
+        return
     n, h = grid.n, grid.spacing
     full = values if grid.mode == "full-1d" else np.concatenate([values[:0:-1], values])
     M = 2 * n - 1
@@ -288,23 +305,60 @@ def test_refine_array_matches_direct_trigonometric_sum(case):
                                       np.conj(interpolate_array(grid, values, pts)))
 
 
+def _check_planar_refinement(grid, values):
+    # the stored rows kx <= 0, the three margin rows kx = h/U..3h/U and the
+    # wrap column ky = +eta_max are the trigonometric polynomial of the
+    # real parts c_j of the inverse-DFT samples, at v_j = j/(M h),
+    # j = -M/2..M/2-1; the refined lattice point (i, c) is ((i, c) - Mf/2) h/U
+    M, h = grid.n, grid.spacing
+    U = spectral._UPSAMPLE[grid.mode]
+    Mf, H = U * M, U * M // 2
+    k = np.arange(-M // 2, M // 2)
+    v = k / (M * h)
+    phase = np.exp(2j * np.pi * np.outer(v, k * h))
+    c = (phase @ values @ phase.T).real / M ** 2
+    fine = refine_array(grid, values)
+    assert fine.shape == (H + 4, Mf + 1) and fine.dtype == complex
+    ex = np.exp(-2j * np.pi * np.outer((np.arange(H + 4) - H) * h / U, v))
+    ey = np.exp(-2j * np.pi * np.outer((np.arange(Mf + 1) - H) * h / U, v))
+    want = ex @ c @ ey.T
+    mass = values[grid.zero_index].real
+    assert np.abs(fine - want).max() < 1e-13 * mass
+    # F(-eta) = conj F(eta) away from the clipped strips at +-eta_max, where
+    # the stencils of eta and -eta hold the same four nodes per axis
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-grid.eta_max, grid.eta_max, (4000, 2))
+    pts = pts[np.hypot(pts[:, 0], pts[:, 1]) < grid.eta_max - 2 * h / U]
+    got = interpolate_array(grid, values, pts)
+    assert np.abs(interpolate_array(grid, values, -pts) - got.conj()).max() < 1e-14 * mass
+
+
 def test_planar_plan_matches_direct_16_tap_sum():
     # the planar plan keeps only in-disk points, sorted by refined row; its
     # sums must equal, bit for bit and in the caller's order, the 16-tap sum
-    # over all points (y-taps first, then x-taps) with beyond-disk points 0
+    # (y-taps first, then x-taps) on the whole lattice that the stored half
+    # defines, with beyond-disk points 0
     g = GridSpec(dimension=2, mode="full-2d", n=32, eta_max=3.0)
     datum = InitialDatum(kind="gaussian-mixture", dimension=2,
                          components=((0.6, (0.4, -0.3), 0.5), (0.4, (-0.6, 0.2), 0.7)))
-    fine = refine_array(g, init_state(g, datum).values)
+    half = refine_array(g, init_state(g, datum).values)
     x0, hf, cnt = spectral._fine_axis(g)
+    fine = _full_lattice(half, cnt)
     e = g.eta_max
     rng = np.random.default_rng(11)
     edge = np.array([[e, 0.0], [-e, 0.0], [0.0, -e], [e - 0.5 * hf, 0.1],
                      [-0.2, e - 0.3 * hf], [-e + 0.4 * hf, 0.05],
                      [e * (1 + 1e-13), 0.0], [0.6 * e, -0.8 * e]])
+    # blocks straddling row cnt/2 (kx = 0), blocks just above it, and
+    # mirrored points at ky ~ -eta_max, which read the wrap column
+    y = rng.uniform(-0.9 * e, 0.9 * e, 40)
+    straddle = np.stack([np.linspace(-2.0 * hf, 1.99 * hf, 40), y], axis=1)
+    above = np.stack([np.linspace(2.0 * hf, 3.99 * hf, 40), y], axis=1)
+    wrap = np.array([[0.05, -e + 0.3 * hf], [0.1, -e + 0.9 * hf],
+                     [0.03, -e + 0.1 * hf], [0.12, -e + 1.9 * hf]])
     beyond = np.array([[e * 1.001, 0.0], [0.0, -e * 1.2], [e, e], [-0.9 * e, 0.9 * e]])
     pts = np.concatenate([g.nodes(), rng.uniform(-1.1 * e, 1.1 * e, (20000, 2)),
-                          edge, beyond])
+                          edge, straddle, above, wrap, beyond])
     pts = pts[rng.permutation(len(pts))]
 
     x = x0 + rng.uniform(-1.5, cnt + 1.5, 1000) * hf
@@ -320,8 +374,14 @@ def test_planar_plan_matches_direct_16_tap_sum():
     mask = np.hypot(pts[:, 0], pts[:, 1]) <= e * (1 + 1e-12)
     ix, wx = spectral._cubic_stencil(np.where(mask, pts[:, 0], 0.0), x0, hf, cnt)
     iy, wy = spectral._cubic_stencil(np.where(mask, pts[:, 1], 0.0), x0, hf, cnt)
-    # the clipped strips at both edges are hit
+    # the clipped strips at both edges are hit, and so are the rows around
+    # cnt/2 and the wrap column
     assert ix.min() == iy.min() == 1 and ix.max() == iy.max() == cnt - 3
+    H = cnt // 2
+    assert {H - 2, H - 1, H, H + 1, H + 2, H + 3} <= set(ix[mask].tolist())
+    assert np.any(mask & (ix >= H + 2) & (iy == 1))
+    np.testing.assert_array_equal(half[H + 1:, :cnt], fine[H + 1:H + 4])
+    np.testing.assert_array_equal(half[:, cnt], half[:, 0])
     want = np.zeros(len(pts), dtype=complex)
     for a in range(4):
         partial = np.zeros(len(pts), dtype=complex)
@@ -330,14 +390,14 @@ def test_planar_plan_matches_direct_16_tap_sum():
         want += wx[a] * partial
     want = np.where(mask, want, 0.0)
 
-    got = spectral._InterpPlan(g, pts).apply(fine)
+    got = spectral._InterpPlan(g, pts).apply(half)
     np.testing.assert_array_equal(got, want)
     assert np.all(got[~mask] == 0.0) and (~mask).sum() >= len(beyond)
     assert np.count_nonzero(got[mask]) > 0.99 * mask.sum()
     # the caller's layout comes back, whatever order the points arrive in
     perm = rng.permutation(len(pts))
     np.testing.assert_array_equal(
-        spectral._InterpPlan(g, pts[perm].reshape(-1, 4, 2)).apply(fine),
+        spectral._InterpPlan(g, pts[perm].reshape(-1, 4, 2)).apply(half),
         got[perm].reshape(-1, 4))
 
 
@@ -354,6 +414,20 @@ def test_interpolate_array_rejects_non_real_samples():
     vals[5] += 1e-6j
     with pytest.raises(ConfigError, match="real"):
         interpolate_array(gr, vals, np.array([0.5, 1.5]))
+
+
+def test_interpolate_array_rejects_non_hermitian_planar_samples():
+    # the planar refinement reads the Hermitian part of the samples only;
+    # the unpaired -n/2 row and column are not checked
+    g = GridSpec(dimension=2, mode="full-2d", n=16, eta_max=2.0)
+    vals = init_state(g, InitialDatum(kind="gaussian", dimension=2, sigma=0.5,
+                                      center=(0.2, -0.1))).values.copy()
+    pts = np.array([[0.5, -0.3], [1.5, 0.2]])
+    vals[0] += 1e-3
+    interpolate_array(g, vals, pts)
+    vals[9, 5] += 1e-6j
+    with pytest.raises(ConfigError, match="Hermitian"):
+        interpolate_array(g, vals, pts)
 
 
 # ---------------------------------------------------------------------------
