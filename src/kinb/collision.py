@@ -24,9 +24,9 @@ total cross-section.
 Every transform here is Hermitian (the density is real), and so is Qhat:
 Qhat(-eta) = conj Qhat(eta). The gain is therefore evaluated on one node
 of each conjugate pair and mirrored; the unpaired nodes (the -n/2 row and
-column of the planar lattice) are evaluated directly. For d = 1 the
-mirror theta -> -theta maps eta- to -eta- and keeps eta+, so the two
-angles fold into one with doubled weight:
+column of the planar lattice), where a state holds 0, get no gain. For
+d = 1 the mirror theta -> -theta maps eta- to -eta- and keeps eta+, so
+the two angles fold into one with doubled weight:
 
     gain(eta) = sum_{theta > 0} 2 w Re ghat(eta sin theta) hhat(eta cos theta).
 """
@@ -191,8 +191,9 @@ class _Evaluator:
     """Precomputed angular nodes, sample coordinates, and interpolation plans
     for one (grid, cross-section, quadrature) triple.
 
-    Everything is built on the kept nodes: one node of each conjugate pair
-    (eta, -eta) plus the unpaired nodes; `expand` restores the full array.
+    Everything is built on the kept nodes, one node of each conjugate pair
+    (eta, -eta); `expand` restores the full array, with 0 on the unpaired
+    nodes.
     For d = 1 only theta > 0 is stored, with doubled weights. `phi` is the
     split angle of each angular node, |eta-| = |eta| |sin phi| and
     |eta+| = |eta| cos phi: theta for d = 1, theta/2 for d >= 2.
@@ -203,7 +204,7 @@ class _Evaluator:
         d = grid.dimension
         mirror = grid.mirror()
         flat = np.arange(mirror.size)
-        self.keep = np.flatnonzero(mirror <= flat)
+        self.keep = np.flatnonzero((mirror >= 0) & (mirror <= flat))
         self.drop = np.flatnonzero(mirror > flat)
         pos = np.empty(mirror.size, dtype=np.int64)
         pos[self.keep] = np.arange(self.keep.size)
@@ -232,16 +233,14 @@ class _Evaluator:
         self.plan_minus = _InterpPlan(grid, minus)
         self.plan_plus = _InterpPlan(grid, plus)
 
-    def gather(self, fine: np.ndarray, side: str) -> np.ndarray:
-        """Values at eta- or eta+, axes (kept node, angle)."""
-        return (self.plan_minus if side == "minus" else self.plan_plus).apply(fine)
-
     def expand(self, kept: np.ndarray) -> np.ndarray:
-        """Full node array from kept-node values by x(-eta) = conj x(eta)."""
-        out = np.empty(self.keep.size + self.drop.size, dtype=kept.dtype)
-        out[self.keep] = kept
-        out[self.drop] = np.conj(kept[self.drop_src])
-        return out.reshape(self.grid.shape)
+        """Full node array from kept-node values by x(-eta) = conj x(eta),
+        0 on the unpaired nodes."""
+        out = np.zeros(self.grid.shape, dtype=kept.dtype)
+        flat = out.reshape(-1)
+        flat[self.keep] = kept
+        flat[self.drop] = np.conj(kept[self.drop_src])
+        return out
 
 
 _evaluator = functools.lru_cache(maxsize=8)(_Evaluator)
@@ -258,8 +257,9 @@ def rhs_bilinear(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature,
     g and h must be Hermitian, ghat(-eta) = conj ghat(eta), as transforms of
     real densities are: the gain is evaluated on one node of each conjugate
     pair and mirrored by Qhat(-eta) = conj Qhat(eta), and for d = 1 the
-    angles theta < 0 are folded onto theta > 0. Passing the same array as g
-    and h refines it once.
+    angles theta < 0 are folded onto theta > 0. The unpaired nodes get no
+    gain, so Qhat of state values is exactly Hermitian with 0 there too.
+    Passing the same array as g and h refines it once.
 
     The zero node is set to exactly 0: there eta+ = eta- = 0 and the
     gain/loss terms cancel identically, so any residue is pure roundoff.
@@ -272,8 +272,8 @@ def rhs_bilinear(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature,
     fine_h = fine_g if same else refine_array(grid, h_values)
     # d = 1: ghat(-x) = conj ghat(x) pairs theta with -theta, so only
     # Re ghat enters; radial refinements are real, and so is the gain
-    gm = ev.gather(fine_g.real if grid.dimension == 1 else fine_g, "minus")
-    hp = ev.gather(fine_h, "plus")
+    gm = ev.plan_minus.apply(fine_g.real if grid.dimension == 1 else fine_g)
+    hp = ev.plan_plus.apply(fine_h)
     gain = ev.expand((gm * hp * ev.weights).sum(axis=1))
     out = gain - ev.total_weight * g_values[grid.zero_index] * h_values
     out[grid.zero_index] = 0.0
@@ -341,8 +341,9 @@ def coercivity_probe(state: SpectralState, cs: CrossSection,
     """Per-node dissipativity margin W * fhat(0) - int b |fhat(eta-)| dsigma.
 
     Nonnegative because |fhat| <= fhat(0) for a nonnegative density; its size
-    away from eta = 0 is what drives regularization at that frequency.
+    away from eta = 0 is what drives regularization at that frequency. It is
+    0 on the unpaired nodes: no margin where the state carries no value.
     """
     ev = _evaluator(state.grid, cs, quad)
-    gm = np.abs(ev.gather(refine_array(state.grid, state.values), "minus"))
-    return ev.total_weight * state.mass - ev.expand((gm * ev.weights).sum(axis=1))
+    gm = np.abs(ev.plan_minus.apply(refine_array(state.grid, state.values)))
+    return ev.expand(ev.total_weight * state.mass - (gm * ev.weights).sum(axis=1))

@@ -252,8 +252,8 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     # on the operator's kept nodes and are mirrored onto the rest
     ev = _evaluator(grid, cs, quad)
     fine = refine_array(grid, f)
-    fm = np.abs(ev.gather(fine, "minus"))
-    fp = np.abs(ev.gather(fine, "plus"))
+    fm = np.abs(ev.plan_minus.apply(fine))
+    fp = np.abs(ev.plan_plus.apply(fine))
     theta, phi = ev.theta, ev.phi
 
     r_kept = grid.abs_nodes().reshape(-1)[ev.keep][:, None]

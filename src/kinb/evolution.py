@@ -1,11 +1,11 @@
 """Time integration of the spectral collision dynamics.
 
-The state is advanced with classical RK4 on the Fourier lattice.  After
-each step the array is re-symmetrized so that it stays the transform of
-a real density: every node is paired with its mirror -eta (GridSpec.mirror)
-and the unpaired nodes of the planar lattice are zeroed.  The update is
-then revalidated through the state constructor, so a blown-up run fails
-fast with NumericalFailure instead of producing garbage monitor rows.
+The state is advanced with classical RK4 on the Fourier lattice.  States,
+and the collision rhs of state values, are exactly Hermitian with 0 on the
+unpaired nodes; real multiples and sums keep that bit for bit, so no stage
+or step needs a projection.  The update is revalidated through the state
+constructor, so a blown-up run fails fast with NumericalFailure instead of
+producing garbage monitor rows.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .spectral import (GridSpec, InitialDatum, SpectralState, _hermitize,
-                       init_state, moments, state_with_values, to_physical)
+from .spectral import (GridSpec, InitialDatum, SpectralState, init_state,
+                       moments, state_with_values, to_physical)
 from .collision import (AngularQuadrature, CrossSection, rhs_bilinear,
                         stability_limit)
 
@@ -108,8 +108,7 @@ def _rk4_step(grid, cs, quad, values, dt):
     k3 = rhs_bilinear(grid, cs, quad, v, v)
     v = values + dt * k3
     k4 = rhs_bilinear(grid, cs, quad, v, v)
-    out = values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return _hermitize(grid, out)
+    return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def step(state: SpectralState, cs: CrossSection, quad: AngularQuadrature,
@@ -146,36 +145,41 @@ def run(state: SpectralState, cs: CrossSection, quad: AngularQuadrature,
         stability_guard: bool = True) -> Trajectory:
     """Advance to t_end, recording monitor rows and snapshot states.
 
-    Snapshot times are rounded to the nearest step boundary, t_end
-    counting as one when dt does not divide it; the last step, its monitor
-    row and the final state carry t_end itself.  The guard
-    rejects dt above 0.5 / (mass * total cross-section weight); mass and
-    the truncated cross-section are both constant along the flow, so one
-    check at the start covers the whole run.
+    At least one step is taken: a remainder below 1e-12 max(1, t_end) is
+    dropped only when a full step absorbs it.  Snapshot times are rounded
+    to the nearest step boundary, t_end counting as one when dt does not
+    divide it; two that round to one step raise ConfigError.  The last
+    step, its monitor row and the final state carry t_end itself.  The
+    guard rejects dt above 0.5 / (mass * total cross-section weight); mass
+    and the truncated cross-section are both constant along the flow, so
+    one check at the start covers the whole run.
     """
     _check_times(dt, t_end)
     if monitor_every < 1:
         raise ConfigError("monitor_every must be >= 1")
-    grid = state.grid
-    limit = stability_limit(state, cs, quad)
-    if stability_guard and dt > limit:
-        raise NumericalFailure(
-            f"dt {dt:g} exceeds the stability limit {limit:g}")
-
     n_full = int(math.floor(t_end / dt + 1e-12))
     remainder = t_end - n_full * dt
-    if remainder < 1e-12 * max(1.0, t_end):
+    if n_full >= 1 and remainder < 1e-12 * max(1.0, t_end):
         remainder = 0.0
     n_total = n_full + (1 if remainder > 0.0 else 0)
 
-    want: dict[int, float] = {}
+    want: dict[int, float] = {}   # step -> the snapshot time asked for
     for ts in snapshot_times:
         if ts < -1e-12 or ts > t_end * (1 + 1e-12):
             raise ConfigError(f"snapshot time {ts:g} outside [0, t_end]")
         k = min(int(round(ts / dt)), n_full)
         if t_end - ts < abs(ts - k * dt):
             k = n_total
-        want[k] = k * dt if k < n_total else t_end
+        if k in want:
+            raise ConfigError(f"snapshot times {want[k]:g} and {ts:g} both "
+                              f"fall on step {k} (dt = {dt:g})")
+        want[k] = ts
+
+    grid = state.grid
+    limit = stability_limit(state, cs, quad)
+    if stability_guard and dt > limit:
+        raise NumericalFailure(
+            f"dt {dt:g} exceeds the stability limit {limit:g}")
 
     tail_mask = grid.abs_nodes() >= _TAIL_FRACTION * grid.eta_max
     track_entropy = grid.mode != "radial"
@@ -194,11 +198,10 @@ def run(state: SpectralState, cs: CrossSection, quad: AngularQuadrature,
         if k % monitor_every == 0 or k == n_total:
             rows.append(_monitor(cur, t, tail_mask, track_entropy))
         if k in want:
-            snaps.append((want[k], cur))
+            snaps.append((t, cur))
 
-    final = cur if n_total else state_with_values(state, vals, t=0.0)
     return Trajectory(grid=grid, dt=dt, rows=rows, snapshots=snaps,
-                      final=final, dt_limit=limit)
+                      final=cur, dt_limit=limit)
 
 
 def simulate(config: RunConfig, monitor_every: int = 1) -> Trajectory:

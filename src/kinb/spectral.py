@@ -17,17 +17,19 @@ applies local 4-point cubic interpolation on the refined grid. Plain cubic on
 the coarse grid cannot reach the advertised tolerances for sharply peaked
 spectra; the refinement factor is an implementation constant, not a knob.
 
-Every sample set must be the transform of a real density: Hermitian on full
-grids, real in radial mode. Every refinement uses this and stores one half:
-irfft of the eta >= 0 nodes gives the real physical samples, rfft of their
-zero-padding gives the refined eta >= 0 half-axis (real in radial mode), and
-points eta < 0 are read at |eta| and conjugated. The planar refinement keeps
-the rows kx <= 0 of the refined lattice, from rfft of the real parts of the
-inverse-DFT samples along kx; a point in kx > 0 keeps its stencil on the
-whole lattice and reads each tap at the mirror node, conjugated.
-interpolate_array rejects samples that break the requirement; the unpaired
--n/2 row and column of a planar lattice enter through their Hermitian part
-(each paired with itself across the periodic edge).
+Every sample set must be the transform of a real density: x(-eta) =
+conj x(eta) on the node pairs of GridSpec.mirror (radial values are real).
+SpectralState owns this contract: it checks the residue and stores the
+projection _hermitize, with exact pairs and exact zeros on the unpaired
+-n/2 row and column of the planar lattice, which carry no real-density
+content. Every refinement stores one half: irfft of the eta >= 0 nodes
+gives the real physical samples, rfft of their zero-padding gives the
+refined eta >= 0 half-axis (real in radial mode), and points eta < 0 are
+read at |eta| and conjugated. The planar refinement keeps the rows kx <= 0
+of the refined lattice, from rfft of the real parts of the inverse-DFT
+samples along kx; a point in kx > 0 keeps its stencil on the whole lattice
+and reads each tap at the mirror node, conjugated. interpolate_array checks
+raw samples, whose unpaired nodes enter through their Hermitian part.
 
 Moments need no refinement: the refined transform is the trigonometric
 polynomial sum_j c_j e^{-2 pi i v_j . eta} whose coefficients are the
@@ -172,11 +174,12 @@ class GridSpec:
 class SpectralState:
     """Immutable snapshot (grid, time, complex node values).
 
-    Invariants enforced at construction: fhat(0) real and positive,
-    |fhat| <= fhat(0) up to a 1e-9 relative slack (the stepping guard),
-    Hermitian symmetry within 1e-12 on full grids, real values within
-    1e-12 in radial mode (the transform of a radial real density), finite
-    values.
+    Checked at construction: finite values, fhat(0) positive and a
+    Hermitian residue within 1e-12 fhat(0) (radial values real). The state
+    stores _hermitize of the values: exact conjugate pairs, exact zeros on
+    the unpaired nodes, real radial values and a real fhat(0). Then
+    |fhat| <= fhat(0) must hold up to a 1e-9 relative slack (the stepping
+    guard).
     """
     grid: GridSpec
     t: float
@@ -190,21 +193,15 @@ class SpectralState:
             raise ConfigError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
         if not np.all(np.isfinite(vals.view(float))):
             raise NumericalFailure("non-finite values in state")
-        z = vals[self.grid.zero_index]
-        if not (z.real > 0):
+        m0 = vals[self.grid.zero_index].real
+        if not (m0 > 0):
             raise ConfigError("fhat(0) must be positive")
-        if abs(z.imag) > 1e-12 * z.real:
-            raise ConfigError("fhat(0) must be real")
-        vals[self.grid.zero_index] = z.real
+        _check_hermitian(self.grid, vals, m0)
+        vals = _hermitize(self.grid, vals)
         sup = np.abs(vals).max()
-        if sup > z.real * (1 + 1e-9):
+        if sup > m0 * (1 + 1e-9):
             raise NumericalFailure(
-                f"|fhat| exceeds fhat(0) by {sup / z.real - 1:.3e} (instability)")
-        if self.grid.mode == "radial":
-            if np.abs(vals.imag).max() > 1e-12 * z.real:
-                raise ConfigError("radial values are not real")
-        elif _hermitian_residue(self.grid, vals) > 1e-12 * z.real:
-            raise ConfigError("values are not Hermitian")
+                f"|fhat| exceeds fhat(0) by {sup / m0 - 1:.3e} (instability)")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -213,12 +210,16 @@ class SpectralState:
         return float(self.values[self.grid.zero_index].real)
 
 
-def _hermitian_residue(grid: GridSpec, values: np.ndarray) -> float:
-    """max |x(eta) - conj x(-eta)| over the paired nodes."""
+def _check_hermitian(grid: GridSpec, values: np.ndarray, scale: float) -> None:
+    """Raise ConfigError unless max |x(eta) - conj x(-eta)| over the paired
+    nodes is within 1e-12 scale (twice |Im x| for radial values)."""
     mirror = grid.mirror()
     paired = mirror >= 0
     flat = values.reshape(-1)
-    return np.abs(flat[paired] - flat[mirror[paired]].conj()).max()
+    resid = np.abs(flat[paired] - flat[mirror[paired]].conj()).max()
+    if resid > 1e-12 * scale:
+        raise ConfigError(f"{grid.mode} values must be Hermitian, as transforms "
+                          f"of real densities are (residue {resid:.2e})")
 
 
 def _hermitize(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -438,13 +439,12 @@ def _fine_axis(grid: GridSpec) -> tuple:
 def refine_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Band-limited refinement of node samples on the axes of _fine_axis.
 
-    The samples must be transforms of real densities: Hermitian on full
-    grids, real in radial mode (the even extension of a real profile).
+    The samples must be transforms of real densities, as every state is:
     full-1d and radial read only the eta >= 0 nodes and full-2d only the
     Hermitian part of the samples, so for other input the result is wrong
-    without warning; interpolate_array checks this. Radial results are
-    real and returned as float64; full-2d returns the kx <= 0 half of the
-    refined lattice, shape (Mf/2 + 4, Mf + 1) (see _refine_2d).
+    without warning. Radial results are real and returned as float64;
+    full-2d returns the kx <= 0 half of the refined lattice, shape
+    (Mf/2 + 4, Mf + 1) (see _refine_2d).
     """
     U = _UPSAMPLE[grid.mode]
     values = np.asarray(values, dtype=complex)
@@ -598,18 +598,11 @@ def interpolate_array(grid: GridSpec, values: np.ndarray, points) -> np.ndarray:
     points: scalars/arrays of eta (full-1d), radii (radial), or (..., 2)
     coordinates (full-2d). Exact at grid nodes up to refinement roundoff.
     The samples must be transforms of real densities, as refine_array
-    requires: full-grid samples Hermitian over the paired nodes and radial
-    samples real, within 1e-12 of max |values|; other input raises
-    ConfigError.
+    requires: Hermitian over the paired nodes (radial samples real) within
+    1e-12 of max |values|; other input raises ConfigError.
     """
     values = np.asarray(values, dtype=complex).reshape(grid.shape)
-    if grid.mode == "radial":
-        resid, kind = np.abs(values.imag).max(), "real"
-    else:
-        resid, kind = _hermitian_residue(grid, values), "Hermitian"
-    if resid > 1e-12 * np.abs(values).max():
-        raise ConfigError(f"{grid.mode} samples must be {kind} "
-                          f"(residue {resid:.2e})")
+    _check_hermitian(grid, values, np.abs(values).max())
     out = _InterpPlan(grid, points).apply(refine_array(grid, values))
     out = out.astype(complex, copy=False)
     return complex(out) if out.ndim == 0 else out

@@ -126,6 +126,36 @@ def test_simulate_rejects_non_finite_values(tmp_path, capsys, old, new):
     assert not os.path.exists(out)
 
 
+def test_simulate_rejects_snapshots_that_share_a_step(tmp_path, capsys):
+    # five snapshots on [0, 0.008] at dt = 0.004: 0 and 0.002 fall on step 0
+    cfg = _write(tmp_path, "kac.ini", KAC_INI.replace("dt = 2e-3", "dt = 4e-3")
+                 .replace("t_end = 0.01", "t_end = 8e-3")
+                 .replace("snapshots = 2", "snapshots = 5"))
+    out = tmp_path / "run"
+    assert main(["simulate", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "kinb: config error" in err
+    assert "snapshot times 0 and 0.002 both fall on step 0" in err
+    assert not os.path.exists(out)
+
+
+def test_simulate_names_an_under_resolved_planar_datum(tmp_path, capsys):
+    # sigma = 0.3 has not decayed by eta_max = 2 (the unpaired edge reads
+    # 8.2e-4 of the mass); the state drops that edge, and the t = 0 monitor
+    # row finds the negative samples the truncated spectrum leaves
+    ini = (KAC_INI.replace("dimension = 1", "dimension = 2")
+           .replace("mode = full-1d", "mode = full-2d").replace("n = 129", "n = 64")
+           .replace("eta_max = 12.0", "eta_max = 2.0")
+           .replace("kind = laplace", "kind = gaussian")
+           .replace("params = a=1.0", "params = sigma=0.3 center=0.5,-0.4"))
+    out = tmp_path / "run"
+    assert main(["simulate", _write(tmp_path, "planar.ini", ini),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "negative physical samples (-1.72e-04) signal under-resolution" in err
+    assert not os.path.exists(out)
+
+
 def test_snapshot_roundtrip(tmp_path):
     g = GridSpec(dimension=2, mode="full-2d", n=16, eta_max=2.0)
     st = init_state(g, InitialDatum(kind="gaussian", dimension=2, sigma=0.5,

@@ -14,10 +14,10 @@ from kinb import (
     init_state,
     interpolate_array,
     kac_pair,
-    state_with_values,
     transform_jacobian,
 )
 from kinb import collision as col
+from kinb.spectral import _hermitize
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +284,10 @@ def test_coercivity_probe_nonnegative():
     s2 = init_state(g2, InitialDatum(kind="gaussian", dimension=2, sigma=0.5))
     q2 = AngularQuadrature(theta_min=1e-2, panels=8, nodes_per_panel=5,
                            azimuthal_nodes=8)
-    assert col.coercivity_probe(s2, cs, q2).min() >= -1e-10
+    p2 = col.coercivity_probe(s2, cs, q2)
+    assert p2.min() >= -1e-10
+    # no margin on the unpaired -n/2 row and column, where the state is 0
+    assert np.all(p2[0, :] == 0.0) and np.all(p2[:, 0] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +319,6 @@ def _direct_rhs(grid, cs, quad, g_values, h_values):
     return out
 
 
-def _hermitian_pair(grid, datum_g, datum_h):
-    g_vals = init_state(grid, datum_g).values.copy()
-    h_vals = init_state(grid, datum_h).values.copy()
-    if grid.mode == "full-2d":
-        # the stepper keeps the unpaired -n/2 row and column at zero
-        for v in (g_vals, h_vals):
-            v[0, :] = 0.0
-            v[:, 0] = 0.0
-    return g_vals, h_vals
-
-
 @pytest.mark.parametrize("mode", ["full-1d", "full-2d"])
 def test_rhs_bilinear_matches_direct_evaluation(mode):
     cs = CrossSection(nu=0.3, kappa=1.0)
@@ -339,21 +331,23 @@ def test_rhs_bilinear_matches_direct_evaluation(mode):
                           components=((0.3, (-0.9,), 0.3), (0.7, (0.2,), 0.45)))
     else:
         # small sigmas keep the transforms well above roundoff out to the
-        # unpaired -eta_max row and column, which are evaluated directly
+        # -eta_max edge
         grid = GridSpec(dimension=2, mode="full-2d", n=32, eta_max=4.0)
         dg = InitialDatum(kind="gaussian-mixture", dimension=2,
                           components=((0.6, (0.4, -0.2), 0.12), (0.4, (-0.3, 0.5), 0.15)))
         dh = InitialDatum(kind="gaussian-mixture", dimension=2,
                           components=((0.5, (-0.5, 0.1), 0.13), (0.5, (0.2, 0.3), 0.2)))
-    g_vals, h_vals = _hermitian_pair(grid, dg, dh)
+    g_vals = init_state(grid, dg).values
+    h_vals = init_state(grid, dh).values
+    paired = grid.mirror().reshape(grid.shape) >= 0
     for a, b in ((g_vals, h_vals), (g_vals, g_vals)):
         got = col.rhs_bilinear(grid, cs, quad, a, b)
         want = _direct_rhs(grid, cs, quad, a, b)
         scale = float(a[grid.zero_index].real)
-        assert np.abs(got - want).max() < 1e-12 * scale
-        if mode == "full-2d":
-            assert np.abs(want[0, :]).max() > 1e-4 * scale
-            assert np.abs(want[:, 0]).max() > 1e-4 * scale
+        assert np.abs(got - want)[paired].max() < 1e-12 * scale
+        # state values in, an exactly Hermitian Qhat out, 0 where unpaired
+        assert np.array_equal(got, _hermitize(grid, got))
+        assert np.all(got[~paired] == 0.0)
 
 
 def test_radial_rhs_matches_full2d_on_axis():
@@ -370,10 +364,6 @@ def test_radial_rhs_matches_full2d_on_axis():
     gf = GridSpec(dimension=2, mode="full-2d", n=64, eta_max=4.0)
     radial = init_state(gr, datum)
     planar = init_state(gf, datum)
-    vals = planar.values.copy()
-    vals[0, :] = 0.0   # the unpaired row and column, as the stepper keeps them
-    vals[:, 0] = 0.0
-    planar = state_with_values(planar, vals)
     qr = col.rhs(radial, cs, quad)
     qf = col.rhs(planar, cs, quad)
     i0 = gf.zero_index[0]

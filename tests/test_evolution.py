@@ -13,6 +13,7 @@ from kinb import (
     InitialDatum,
     NumericalFailure,
     RunConfig,
+    SpectralState,
     entropy,
     init_state,
     moments,
@@ -20,6 +21,8 @@ from kinb import (
     simulate,
     step,
 )
+from kinb.evolution import _rk4_step
+from kinb.spectral import _hermitize
 
 CS = CrossSection(nu=0.25, kappa=1.0)
 QUAD = AngularQuadrature(theta_min=0.05, panels=8, nodes_per_panel=6)
@@ -142,6 +145,15 @@ def test_snapshot_bookkeeping():
     assert traj.snapshots[0][1] is st
     assert traj.times[0] == 0.0
     assert traj.times[-1] == 0.05
+    # two times that round to one step are refused, not merged
+    with pytest.raises(ConfigError, match="0.024 and 0.0245 both fall on step 12"):
+        run(st, CS, QUAD, dt=0.002, t_end=0.05, snapshot_times=(0.024, 0.0245))
+    cfg = RunConfig(grid=st.grid, cross_section=CS, quadrature=QUAD,
+                    datum=InitialDatum(kind="laplace", dimension=1, a=1.0),
+                    dt=1e-2, t_end=2e-2, snapshots=5)
+    assert len(cfg.snapshot_times()) == 5
+    with pytest.raises(ConfigError, match="0 and 0.005 both fall on step 0"):
+        simulate(cfg)
 
 
 def test_snapshot_at_t_end_when_dt_does_not_divide_it():
@@ -178,6 +190,11 @@ def test_last_step_carries_t_end():
     for _ in range(9):
         stepped = step(stepped, CS, QUAD, 1e-3)
     assert np.array_equal(traj.final.values, stepped.values)
+    # a t_end below the remainder threshold still takes its one step
+    traj = run(st, CS, QUAD, dt=1e-3, t_end=5e-13, snapshot_times=(5e-13,))
+    assert [r.t for r in traj.rows] == [0.0, 5e-13]
+    assert traj.final.t == 5e-13
+    assert traj.snapshots == [(5e-13, traj.final)]
 
 
 def test_radial_runs_skip_entropy():
@@ -189,6 +206,31 @@ def test_radial_runs_skip_entropy():
     with pytest.raises(ValueError):
         traj.column("entropy")
     assert np.isclose(traj.column("mass")[-1], st.mass, rtol=1e-12)
+
+
+def _bkw_kac_state():
+    # the BKW-type solution (1 + a x) exp(-c x), x = eta^2, at a = -c
+    g = GridSpec(dimension=1, mode="full-1d", n=129, eta_max=12.0)
+    x = g.abs_nodes() ** 2
+    c = 2.0 * np.pi ** 2
+    return SpectralState(grid=g, t=0.0, values=(1.0 - c * x) * np.exp(-c * x))
+
+
+@pytest.mark.parametrize("make", [
+    _bkw_kac_state,
+    lambda: init_state(GridSpec(dimension=3, mode="radial", n=64, eta_max=8.0),
+                       InitialDatum(kind="laplace", dimension=3, a=1.0)),
+    lambda: init_state(GridSpec(dimension=2, mode="full-2d", n=32, eta_max=4.0),
+                       InitialDatum(kind="gaussian-mixture", dimension=2,
+                                    components=((0.6, (0.4, -0.2), 0.3),
+                                                (0.4, (-0.3, 0.5), 0.35)))),
+], ids=["full-1d-bkw", "radial-laplace", "full-2d-mixture"])
+def test_rk4_step_stays_exactly_hermitian(make):
+    # real multiples and sums of exactly Hermitian arrays, 0 on the unpaired
+    # nodes, stay so bit for bit: the step needs no projection
+    st = make()
+    out = _rk4_step(st.grid, CS, QUAD, st.values, 1e-3)
+    assert out.tobytes() == _hermitize(st.grid, out).tobytes()
 
 
 def test_full2d_keeps_unpaired_edge_empty():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kinb import spectral
-from kinb.errors import ConfigError, NumericalFailure
+from kinb.errors import ConfigError
 from kinb.spectral import (GridSpec, InitialDatum, SpectralState, init_state,
                            interpolate_array, moments, refine_array,
                            state_with_values, to_physical)
@@ -516,15 +516,28 @@ def test_radial_state_must_be_real():
     vals[4] += 1e-6j
     with pytest.raises(ConfigError, match="real"):
         state_with_values(st, vals)
+    # a residue within 1e-12 of the mass passes, and the state stores the
+    # projection bit for bit: the real part
+    vals[4] = st.values[4] + 4e-13j
+    assert (state_with_values(st, vals).values.tobytes()
+            == spectral._hermitize(g, vals).tobytes() == st.values.tobytes())
 
 
-def test_to_physical_flags_unpaired_edge_junk():
-    # the -n/2 row of an even lattice has no conjugate partner, so values
-    # parked there slip past the symmetry guard but break reconstruction
+def test_unpaired_edge_junk_is_dropped_at_construction():
+    # the -n/2 row of an even lattice has no conjugate partner and carries
+    # no real-density content, so the state stores 0 there and the
+    # reconstruction is that of the clean state
     g = GridSpec(dimension=2, mode="full-2d", n=32, eta_max=4.0)
     st = init_state(g, InitialDatum(kind="gaussian", dimension=2, sigma=0.5))
     vals = st.values.copy()
     vals[0, :] = 1e-3j
-    bad = state_with_values(st, vals)
-    with pytest.raises(NumericalFailure):
-        to_physical(bad)
+    vals[:, 0] = 2e-3
+    junk = state_with_values(st, vals)
+    assert np.array_equal(junk.values, st.values)
+    for a, b in zip(to_physical(junk), to_physical(st)):
+        assert np.array_equal(a, b)
+    # with a 1e-13 residue on a pair too, the state stores the projection
+    # bit for bit
+    vals[9, 5] += 1e-13 * (1 + 1j)
+    assert (state_with_values(st, vals).values.tobytes()
+            == spectral._hermitize(g, vals).tobytes())
