@@ -274,7 +274,11 @@ def rhs_bilinear(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature,
     # Re ghat enters; radial refinements are real, and so is the gain
     gm = ev.plan_minus.apply(fine_g.real if grid.dimension == 1 else fine_g)
     hp = ev.plan_plus.apply(fine_h)
-    gain = ev.expand((gm * hp * ev.weights).sum(axis=1))
+    # products in place: no point-sized temporary beyond the two gathers,
+    # so the allocator does not trim the heap and fault it in on every call
+    np.multiply(gm, hp, out=hp)
+    hp *= ev.weights
+    gain = ev.expand(hp.sum(axis=1))
     out = gain - ev.total_weight * g_values[grid.zero_index] * h_values
     out[grid.zero_index] = 0.0
     return out

@@ -455,8 +455,13 @@ def expdiff_check(alpha: float, beta_t: float, s_minus: float, s_plus: float,
     and s = s_minus + s_plus with 0 <= s_minus <= s_plus:
 
       |Gt(s) - Gt(s_plus)| <=
-        2 alpha beta_t (1+s_plus)^alpha (1 - s_plus/s)
+        2 alpha beta_t (1+s_plus)^alpha (s_minus/s)
         * Gt(s_minus)^eps(alpha, s_plus/s_minus) * Gt(s_plus).
+
+    The left side is taken as Gt(s_plus) |expm1(y)| with
+    y = beta_t (1+s_plus)^alpha expm1(alpha log1p(s_minus/(1+s_plus))),
+    the form `_expdiff_screen` uses: the direct difference cancels to
+    roundoff when beta_t and s_minus are tiny.
     """
     import mpmath as mp
     if not 0 <= s_minus <= s_plus:
@@ -470,12 +475,13 @@ def expdiff_check(alpha: float, beta_t: float, s_minus: float, s_plus: float,
         sp = mp.mpf(s_plus)
         s = sm + sp
         gt = lambda x: mp.e ** (bt * (1 + x) ** a)
-        lhs = abs(gt(s) - gt(sp))
+        y = bt * (1 + sp) ** a * mp.expm1(a * mp.log1p(sm / (1 + sp)))
+        lhs = gt(sp) * abs(mp.expm1(y))
         if s == 0:
             rhs = mp.mpf(0)
         else:
             eps = mp.mpf(0) if sm == 0 else (1 + sp / sm) ** a - (sp / sm) ** a
-            rhs = 2 * a * bt * (1 + sp) ** a * (1 - sp / s) * gt(sm) ** eps * gt(sp)
+            rhs = 2 * a * bt * (1 + sp) ** a * (sm / s) * gt(sm) ** eps * gt(sp)
         ok = bool(lhs <= rhs * (1 + mp.mpf(10) ** (5 - dps)))
         return ExpDiffResult(ok=ok, lhs=float(lhs), rhs=float(rhs))
 

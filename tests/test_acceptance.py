@@ -130,9 +130,9 @@ def test_criterion_05_gevrey_smoothing_observed():
     # the decaying envelope sits above the window-aliasing floor only for
     # |eta| below ~2 at these parameters: the density is not small at the
     # edge of the physical window (half-width 8), so |fhat| flattens like
-    # |eta|^-2 beyond. Raising the refinement factor from 32 to 128 changes
-    # no digit of it; doubling n to 512 brings |fhat(4)| to 4.2e-12. The fit
-    # window tracks that transition
+    # |eta|^-2 beyond. Raising the refinement factor from 16 to 64 moves
+    # |fhat(4)| = 6.04e-7 by 4e-5 of itself; doubling n to 512 brings it to
+    # 2.8e-12. The fit window tracks that transition
     window = (0.5, 1.5)
     fits = {t: fit_gevrey_order(s, fit_window=window) for t, s in traj.snapshots}
     a_early, a_late = fits[0.05].alpha_hat, fits[0.5].alpha_hat

@@ -182,12 +182,12 @@ def test_commutator_values_are_pinned():
     # the sandwich is loose enough to hold for a wrong split angle (phi = theta
     # instead of theta/2 for d >= 2 about triples rhs_bound), so pin the values
     want = {
-        ("full-1d", 1): (-0.0007108451181859264, 0.02232641652799845,
-                         0.010640819410513423, 0.014728419876653891),
-        ("radial", 2): (-0.00045176393741981586, 0.008330426464794493,
-                        0.012265082271121679, 0.007334069556733263),
-        ("radial", 3): (-0.0013081882593070702, 0.016840658442156275,
-                        0.02392987385006485, 0.015663278654987938),
+        ("full-1d", 1): (-0.0007108451141195856, 0.02232641653174997,
+                         0.010640819411893694, 0.014728419878357421),
+        ("radial", 2): (-0.00045176393679111125, 0.008330426464846821,
+                        0.012265082271249594, 0.007334069556796562),
+        ("radial", 3): (-0.0013081882575581793, 0.016840658442121348,
+                        0.02392987385026959, 0.0156632786550768),
         ("full-2d", 2): (-0.0005915185819084313, 0.009690925186019276,
                          0.014317853584484445, 0.008548555080505404),
     }

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kinb.inequalities as ineq
 from kinb.inequalities import (LambdaPoints, TrigPoly, alpha_md, epsilon,
@@ -311,5 +311,8 @@ def test_expdiff_frozen_oracle():
 @settings(max_examples=300, deadline=None)
 @given(alpha=st.floats(0.01, 0.99), bt=st.floats(0.0, 2.0),
        sm=st.floats(0.0, 10.0), rel=st.floats(0.0, 20.0))
+# both sides near 1e-31: the direct difference Gt(s) - Gt(s_plus) at 30
+# digits is roundoff there (1.97e-31 against the true 7.59e-32)
+@example(alpha=0.34375, bt=1e-15, sm=1e-15, rel=9.0)
 def test_expdiff_random(alpha, bt, sm, rel):
     assert expdiff_check(alpha, bt, sm, sm + rel, dps=30).ok

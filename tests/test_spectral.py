@@ -272,31 +272,37 @@ def _full_lattice(fine: np.ndarray, Mf: int) -> np.ndarray:
     return full
 
 
-@pytest.mark.parametrize("case", sorted(_REFINE_CASES))
-def test_refine_array_matches_direct_trigonometric_sum(case):
-    # the refinement is the trigonometric polynomial sum_j c_j e^{-2 pi i v_j eta}
-    # through the 2n - 1 nodes k h (radial: the even extension), read at
-    # eta = (i - 1) h/U on the eta >= 0 half-axis; both the coefficients and
-    # the sum are evaluated directly here, without an FFT
-    grid, datum = _REFINE_CASES[case]
-    values = init_state(grid, datum).values
-    if grid.mode == "full-2d":
-        _check_planar_refinement(grid, values)
-        return
+def _trig_poly(grid, values):
+    """(v, c) of the trigonometric polynomial sum_j c_j e^{-2 pi i v_j eta}
+    through the 2n - 1 nodes k h (radial: the even extension), by direct
+    sums, without an FFT."""
     n, h = grid.n, grid.spacing
     full = values if grid.mode == "full-1d" else np.concatenate([values[:0:-1], values])
     M = 2 * n - 1
     k = np.arange(-(n - 1), n)
     v = k / (M * h)
-    c = np.exp(2j * np.pi * np.outer(v, k * h)) @ full / M
+    return v, np.exp(2j * np.pi * np.outer(v, k * h)) @ full / M
+
+
+@pytest.mark.parametrize("case", sorted(_REFINE_CASES))
+def test_refine_array_matches_direct_trigonometric_sum(case):
+    # the refinement is the trigonometric polynomial of _trig_poly, read at
+    # eta = x0 + i hf on the refined axis of _fine_axis; the sum is
+    # evaluated directly here, without an FFT
+    grid, datum = _REFINE_CASES[case]
+    values = init_state(grid, datum).values
+    if grid.mode == "full-2d":
+        _check_planar_refinement(grid, values)
+        return
+    v, c = _trig_poly(grid, values)
     fine = refine_array(grid, values)
-    U = spectral._UPSAMPLE[grid.mode]
-    assert fine.shape == (U * M // 2 + 2,)
+    x0, hf, cnt = spectral._fine_axis(grid)
+    assert fine.shape == (cnt,)
     assert fine.dtype == (complex if grid.mode == "full-1d" else float)
     rng = np.random.default_rng(7)
     idx = np.concatenate([[0, 1, 2, fine.size - 1],
                           rng.choice(fine.size, size=196, replace=False)])
-    eta = (idx - 1) * h / U
+    eta = x0 + idx * hf
     want = np.exp(-2j * np.pi * np.outer(eta, v)) @ c
     assert np.abs(fine[idx] - want).max() < 1e-13 * values[grid.zero_index].real
     if grid.mode == "full-1d":
@@ -305,22 +311,50 @@ def test_refine_array_matches_direct_trigonometric_sum(case):
                                       np.conj(interpolate_array(grid, values, pts)))
 
 
+@pytest.mark.parametrize("grid, bound", [
+    (GridSpec(dimension=1, mode="full-1d", n=512, eta_max=32.0), 1e-9),
+    (GridSpec(dimension=3, mode="radial", n=128, eta_max=8.0), 5e-9),
+], ids=["kac_reference", "radial-3"])
+def test_half_axis_interpolation_floor(grid, bound):
+    # 16-fold refinement and the 6-point stencil against the trigonometric
+    # polynomial through the nodes, summed directly, on the laplace datum,
+    # whose |eta|^-(d+1) tail is the hardest catalog case; 4 points at
+    # 32-fold refinement read 8.8e-9 and 3.2e-8 mass on these points
+    values = init_state(grid, InitialDatum(kind="laplace", dimension=grid.dimension)).values
+    v, c = _trig_poly(grid, values)
+    lo = -grid.eta_max if grid.mode == "full-1d" else 0.0
+    pts = np.random.default_rng(3).uniform(lo, grid.eta_max, 3000)
+    want = np.exp(-2j * np.pi * np.outer(pts, v)) @ c
+    err = np.abs(interpolate_array(grid, values, pts) - want).max()
+    assert err < bound * values[grid.zero_index].real
+
+
+def test_half_axis_weights_reproduce_quintics():
+    # 6-point Lagrange weights on the offsets -2..3 sum polynomials of
+    # degree <= 5 exactly
+    t = np.random.default_rng(5).uniform(0.0, 1.0, 500)
+    w = spectral._half_weights(t.copy())
+    for p in range(6):
+        got = sum(w[k] * float(k - 2) ** p for k in range(6))
+        np.testing.assert_allclose(got, t ** p, rtol=0, atol=1e-13)
+
+
 def _check_planar_refinement(grid, values):
     # the stored rows kx <= 0, the three margin rows kx = h/U..3h/U and the
     # wrap column ky = +eta_max are the trigonometric polynomial of the
     # real parts c_j of the inverse-DFT samples, at v_j = j/(M h),
     # j = -M/2..M/2-1; the refined lattice point (i, c) is ((i, c) - Mf/2) h/U
     M, h = grid.n, grid.spacing
-    U = spectral._UPSAMPLE[grid.mode]
-    Mf, H = U * M, U * M // 2
+    x0, hf, Mf = spectral._fine_axis(grid)
+    H = Mf // 2
     k = np.arange(-M // 2, M // 2)
     v = k / (M * h)
     phase = np.exp(2j * np.pi * np.outer(v, k * h))
     c = (phase @ values @ phase.T).real / M ** 2
     fine = refine_array(grid, values)
     assert fine.shape == (H + 4, Mf + 1) and fine.dtype == complex
-    ex = np.exp(-2j * np.pi * np.outer((np.arange(H + 4) - H) * h / U, v))
-    ey = np.exp(-2j * np.pi * np.outer((np.arange(Mf + 1) - H) * h / U, v))
+    ex = np.exp(-2j * np.pi * np.outer(x0 + np.arange(H + 4) * hf, v))
+    ey = np.exp(-2j * np.pi * np.outer(x0 + np.arange(Mf + 1) * hf, v))
     want = ex @ c @ ey.T
     mass = values[grid.zero_index].real
     assert np.abs(fine - want).max() < 1e-13 * mass
@@ -328,7 +362,7 @@ def _check_planar_refinement(grid, values):
     # the stencils of eta and -eta hold the same four nodes per axis
     rng = np.random.default_rng(7)
     pts = rng.uniform(-grid.eta_max, grid.eta_max, (4000, 2))
-    pts = pts[np.hypot(pts[:, 0], pts[:, 1]) < grid.eta_max - 2 * h / U]
+    pts = pts[np.hypot(pts[:, 0], pts[:, 1]) < grid.eta_max - 2 * hf]
     got = interpolate_array(grid, values, pts)
     assert np.abs(interpolate_array(grid, values, -pts) - got.conj()).max() < 1e-14 * mass
 
@@ -361,19 +395,27 @@ def test_planar_plan_matches_direct_16_tap_sum():
                           edge, straddle, above, wrap, beyond])
     pts = pts[rng.permutation(len(pts))]
 
+    def stencil(x):
+        # the clipped cell and the 4-point Lagrange weights, from their formulas
+        u = (x - x0) / hf
+        i = np.clip(np.floor(u), 1, cnt - 3)
+        t = u - i
+        return i.astype(np.int64), np.array([-t * (t - 1) * (t - 2) / 6.0,
+                                             (t + 1) * (t - 1) * (t - 2) / 2.0,
+                                             -(t + 1) * t * (t - 2) / 2.0,
+                                             (t + 1) * t * (t - 1) / 6.0])
+
+    # the plan's in-place helpers compute the same bits
     x = x0 + rng.uniform(-1.5, cnt + 1.5, 1000) * hf
-    i, w = spectral._cubic_stencil(x, x0, hf, cnt)
-    u = (x - x0) / hf
-    np.testing.assert_array_equal(i, np.clip(np.floor(u), 1, cnt - 3))
-    t = u - i
-    np.testing.assert_array_equal(w, [-t * (t - 1) * (t - 2) / 6.0,
-                                      (t + 1) * (t - 1) * (t - 2) / 2.0,
-                                      -(t + 1) * t * (t - 2) / 2.0,
-                                      (t + 1) * t * (t - 1) / 6.0])
+    u, i = spectral._fine_cell(x.copy(), x0, hf, cnt, 4)
+    u -= i
+    want_i, want_w = stencil(x)
+    np.testing.assert_array_equal(i, want_i)
+    np.testing.assert_array_equal(spectral._cubic_weights(u), want_w)
 
     mask = np.hypot(pts[:, 0], pts[:, 1]) <= e * (1 + 1e-12)
-    ix, wx = spectral._cubic_stencil(np.where(mask, pts[:, 0], 0.0), x0, hf, cnt)
-    iy, wy = spectral._cubic_stencil(np.where(mask, pts[:, 1], 0.0), x0, hf, cnt)
+    ix, wx = stencil(np.where(mask, pts[:, 0], 0.0))
+    iy, wy = stencil(np.where(mask, pts[:, 1], 0.0))
     # the clipped strips at both edges are hit, and so are the rows around
     # cnt/2 and the wrap column
     assert ix.min() == iy.min() == 1 and ix.max() == iy.max() == cnt - 3
