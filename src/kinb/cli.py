@@ -179,18 +179,22 @@ def _build_datum(dimension: int, kind: str, params: str) -> InitialDatum:
     return InitialDatum(kind=kind, dimension=dimension, **p)
 
 
+def _operator(cfg: dict) -> tuple:
+    """(CrossSection, AngularQuadrature) of a config's [kernel] and [quad]."""
+    k, q = cfg["kernel"], cfg["quad"]
+    return (CrossSection(nu=k["nu"], kappa=k["kappa"]),
+            AngularQuadrature(theta_min=q["theta_min"], panels=q["panels"],
+                              nodes_per_panel=q["nodes_per_panel"],
+                              azimuthal_nodes=q["azimuthal_nodes"]))
+
+
 def _run_config(cfg: dict) -> RunConfig:
-    g, q, tm = cfg["grid"], cfg["quad"], cfg["time"]
+    g, tm = cfg["grid"], cfg["time"]
     grid = GridSpec(dimension=g["dimension"], mode=g["mode"], n=g["n"],
                     eta_max=g["eta_max"])
+    cs, quad = _operator(cfg)
     return RunConfig(
-        grid=grid,
-        cross_section=CrossSection(nu=cfg["kernel"]["nu"],
-                                   kappa=cfg["kernel"]["kappa"]),
-        quadrature=AngularQuadrature(theta_min=q["theta_min"],
-                                     panels=q["panels"],
-                                     nodes_per_panel=q["nodes_per_panel"],
-                                     azimuthal_nodes=q["azimuthal_nodes"]),
+        grid=grid, cross_section=cs, quadrature=quad,
         datum=_build_datum(grid.dimension, cfg["init"]["kind"],
                            cfg["init"]["params"]),
         dt=tm["dt"], t_end=tm["t_end"], snapshots=tm["snapshots"])
@@ -322,11 +326,34 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _diagnose_operator(args) -> tuple:
+    """Kernel and quadrature of the commutator, and where they come from:
+    the run's own, from the manifest.ini beside the first snapshot, or
+    else nu = --nu (0.5 by default), kappa = 1 and theta_min = 0.05 on
+    6 panels of 4 nodes."""
+    path = os.path.join(os.path.dirname(args.snapshots[0]), "manifest.ini")
+    if os.path.isfile(path):
+        if args.nu is not None:
+            raise ConfigError(f"--nu conflicts with the kernel in {path}")
+        cfg = load_config(path)
+        _require_sections(cfg, ("kernel", "quad"))
+        return (*_operator(cfg), path)
+    cs = CrossSection(nu=0.5 if args.nu is None else args.nu, kappa=1.0)
+    quad = AngularQuadrature(theta_min=0.05, panels=6, nodes_per_panel=4)
+    return cs, quad, "defaults: no manifest.ini beside the first snapshot"
+
+
 def cmd_diagnose(args) -> int:
     if (args.alpha is None) != (args.beta is None):
         raise ConfigError("--alpha and --beta must be given together")
-    if args.lam is not None and args.alpha is None:
-        raise ConfigError("--lambda needs --alpha and --beta")
+    for flag, given in (("--lambda", args.lam), ("--nu", args.nu)):
+        if given is not None and args.alpha is None:
+            raise ConfigError(f"{flag} needs --alpha and --beta")
+    if args.alpha is not None:
+        cs, quad, source = _diagnose_operator(args)
+        print(f"commutator kernel nu={cs.nu!r} kappa={cs.kappa!r}, quadrature "
+              f"theta_min={quad.theta_min!r} panels={quad.panels} "
+              f"nodes_per_panel={quad.nodes_per_panel} ({source})")
     with _output_dir(args.out):
         reports = []
         for path in args.snapshots:
@@ -351,9 +378,6 @@ def cmd_diagnose(args) -> int:
                 clam = lam if math.isfinite(lam) else \
                     state.grid.eta_max / math.sqrt(2.0)
                 cw = w if math.isfinite(lam) else replace(w, lam=clam)
-                cs = CrossSection(nu=args.nu, kappa=1.0)
-                quad = AngularQuadrature(theta_min=0.05, panels=6,
-                                         nodes_per_panel=4)
                 com = commutation_error(state, cw, cs, quad)
                 print(f"  commutator lhs={com.lhs!r} rhs_bound={com.rhs_bound!r}")
                 print(f"             i_term={com.i_term!r} "
@@ -514,7 +538,7 @@ def _parser() -> argparse.ArgumentParser:
     pd.add_argument("--alpha", type=float)
     pd.add_argument("--beta", type=float)
     pd.add_argument("--lambda", dest="lam", type=float)
-    pd.add_argument("--nu", type=float, default=0.5)
+    pd.add_argument("--nu", type=float)
     pd.add_argument("--out", default=".")
     pd.set_defaults(fn=cmd_diagnose)
 

@@ -33,7 +33,6 @@ the two angles fold into one with doubled weight:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -184,7 +183,7 @@ def kac_pair(eta, theta) -> tuple:
 
 
 # ----------------------------------------------------------------------------
-# cached evaluator
+# the live evaluator
 # ----------------------------------------------------------------------------
 
 class _Evaluator:
@@ -243,12 +242,43 @@ class _Evaluator:
         return out
 
 
-_evaluator = functools.lru_cache(maxsize=8)(_Evaluator)
+# ((grid, cs, quad), evaluator) of the last build, or None
+_live = None
+
+
+def _evaluator(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature) -> _Evaluator:
+    """The evaluator of (grid, cs, quad). The last one built stays live and
+    is reused while callers ask for the same triple; it is dropped before
+    another is built, so at most one is resident."""
+    global _live
+    key = (grid, cs, quad)
+    if _live is None or _live[0] != key:
+        _live = None   # release the old operator before building the new one
+        _live = (key, _Evaluator(grid, cs, quad))
+    return _live[1]
 
 
 # ----------------------------------------------------------------------------
 # operator evaluation
 # ----------------------------------------------------------------------------
+
+def _bilinear(ev: _Evaluator, gm: np.ndarray, hp: np.ndarray,
+              g_values: np.ndarray, h_values: np.ndarray) -> np.ndarray:
+    """Qhat(g, h) on the grid nodes from the kept-node gathers gm of ghat at
+    eta- (its real part for d = 1) and hp of hhat at eta+; hp is overwritten.
+
+    The products are formed in place: no point-sized temporary beyond the
+    two gathers, so the allocator does not trim the heap and fault it in
+    on every call.
+    """
+    grid = ev.grid
+    np.multiply(gm, hp, out=hp)
+    hp *= ev.weights
+    gain = ev.expand(hp.sum(axis=1))
+    out = gain - ev.total_weight * g_values[grid.zero_index] * h_values
+    out[grid.zero_index] = 0.0
+    return out
+
 
 def rhs_bilinear(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature,
                  g_values: np.ndarray, h_values: np.ndarray) -> np.ndarray:
@@ -271,17 +301,11 @@ def rhs_bilinear(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature,
     fine_g = refine_array(grid, g_values)
     fine_h = fine_g if same else refine_array(grid, h_values)
     # d = 1: ghat(-x) = conj ghat(x) pairs theta with -theta, so only
-    # Re ghat enters; radial refinements are real, and so is the gain
-    gm = ev.plan_minus.apply(fine_g.real if grid.dimension == 1 else fine_g)
-    hp = ev.plan_plus.apply(fine_h)
-    # products in place: no point-sized temporary beyond the two gathers,
-    # so the allocator does not trim the heap and fault it in on every call
-    np.multiply(gm, hp, out=hp)
-    hp *= ev.weights
-    gain = ev.expand(hp.sum(axis=1))
-    out = gain - ev.total_weight * g_values[grid.zero_index] * h_values
-    out[grid.zero_index] = 0.0
-    return out
+    # Re ghat enters, gathered from one contiguous copy (np.take copies a
+    # strided source on every tap); radial refinements are real
+    gm = ev.plan_minus.apply(np.ascontiguousarray(fine_g.real)
+                             if grid.dimension == 1 else fine_g)
+    return _bilinear(ev, gm, ev.plan_plus.apply(fine_h), g_values, h_values)
 
 
 def rhs(state: SpectralState, cs: CrossSection, quad: AngularQuadrature) -> np.ndarray:

@@ -24,8 +24,8 @@ from .errors import ConfigError, NumericalFailure
 from .inequalities import alpha_md, epsilon, optimize_lambdas
 from .spectral import (GridSpec, SpectralState, moments, refine_array,
                        state_with_values, to_physical, _InterpPlan, _SPHERE_AREA)
-from .collision import (AngularQuadrature, CrossSection, _evaluator, kac_pair,
-                        perp_unit, rhs_bilinear)
+from .collision import (AngularQuadrature, CrossSection, _bilinear, _evaluator,
+                        kac_pair, perp_unit)
 
 __all__ = [
     "GevreyWeight", "WeightedNorms", "weighted_norms",
@@ -243,17 +243,24 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     g_nodes = w.values(grid)
     f = state.values
     gf = g_nodes * f
-    q1 = rhs_bilinear(grid, cs, quad, f, gf)
-    q2 = g_nodes * rhs_bilinear(grid, cs, quad, f, f)
+    # Q(f, Gf) and Q(f, f) as rhs_bilinear forms them, from one refinement
+    # of f and of Gf and one gather of each on each plan; the bounds below
+    # read the same gathers of f
+    ev = _evaluator(grid, cs, quad)
+    fine = refine_array(grid, f)
+    f_minus = ev.plan_minus.apply(fine)
+    f_plus = ev.plan_plus.apply(fine)
+    fm, fp = np.abs(f_minus), np.abs(f_plus)
+    gm = f_minus.real if d == 1 else f_minus
+    q1 = _bilinear(ev, gm, ev.plan_plus.apply(refine_array(grid, gf)), f, gf)
+    q2 = g_nodes * _bilinear(ev, gm, f_plus, f, f)
+    # the complex gathers are spent; the bounds need only their moduli
+    del f_minus, f_plus, gm
     cells = grid.cell_weights().reshape(-1)
     lhs = float(np.sum(cells * ((q1 - q2) * np.conj(gf)).reshape(-1)).real)
 
     # |fhat| and every weight below are even in eta, so the angular sums run
     # on the operator's kept nodes and are mirrored onto the rest
-    ev = _evaluator(grid, cs, quad)
-    fine = refine_array(grid, f)
-    fm = np.abs(ev.plan_minus.apply(fine))
-    fp = np.abs(ev.plan_plus.apply(fine))
     theta, phi = ev.theta, ev.phi
 
     r_kept = grid.abs_nodes().reshape(-1)[ev.keep][:, None]

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import inequalities as ineq
 from .collision import (AngularQuadrature, CrossSection, collision_geometry,
-                        kac_pair, rhs_bilinear, transform_jacobian)
+                        kac_pair, transform_jacobian)
 from .diagnostics import GevreyWeight, commutation_error
 from .errors import ConfigError
 from .evolution import run

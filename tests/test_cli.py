@@ -236,7 +236,9 @@ def test_diagnose_numerical_failure_exits_2(tmp_path, capsys):
     ["--beta", "0.1"],
     ["--lambda", "3"],
     ["--alpha", "0.3", "--lambda", "3"],
-], ids=["alpha-alone", "beta-alone", "lambda-alone", "lambda-without-beta"])
+    ["--nu", "0.3"],
+], ids=["alpha-alone", "beta-alone", "lambda-alone", "lambda-without-beta",
+        "nu-alone"])
 def test_diagnose_rejects_half_a_weight(tmp_path, capsys, monkeypatch, weight):
     calls = []
     monkeypatch.setattr("kinb.cli.fit_gevrey_order", lambda *a, **k: calls.append(a))
@@ -499,15 +501,43 @@ def test_diagnose_commutator_matches_library(tmp_path, capsys):
     assert main(["diagnose", p, "--fit-window", "0.5", "2.0", "--alpha", "0.3",
                  "--beta", "0.1", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    # no --lambda: the commutator cutoff is eta_max/sqrt(2), the kernel and
-    # quadrature are the command's fixed ones
+    # no --lambda: the commutator cutoff is eta_max/sqrt(2); no manifest.ini
+    # beside the snapshot: the kernel and quadrature are the command's defaults
     com = commutation_error(
         read_snapshot(p), GevreyWeight(alpha=0.3, beta=0.1, t=st.t,
                                        lam=16.0 / math.sqrt(2.0)),
         CrossSection(nu=0.5, kappa=1.0),
         AngularQuadrature(theta_min=0.05, panels=6, nodes_per_panel=4))
+    assert ("commutator kernel nu=0.5 kappa=1.0, quadrature theta_min=0.05 "
+            "panels=6 nodes_per_panel=4 (defaults: ") in out
     assert f"  commutator lhs={com.lhs!r} rhs_bound={com.rhs_bound!r}\n" in out
     assert f"i_term={com.i_term!r} i_plus_term={com.i_plus_term!r}\n" in out
+
+
+def test_diagnose_commutator_uses_the_run_manifest(tmp_path, capsys):
+    run = str(tmp_path / "run")
+    assert main(["simulate", _write(tmp_path, "kac.ini", KAC_INI), "--out", run]) == 0
+    capsys.readouterr()
+    snap = os.path.join(run, sorted(p for p in os.listdir(run)
+                                    if p.startswith("snapshot_"))[-1])
+    args = ["diagnose", snap, "--fit-window", "0.5", "2.0", "--alpha", "0.3",
+            "--beta", "0.1", "--out"]
+    assert main(args + [str(tmp_path / "diag")]) == 0
+    out = capsys.readouterr().out
+    # KAC_INI's kernel and quadrature, with the defaults load_config fills in
+    assert ("commutator kernel nu=0.25 kappa=1.0, quadrature theta_min=0.005 "
+            f"panels=8 nodes_per_panel=5 ({os.path.join(run, 'manifest.ini')})\n") in out
+    st = read_snapshot(snap)
+    com = commutation_error(
+        st, GevreyWeight(alpha=0.3, beta=0.1, t=st.t, lam=12.0 / math.sqrt(2.0)),
+        CrossSection(nu=0.25, kappa=1.0),
+        AngularQuadrature(theta_min=5e-3, panels=8, nodes_per_panel=5))
+    assert f"  commutator lhs={com.lhs!r} rhs_bound={com.rhs_bound!r}\n" in out
+    assert f"i_term={com.i_term!r} i_plus_term={com.i_plus_term!r}\n" in out
+    # the run fixes the kernel: --nu beside its manifest exits 1 before any work
+    assert main(args + [str(tmp_path / "other"), "--nu", "0.5"]) == 1
+    assert "--nu conflicts with the kernel in" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "other")
 
 
 def test_constants_writes_one_csv_row_per_dimension(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Collision kernel, angular quadrature, geometry, and rhs oracle tests."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,42 @@ def test_coercivity_probe_nonnegative():
     assert p2.min() >= -1e-10
     # no margin on the unpaired -n/2 row and column, where the state is 0
     assert np.all(p2[0, :] == 0.0) and np.all(p2[:, 0] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the live operator
+# ---------------------------------------------------------------------------
+
+def test_one_operator_stays_live(monkeypatch):
+    refs = []
+
+    class Recording(col._Evaluator):
+        def __init__(self, *key):
+            # the previous operator is gone before the next one is built
+            assert all(r() is None for r in refs)
+            super().__init__(*key)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(col, "_Evaluator", Recording)
+    monkeypatch.setattr(col, "_live", None)
+    cs = CrossSection(nu=0.3, kappa=1.0)
+    quad = AngularQuadrature(theta_min=1e-2, panels=4, nodes_per_panel=4)
+    g = GridSpec(dimension=1, mode="full-1d", n=64, eta_max=8.0)
+    st = init_state(g, InitialDatum(kind="gaussian", dimension=1))
+    q = col.rhs(st, cs, quad)
+    # an equal key, of new objects, reuses the operator without a rebuild
+    same = (GridSpec(dimension=1, mode="full-1d", n=64, eta_max=8.0),
+            CrossSection(nu=0.3, kappa=1.0),
+            AngularQuadrature(theta_min=1e-2, panels=4, nodes_per_panel=4))
+    assert col._evaluator(*same) is refs[0]()
+    assert np.array_equal(col.rhs(st, *same[1:]), q)
+    assert len(refs) == 1
+    # another kernel builds a second operator and the first one dies
+    col.total_weight(g, CrossSection(nu=0.4, kappa=1.0), quad)
+    assert len(refs) == 2 and refs[0]() is None and refs[1]() is not None
+    # going back rebuilds: one slot, no history
+    col.total_weight(g, cs, quad)
+    assert len(refs) == 3 and refs[1]() is None
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,12 @@ from kinb import (
     hinf_weighted_norm,
     init_state,
     negative_sobolev_norm,
+    rhs_bilinear,
     run,
     state_with_values,
     weighted_norms,
 )
+import kinb.collision as col
 import kinb.diagnostics as diag
 from kinb.diagnostics import (_grow, _unit_directions, angle_thresholds,
                               bracket_integral)
@@ -203,6 +205,36 @@ def test_commutator_values_are_pinned():
         got = (rep.lhs, rep.rhs_bound, rep.i_term, rep.i_plus_term)
         np.testing.assert_allclose(got, want[g.mode, g.dimension], rtol=1e-14,
                                    atol=0, err_msg=f"{g.mode} d={g.dimension}")
+
+
+def test_commutator_refines_f_and_gf_once(monkeypatch):
+    calls = []
+
+    def counting(grid, values):
+        calls.append(grid)
+        return refine_array(grid, values)
+
+    monkeypatch.setattr(diag, "refine_array", counting)
+    monkeypatch.setattr(col, "refine_array", counting)
+    grids = (
+        GridSpec(dimension=1, mode="full-1d", n=129, eta_max=12.0),
+        GridSpec(dimension=3, mode="radial", n=128, eta_max=6.0),
+        GridSpec(dimension=2, mode="full-2d", n=48, eta_max=4.5),
+    )
+    for g in grids:
+        st = _mixture_state(g)
+        w = GevreyWeight(alpha=0.5, beta=0.15, t=0.2, lam=g.eta_max / math.sqrt(2))
+        calls.clear()
+        rep = commutation_error(st, w, _CS, _QUAD)
+        assert len(calls) == 2, g.mode
+        # the lhs is the pairing of the operator's own Q(f, Gf) - G Q(f, f),
+        # bit for bit
+        gv = w.values(g)
+        gf = gv * st.values
+        dq = (rhs_bilinear(g, _CS, _QUAD, st.values, gf)
+              - gv * rhs_bilinear(g, _CS, _QUAD, st.values, st.values))
+        cells = g.cell_weights().reshape(-1)
+        assert rep.lhs == float(np.sum(cells * (dq * np.conj(gf)).reshape(-1)).real)
 
 
 def test_sandwich_zero_at_t0():
