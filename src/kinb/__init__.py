@@ -10,7 +10,7 @@ from .collision import (CrossSection, AngularQuadrature, from_inverse_power,
                         rhs, rhs_bilinear, stability_limit, total_weight,
                         truncation_error_bound, coercivity_probe)
 from .evolution import (MonitorRow, RunConfig, Trajectory, entropy, run,
-                        simulate, step)
+                        simulate)
 from .inequalities import (epsilon, alpha_md, required_moment, LambdaPoints,
                            kl_constant, optimize_lambdas, kl_check, TrigPoly,
                            pointwise_from_l2_check, expdiff_check)
@@ -36,8 +36,7 @@ __all__ = [
     "collision_geometry", "transform_jacobian", "kac_pair",
     "rhs", "rhs_bilinear", "stability_limit", "total_weight",
     "truncation_error_bound", "coercivity_probe",
-    "MonitorRow", "RunConfig", "Trajectory", "step", "run", "entropy",
-    "simulate",
+    "MonitorRow", "RunConfig", "Trajectory", "run", "entropy", "simulate",
     "epsilon", "alpha_md", "required_moment",
     "LambdaPoints", "kl_constant", "optimize_lambdas", "kl_check",
     "TrigPoly", "pointwise_from_l2_check", "expdiff_check",

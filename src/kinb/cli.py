@@ -16,7 +16,8 @@ import csv
 import math
 import os
 import sys
-from dataclasses import replace
+import types
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .diagnostics import (GevreyWeight, build_induction_schedule,
                           cb_constant, check_hypotheses, commutation_error,
                           fit_gevrey_order, weighted_norms, _alpha_cap,
                           _default_lambda0)
-from .evolution import RunConfig, Trajectory, simulate
+from .evolution import MonitorRow, RunConfig, Trajectory, simulate
 from .inequalities import alpha_md, optimize_lambdas, required_moment
 from .spectral import (ConfigError, GridSpec, InitialDatum, NumericalFailure,
                        SpectralState)
@@ -63,10 +64,17 @@ _REQUIRED = {
     "induction": ("part",),
 }
 
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+# the defaults of the objects each section builds; a required key never
+# reads its default
 _DEFAULTS = {
-    "kernel": {"kappa": 1.0},
-    "quad": {"panels": 8, "nodes_per_panel": 5, "azimuthal_nodes": 8},
-    "time": {"snapshots": 0},
+    "kernel": _field_defaults(CrossSection),
+    "quad": _field_defaults(AngularQuadrature),
+    "time": _field_defaults(RunConfig),
     "init": {"params": ""},
 }
 
@@ -181,23 +189,17 @@ def _build_datum(dimension: int, kind: str, params: str) -> InitialDatum:
 
 def _operator(cfg: dict) -> tuple:
     """(CrossSection, AngularQuadrature) of a config's [kernel] and [quad]."""
-    k, q = cfg["kernel"], cfg["quad"]
-    return (CrossSection(nu=k["nu"], kappa=k["kappa"]),
-            AngularQuadrature(theta_min=q["theta_min"], panels=q["panels"],
-                              nodes_per_panel=q["nodes_per_panel"],
-                              azimuthal_nodes=q["azimuthal_nodes"]))
+    return CrossSection(**cfg["kernel"]), AngularQuadrature(**cfg["quad"])
 
 
 def _run_config(cfg: dict) -> RunConfig:
-    g, tm = cfg["grid"], cfg["time"]
-    grid = GridSpec(dimension=g["dimension"], mode=g["mode"], n=g["n"],
-                    eta_max=g["eta_max"])
+    grid = GridSpec(**cfg["grid"])
     cs, quad = _operator(cfg)
     return RunConfig(
         grid=grid, cross_section=cs, quadrature=quad,
         datum=_build_datum(grid.dimension, cfg["init"]["kind"],
                            cfg["init"]["params"]),
-        dt=tm["dt"], t_end=tm["t_end"], snapshots=tm["snapshots"])
+        **cfg["time"])
 
 
 # ----------------------------------------------------------------------------
@@ -265,12 +267,12 @@ def _fmt(x) -> str:
 
 
 def _write_run_csv(traj: Trajectory, path: str) -> None:
+    names = [f.name for f in fields(MonitorRow)]
     with open(path, "w", newline="") as fh:
-        fh.write("t,mass,energy,entropy,sup_ratio,tail\n")
+        fh.write(",".join(names) + "\n")
         wr = csv.writer(fh)
         for r in traj.rows:
-            wr.writerow([_fmt(r.t), _fmt(r.mass), _fmt(r.energy),
-                         _fmt(r.entropy), _fmt(r.sup_ratio), _fmt(r.tail)])
+            wr.writerow([_fmt(getattr(r, name)) for name in names])
 
 
 def _write_induction_csv(rows, schedule, path: str) -> None:
@@ -338,7 +340,7 @@ def _diagnose_operator(args) -> tuple:
         cfg = load_config(path)
         _require_sections(cfg, ("kernel", "quad"))
         return (*_operator(cfg), path)
-    cs = CrossSection(nu=0.5 if args.nu is None else args.nu, kappa=1.0)
+    cs = CrossSection(nu=0.5 if args.nu is None else args.nu)
     quad = AngularQuadrature(theta_min=0.05, panels=6, nodes_per_panel=4)
     return cs, quad, "defaults: no manifest.ini beside the first snapshot"
 
@@ -410,7 +412,7 @@ def cmd_constants(args) -> int:
         mm = required_moment(args.nu, bounded=args.bounded)
         label = "bounded" if args.bounded else "unbounded"
         print(f"required moment order (nu={args.nu:g}, {label}): m = {mm}")
-        cs = CrossSection(nu=args.nu, kappa=1.0)
+        cs = CrossSection(nu=args.nu)
         print("kernel constants")
         for d in dims:
             parts = [f"scaled={cb_constant(cs, d, 'scaled'):.6f}"]
@@ -450,7 +452,7 @@ def cmd_induction(args) -> int:
     cfg = load_config(cfg_path)
     _require_sections(cfg, ("kernel", "induction"))
     ind = cfg["induction"]
-    cs = CrossSection(nu=cfg["kernel"]["nu"], kappa=cfg["kernel"]["kappa"])
+    cs = CrossSection(**cfg["kernel"])
 
     paths = sorted(p for p in os.listdir(args.rundir)
                    if p.startswith("snapshot_") and p.endswith(".csv"))
@@ -490,10 +492,9 @@ def cmd_induction(args) -> int:
     if over:
         schedule = replace(schedule, **over)
 
-    traj = Trajectory(grid=grid, dt=cfg.get("time", {}).get("dt", 0.0),
-                      rows=[], snapshots=[(s.t, s) for s in states],
-                      final=states[-1], dt_limit=math.inf)
-    rows = check_hypotheses(traj, schedule, n_random=args.n_random,
+    stored = types.SimpleNamespace(snapshots=[(s.t, s) for s in states],
+                                   final=states[-1])
+    rows = check_hypotheses(stored, schedule, n_random=args.n_random,
                             seed=args.seed)
     _write_induction_csv(rows, schedule,
                          os.path.join(args.rundir, "induction.csv"))

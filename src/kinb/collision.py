@@ -108,8 +108,8 @@ class AngularQuadrature:
     relative variation of the kernel.
     """
     theta_min: float = 1e-4
-    panels: int = 24
-    nodes_per_panel: int = 8
+    panels: int = 8
+    nodes_per_panel: int = 5
     azimuthal_nodes: int = 8
 
     def __post_init__(self):
@@ -149,11 +149,11 @@ def perp_unit(u: np.ndarray) -> np.ndarray:
     return np.stack([-u[..., 1], u[..., 0]], axis=-1)
 
 
-def sigma_from_angle(eta_hat: np.ndarray, theta, sign: int = +1) -> np.ndarray:
-    """Unit sigma at deviation angle theta from eta_hat, rotated toward
-    sign * perp(eta_hat) (d = 2)."""
+def sigma_from_angle(eta_hat: np.ndarray, theta) -> np.ndarray:
+    """Unit sigma at signed deviation angle theta from eta_hat, rotated
+    toward perp(eta_hat) for theta > 0 (d = 2)."""
     th = np.asarray(theta, dtype=float)[..., None]
-    return np.cos(th) * eta_hat + sign * np.sin(th) * perp_unit(eta_hat)
+    return np.cos(th) * eta_hat + np.sin(th) * perp_unit(eta_hat)
 
 
 def collision_geometry(eta: np.ndarray, sigma: np.ndarray) -> tuple:

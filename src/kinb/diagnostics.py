@@ -16,12 +16,12 @@ operator uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .inequalities import alpha_md, epsilon, optimize_lambdas
+from .inequalities import alpha_md, epsilon
 from .spectral import (GridSpec, SpectralState, moments, refine_array,
                        state_with_values, to_physical, _InterpPlan, _SPHERE_AREA)
 from .collision import (AngularQuadrature, CrossSection, _bilinear, _evaluator,
@@ -152,15 +152,15 @@ class FitReport:
         return self.beta_t_hat / t
 
 
-def fit_gevrey_order(state: SpectralState, fit_window=None,
-                     min_points: int = 8) -> FitReport:
+def fit_gevrey_order(state: SpectralState, fit_window=None) -> FitReport:
     """Least-squares estimate of the stretched-exponential decay order.
 
     Model: |fhat(eta)| / fhat(0) = exp(-b * |eta|^{2a}), fitted as
     log(-log ratio) = log(b) + a*log|eta|^2 over shell averages inside the
     window.  Returns a = alpha_hat and b = beta_t_hat (the product of rate
     and elapsed time; divide by t to get a rate).  Shells whose ratio is
-    outside (1e-14, 1) carry no decay information and are dropped.
+    outside (1e-14, 1) carry no decay information and are dropped; fewer
+    than 8 usable shells raise NumericalFailure.
     """
     grid = state.grid
     if fit_window is None:
@@ -177,9 +177,9 @@ def fit_gevrey_order(state: SpectralState, fit_window=None,
     mean_mag = np.bincount(inverse, weights=mag[mask]) / np.bincount(inverse)
     ratio = mean_mag / state.mass
     keep = (ratio > 1e-14) & (ratio < 1.0 - 1e-12)
-    if keep.sum() < min_points:
+    if keep.sum() < 8:
         raise NumericalFailure(
-            f"only {int(keep.sum())} usable shells in window (need {min_points})")
+            f"only {int(keep.sum())} usable shells in window (need 8)")
     x = np.log(shells[keep] ** 2)
     y = np.log(-np.log(ratio[keep]))
     slope, intercept = np.polyfit(x, y, 1)
@@ -482,8 +482,7 @@ def _alpha_cap(part, m: int, d: int, nu: float) -> float:
 
 def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
                              cs: CrossSection, C_tilde: float = 1.0,
-                             C_f0: float = 1.0, lambda0: float | None = None,
-                             n_max: int = 16,
+                             lambda0: float | None = None, n_max: int = 16,
                              M2: float | None = None) -> InductionSchedule:
     """Two-pass schedule for the geometric chain of frequency scales.
 
@@ -493,7 +492,8 @@ def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
     used to measure the empirical decay constant, and the final rate is
     the minimum of the pass-one rate and the formula at the enlarged M.
     Scales above eta_max/sqrt(2) are dropped so every hypothesis window
-    stays inside the grid.
+    stays inside the grid.  The L2 cap B is the L2 norm of states[0] times
+    exp(T0).
     """
     if not states:
         raise ConfigError("need at least one snapshot state")
@@ -526,7 +526,7 @@ def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
     A_m = max(_l1m_norm(s, m) for s in states)
     cells = grid.cell_weights().reshape(-1)
     l2_f0 = math.sqrt(float(np.sum(cells * np.abs(states[0].values).reshape(-1) ** 2)))
-    B = l2_f0 * math.exp(C_f0 * T0)
+    B = l2_f0 * math.exp(T0)
 
     theta0 = vartheta0 = None
     if part == 3:
@@ -622,8 +622,7 @@ def _gl_rule(lo, hi, n):
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * wq
 
 
-def _hyp3_sup(state, fine, alpha, beta, lam, m, theta0, vartheta0, dirs,
-              theta_nodes: int = 48, n_radii: int = 24) -> float:
+def _hyp3_sup(state, fine, alpha, beta, lam, m, theta0, vartheta0, dirs) -> float:
     grid = state.grid
     p = _decay_exponent(3, m, grid.dimension)
     bt = beta * state.t
@@ -631,9 +630,9 @@ def _hyp3_sup(state, fine, alpha, beta, lam, m, theta0, vartheta0, dirs,
     if sq2lam > grid.eta_max * (1.0 + 1e-9):
         raise ConfigError("hypothesis window sqrt(2)*lam exceeds the grid")
 
-    radii = np.linspace(sq2lam / n_radii, sq2lam, n_radii)
-    th_a, w_a = _gl_rule(theta0, math.pi / 2.0, theta_nodes)
-    th_b, w_b = _gl_rule(vartheta0, math.pi / 4.0, theta_nodes)
+    radii = np.linspace(sq2lam / 24, sq2lam, 24)
+    th_a, w_a = _gl_rule(theta0, math.pi / 2.0, 48)
+    th_b, w_b = _gl_rule(vartheta0, math.pi / 4.0, 48)
 
     if grid.mode == "radial":
         # |eta^-| depends only on |eta| and the angle, the direction
@@ -681,6 +680,9 @@ def check_hypotheses(trajectory, schedule: InductionSchedule,
                      n_random: int = 64, seed: int = 0) -> list:
     """Evaluate the chain hypotheses on every (scale, snapshot) pair.
 
+    `trajectory` is any object with `snapshots`, a list of (t, state)
+    pairs, and `final`, the state checked alone when that list is empty:
+    a Trajectory from `run`, or a plain namespace of stored snapshots.
     Returns HypothesisRow records; `passed` requires the part's hypothesis
     supremum to stay at or below schedule.M and the weighted L2 norm at
     sqrt(2)*scale to stay at or below schedule.B (small relative slack for

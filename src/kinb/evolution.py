@@ -11,7 +11,7 @@ producing garbage monitor rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .collision import (AngularQuadrature, CrossSection, rhs_bilinear,
                         stability_limit)
 
 __all__ = [
-    "RunConfig", "MonitorRow", "Trajectory", "entropy", "step", "run",
-    "simulate",
+    "RunConfig", "MonitorRow", "Trajectory", "entropy", "run", "simulate",
 ]
 
 # fraction of eta_max beyond which nodes count as the spectral tail
@@ -71,7 +70,6 @@ class MonitorRow:
 @dataclass
 class Trajectory:
     grid: GridSpec
-    dt: float
     rows: list
     snapshots: list
     final: SpectralState
@@ -111,13 +109,6 @@ def _rk4_step(grid, cs, quad, values, dt):
     return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def step(state: SpectralState, cs: CrossSection, quad: AngularQuadrature,
-         dt: float) -> SpectralState:
-    """One validated RK4 step."""
-    vals = _rk4_step(state.grid, cs, quad, state.values, dt)
-    return state_with_values(state, vals, t=state.t + dt)
-
-
 def _monitor(state: SpectralState, t: float, tail_mask: np.ndarray,
              track_entropy: bool) -> MonitorRow:
     m = moments(state, order=2)
@@ -141,18 +132,20 @@ def _check_times(dt: float, t_end: float) -> None:
 
 
 def run(state: SpectralState, cs: CrossSection, quad: AngularQuadrature,
-        dt: float, t_end: float, snapshot_times=(), monitor_every: int = 1,
-        stability_guard: bool = True) -> Trajectory:
+        dt: float, t_end: float, snapshot_times=(),
+        monitor_every: int = 1) -> Trajectory:
     """Advance to t_end, recording monitor rows and snapshot states.
 
-    At least one step is taken: a remainder below 1e-12 max(1, t_end) is
-    dropped only when a full step absorbs it.  Snapshot times are rounded
-    to the nearest step boundary, t_end counting as one when dt does not
-    divide it; two that round to one step raise ConfigError.  The last
-    step, its monitor row and the final state carry t_end itself.  The
-    guard rejects dt above 0.5 / (mass * total cross-section weight); mass
-    and the truncated cross-section are both constant along the flow, so
-    one check at the start covers the whole run.
+    The clock starts at 0 whatever state.t holds, so a run continued from
+    another's final state counts its rows from 0 again.  At least one step
+    is taken: a remainder below 1e-12 max(1, t_end) is dropped only when a
+    full step absorbs it.  Snapshot times are rounded to the nearest step
+    boundary, t_end counting as one when dt does not divide it; two that
+    round to one step raise ConfigError.  The last step, its monitor row
+    and the final state carry t_end itself.  dt above 0.5 / (mass * total
+    cross-section weight) raises NumericalFailure; mass and the truncated
+    cross-section are both constant along the flow, so one check at the
+    start covers the whole run.
     """
     _check_times(dt, t_end)
     if monitor_every < 1:
@@ -177,7 +170,7 @@ def run(state: SpectralState, cs: CrossSection, quad: AngularQuadrature,
 
     grid = state.grid
     limit = stability_limit(state, cs, quad)
-    if stability_guard and dt > limit:
+    if dt > limit:
         raise NumericalFailure(
             f"dt {dt:g} exceeds the stability limit {limit:g}")
 
@@ -200,13 +193,12 @@ def run(state: SpectralState, cs: CrossSection, quad: AngularQuadrature,
         if k in want:
             snaps.append((t, cur))
 
-    return Trajectory(grid=grid, dt=dt, rows=rows, snapshots=snaps,
-                      final=cur, dt_limit=limit)
+    return Trajectory(grid=grid, rows=rows, snapshots=snaps, final=cur,
+                      dt_limit=limit)
 
 
-def simulate(config: RunConfig, monitor_every: int = 1) -> Trajectory:
+def simulate(config: RunConfig) -> Trajectory:
     state = init_state(config.grid, config.datum)
     return run(state, config.cross_section, config.quadrature,
                config.dt, config.t_end,
-               snapshot_times=config.snapshot_times(),
-               monitor_every=monitor_every)
+               snapshot_times=config.snapshot_times())

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -153,10 +153,10 @@ def kl_vandermonde_norm_matrix(m: int, lambdas: Sequence[float]) -> float:
     return float(np.abs(Vi).sum(axis=0).max())
 
 
-def optimize_lambdas(m: int, seed: int = 0, starts: int = 16) -> LambdaPoints:
+def optimize_lambdas(m: int, seed: int = 0) -> LambdaPoints:
     """Coordinate-descent minimization of C_m over (0,1]^{m-1}.
 
-    Deterministic for a fixed seed; multistart with `starts` random initial
+    Deterministic for a fixed seed; multistart with 16 random initial
     orderings plus the equispaced one. m=2 recovers l=[1], C_2 = 8.
     """
     if not 2 <= m <= 8:
@@ -193,7 +193,7 @@ def optimize_lambdas(m: int, seed: int = 0, starts: int = 16) -> LambdaPoints:
         return lam, best
 
     candidates = [np.linspace(1.0 / dim, 1.0, dim)]
-    for _ in range(starts):
+    for _ in range(16):
         candidates.append(np.sort(rng.uniform(0.02, 1.0, size=dim)))
     best_lam, best_c = None, math.inf
     for c0 in candidates:
@@ -297,8 +297,7 @@ class TrigPoly:
         self.coeffs = {tuple(k): complex(c) for k, c in coeffs.items()}
 
     @classmethod
-    def random(cls, n: int, kmax: int, period: float, seed: int,
-               scale: float = 1.0) -> "TrigPoly":
+    def random(cls, n: int, kmax: int, period: float, seed: int) -> "TrigPoly":
         rng = np.random.default_rng(seed)
         coeffs: dict = {}
         rng_keys = []
@@ -309,7 +308,7 @@ class TrigPoly:
                         for ky in range(0, kmax + 1)]
             rng_keys = [k for k in rng_keys if k[1] > 0 or k[0] >= 0]
         for key in rng_keys:
-            c = complex(rng.normal(), rng.normal()) * scale / (1 + sum(abs(x) for x in key)) ** 2
+            c = complex(rng.normal(), rng.normal()) / (1 + sum(abs(x) for x in key)) ** 2
             if all(x == 0 for x in key):
                 c = complex(c.real, 0.0)
             coeffs[key] = coeffs.get(key, 0) + c
@@ -338,12 +337,12 @@ class TrigPoly:
         coeffs = {k: c * (w * k[axis]) ** order for k, c in self.coeffs.items()}
         return TrigPoly(self.n, self.period, coeffs)
 
-    def sup_norm(self, samples: int = 4096) -> float:
+    def sup_norm(self) -> float:
+        """Max |H| on 4096 points (n = 1) or 256 x 256 (n = 2) per period."""
         if self.n == 1:
-            xs = np.linspace(0, self.period, samples, endpoint=False)[:, None]
+            xs = np.linspace(0, self.period, 4096, endpoint=False)[:, None]
             return float(np.abs(self.eval(xs)).max())
-        s = max(256, int(math.isqrt(samples)) * 4)
-        g = np.linspace(0, self.period, s, endpoint=False)
+        g = np.linspace(0, self.period, 256, endpoint=False)
         # separable evaluation: sum_k c_k e1[kx] (x) e2[ky]
         keys = list(self.coeffs.keys())
         kx = np.array([k[0] for k in keys])
@@ -355,10 +354,10 @@ class TrigPoly:
         vals = (ex * cc[None, :]) @ ey
         return float(np.abs(vals.real).max())
 
-    def cube_integral_sq(self, corner: np.ndarray, side: float = 2.0):
-        """Exact integral of H^2 over the axis-aligned cube starting at
-        `corner` and extending by `side` along each axis (signed per corner
-        orientation is handled by the caller). Corners of shape (..., n) give
+    def cube_integral_sq(self, corner: np.ndarray):
+        """Exact integral of H^2 over the axis-aligned cube of side 2
+        starting at `corner` and extending in the positive direction of
+        each axis (the caller orients it). Corners of shape (..., n) give
         an array of integrals; a single corner gives a float."""
         sq = getattr(self, "_sq_coeffs", None)
         if sq is None:
@@ -375,7 +374,7 @@ class TrigPoly:
             term = c
             for i, ki in enumerate(k):
                 a = corner[..., i]
-                b = a + side
+                b = a + 2.0
                 if ki == 0:
                     term *= (b - a)
                 else:
@@ -411,8 +410,7 @@ def _chain_constant(H: TrigPoly, m: int) -> float:
     return prod ** (m / (2.0 * m + n))
 
 
-def pointwise_from_l2_check(H: TrigPoly, m: int, points: np.ndarray,
-                            side: float = 2.0) -> DDCheckResult:
+def pointwise_from_l2_check(H: TrigPoly, m: int, points: np.ndarray) -> DDCheckResult:
     """Check |H(x)| <= L_{m,n} (int_{Q_x} H^2)^{m/(2m+n)} at each point.
 
     Q_x is the cube of side 2 with corner x, oriented away from the origin
@@ -426,8 +424,8 @@ def pointwise_from_l2_check(H: TrigPoly, m: int, points: np.ndarray,
         raise ConfigError("points dimension mismatch")
     L = _chain_constant(H, m)
     expo = m / (2.0 * m + n)
-    corners = np.where(pts >= 0, pts, pts - side)
-    integral = np.maximum(H.cube_integral_sq(corners, side), 0.0)
+    corners = np.where(pts >= 0, pts, pts - 2.0)
+    integral = np.maximum(H.cube_integral_sq(corners), 0.0)
     lhs = np.abs(H.eval(pts))
     rhs = L * integral ** expo
     margin = rhs - lhs

@@ -12,8 +12,8 @@ from kinb import (AngularQuadrature, CrossSection, GevreyWeight, GridSpec,
                   InitialDatum, RunConfig, build_induction_schedule,
                   commutation_error, fractional_heat_evolve, init_state,
                   simulate)
-from kinb.cli import (_run_config, load_config, main, read_snapshot,
-                      write_manifest, write_snapshot)
+from kinb.cli import (_DEFAULTS, _SCHEMA, _run_config, load_config, main,
+                      read_snapshot, write_manifest, write_snapshot)
 from kinb.errors import ConfigError
 
 KAC_INI = """\
@@ -58,6 +58,27 @@ def test_load_config_defaults_and_manifest_roundtrip(tmp_path):
     out = str(tmp_path / "manifest.ini")
     write_manifest(cfg, out)
     assert load_config(out) == cfg
+
+
+def test_config_sections_match_the_objects_they_build(tmp_path):
+    # a key the object does not take would escape the CLI as a TypeError
+    # instead of exit 1, and a filled default would disagree with the library
+    for section, cls in (("grid", GridSpec), ("kernel", CrossSection),
+                         ("quad", AngularQuadrature), ("time", RunConfig)):
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        if section != "time":
+            assert set(_SCHEMA[section]) == set(defaults), section
+        for key, val in _DEFAULTS.get(section, {}).items():
+            assert val == defaults[key], (section, key)
+    # a config that sets only the required keys runs the library defaults
+    ini = KAC_INI.replace("snapshots = 2\n", "")
+    rc = _run_config(load_config(_write(tmp_path, "kac.ini", ini)))
+    assert rc == RunConfig(
+        grid=GridSpec(dimension=1, mode="full-1d", n=129, eta_max=12.0),
+        cross_section=CrossSection(nu=0.25),
+        quadrature=AngularQuadrature(theta_min=5e-3),
+        datum=InitialDatum(kind="laplace", dimension=1, a=1.0),
+        dt=2e-3, t_end=0.01)
 
 
 def test_load_config_rejects_unknown_and_missing(tmp_path):

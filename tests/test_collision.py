@@ -220,6 +220,29 @@ def test_gaussian_is_a_fixed_point():
     assert np.abs(col.rhs(s3, cs, q2)).max() < 1e-5
 
 
+@pytest.mark.parametrize("grid,sigma,theta_min,sign,bound", [
+    # the bench kac-line grid; the energy mode of the Kac line is -eta^2 M
+    (GridSpec(dimension=1, mode="full-1d", n=512, eta_max=32.0), 1.0, 1e-3, -1, 5e-8),
+    (GridSpec(dimension=3, mode="radial", n=128, eta_max=8.0), 1.0, 1e-3, 1, 1.3e-7),
+    (GridSpec(dimension=2, mode="full-2d", n=64, eta_max=2.0), 0.6, 4e-3, 1, 1.6e-5),
+], ids=["kac-line", "radial-3d", "planar-2d"])
+def test_linearized_operator_annihilates_the_energy_mode(grid, sigma, theta_min,
+                                                          sign, bound):
+    # L h = Qhat(M, h) + Qhat(h, M) around a centred Gaussian M is exactly 0
+    # for the conserved energy mode h = +-|eta|^2 Mhat. The discrete residual
+    # sits at the interpolation floor times the total weight W, not at
+    # roundoff: max|L h| measured 5.1e-9 (kac-line), 1.27e-8 (radial-3d) and
+    # 1.6e-6 (planar-2d) with h at max 1; each bound is 10x that
+    cs = CrossSection(nu=0.25)
+    quad = AngularQuadrature(theta_min=theta_min, panels=8, nodes_per_panel=5)
+    m_hat = init_state(grid, InitialDatum(kind="gaussian", dimension=grid.dimension,
+                                          sigma=sigma)).values
+    h = sign * grid.abs_nodes() ** 2 * m_hat
+    h /= np.abs(h).max()
+    lh = col.rhs_bilinear(grid, cs, quad, m_hat, h) + col.rhs_bilinear(grid, cs, quad, h, m_hat)
+    assert np.abs(lh).max() < bound
+
+
 def test_rhs_vanishes_at_zero_frequency():
     # gain and loss cancel exactly at eta = 0: mass is conserved
     cs = CrossSection(nu=0.5, kappa=1.0)
@@ -345,7 +368,7 @@ def _direct_rhs(grid, cs, quad, g_values, h_values):
         eta = grid.nodes()
         r = np.linalg.norm(eta, axis=-1, keepdims=True)
         ehat = np.divide(eta, r, out=np.zeros_like(eta), where=r > 0)
-        sigma = np.concatenate([col.sigma_from_angle(ehat[:, None, :], th[None, :], sign=s)
+        sigma = np.concatenate([col.sigma_from_angle(ehat[:, None, :], s * th[None, :])
                                 for s in (-1, +1)], axis=1)
         weights = np.concatenate([w, w]) * cs.collapsed(np.concatenate([th, th]))
         minus, plus = collision_geometry(eta[:, None, :], sigma)

@@ -140,7 +140,7 @@ def test_fit_window_errors():
     with pytest.raises(ConfigError):
         fit_gevrey_order(ev, fit_window=(16.5, 17.0))  # beyond the grid
     with pytest.raises(NumericalFailure):
-        fit_gevrey_order(ev, fit_window=(2.0, 2.2), min_points=64)
+        fit_gevrey_order(ev, fit_window=(2.0, 2.2))
 
 
 # ---------------------------------------------------------------------------

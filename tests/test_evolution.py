@@ -19,7 +19,6 @@ from kinb import (
     moments,
     run,
     simulate,
-    step,
 )
 from kinb.evolution import _rk4_step
 from kinb.spectral import _hermitize
@@ -38,8 +37,8 @@ def test_local_error_is_fifth_order():
     st = _kac_state()
 
     def local_err(dt):
-        one = step(st, CS, QUAD, dt)
-        half = step(step(st, CS, QUAD, dt / 2), CS, QUAD, dt / 2)
+        one = run(st, CS, QUAD, dt=dt, t_end=dt).final
+        half = run(st, CS, QUAD, dt=dt / 2, t_end=dt).final
         return np.abs(one.values - half.values).max()
 
     rate = np.log2(local_err(0.02) / local_err(0.01))
@@ -83,7 +82,7 @@ def test_fourth_moment_decay_rate():
     st = init_state(g, InitialDatum(kind="laplace", dimension=1, a=1.0))
     quad = AngularQuadrature(theta_min=1e-4, panels=12, nodes_per_panel=6)
     h = 5e-4
-    s2 = step(step(st, CS, quad, h), CS, quad, h)
+    s2 = run(st, CS, quad, dt=h, t_end=2 * h).final
     m_before = moments(st, 4)
     m_after = moments(s2, 4)
     assert abs(m_before[4] - 24.0) < 0.02
@@ -95,12 +94,26 @@ def test_stability_guard():
     st = _kac_state()
     with pytest.raises(NumericalFailure):
         run(st, CS, QUAD, dt=10.0, t_end=20.0)
-    # explicit opt-out skips the check; RK4 still integrates a mild overrun
+    # a mild overrun is refused too: the guard has no opt-out
     lim = run(st, CS, QUAD, dt=1e-3, t_end=1e-3).dt_limit
-    traj = run(st, CS, QUAD, dt=1.2 * lim, t_end=4.8 * lim,
-               stability_guard=False)
-    assert traj.dt_limit == lim
-    assert abs(traj.rows[-1].mass - st.mass) < 1e-12
+    with pytest.raises(NumericalFailure, match="exceeds the stability limit"):
+        run(st, CS, QUAD, dt=1.2 * lim, t_end=4.8 * lim)
+
+
+def test_continued_run_matches_one_run():
+    # the convention segmented runs rely on: a run continued from another's
+    # final state restarts its clock at 0, ends at its own t_end, and steps
+    # the values exactly as one run over both segments does
+    st = _kac_state()
+    dt, k = 1e-3, 3
+    whole = run(st, CS, QUAD, dt=dt, t_end=2 * k * dt)
+    first = run(st, CS, QUAD, dt=dt, t_end=k * dt)
+    second = run(first.final, CS, QUAD, dt=dt, t_end=k * dt)
+    assert np.array_equal(second.final.values, whole.final.values)
+    assert second.rows[0].t == 0.0
+    assert second.final.t == second.rows[-1].t == k * dt
+    assert [replace(r, t=0.0) for r in second.rows] == \
+        [replace(r, t=0.0) for r in whole.rows[k:]]
 
 
 def test_run_validation():
@@ -188,7 +201,7 @@ def test_last_step_carries_t_end():
     assert traj.snapshots[-1][1] is traj.final
     stepped = st
     for _ in range(9):
-        stepped = step(stepped, CS, QUAD, 1e-3)
+        stepped = run(stepped, CS, QUAD, dt=1e-3, t_end=1e-3).final
     assert np.array_equal(traj.final.values, stepped.values)
     # a t_end below the remainder threshold still takes its one step
     traj = run(st, CS, QUAD, dt=1e-3, t_end=5e-13, snapshot_times=(5e-13,))
