@@ -57,7 +57,7 @@ def main():
 
     states = [s for _, s in traj.snapshots]
     sched = build_induction_schedule(states, part="I", m=2, alpha=0.25,
-                                     T0=1.0, cs=cs, C_tilde=1.0)
+                                     T0=1.0, cs=cs)
     print(f"schedule: scales={['%.4f' % s for s in sched.scales]}")
     print(f"  A_m={sched.A_m:.6f} M={sched.M:.6f} B={sched.B:.6f}")
     print(f"  K_empirical={sched.K_empirical:.6f} beta={sched.beta:.6f} "

@@ -16,7 +16,7 @@ operator uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,9 +83,6 @@ class GevreyWeight:
         if math.isfinite(self.lam):
             out = np.where(r <= self.lam * (1.0 + 1e-12), out, 0.0)
         return out
-
-    def at_time(self, t: float) -> "GevreyWeight":
-        return replace(self, t=t)
 
 
 @dataclass(frozen=True)
@@ -347,15 +344,15 @@ def cb_constant(cs: CrossSection, d: int, variant: str = "scaled") -> float:
 
 
 def beta_recommendation(M: float, T0: float, alpha: float, cs: CrossSection,
-                        d: int, part="I", C_tilde: float = 1.0,
-                        M2: float | None = None, theta0: float | None = None,
+                        d: int, part="I", M2: float | None = None,
+                        theta0: float | None = None,
                         vartheta0: float | None = None) -> float:
     """Largest admissible weight growth rate for a hypothesis bound M.
 
-    Part I:   C~ / ((1 + 2^{d-1}) c_b alpha T0 M + 1), with the sqrt(2)
+    Part I:   1 / ((1 + 2^{d-1}) c_b alpha T0 M + 1), with the sqrt(2)
               combination replacing 2^{d-1} in the one-dimensional model.
     Part II:  same shape with the plain kernel constant.
-    Part III: C~ / (alpha T0 [(1+2^{d-1}) c_b2 M2 + (C_t0 + 2^d C_v0) M] + 1).
+    Part III: 1 / (alpha T0 [(1+2^{d-1}) c_b2 M2 + (C_t0 + 2^d C_v0) M] + 1).
     """
     part = _canonical_part(part)
     if M < 0 or T0 <= 0 or not 0 < alpha <= 1:
@@ -363,12 +360,12 @@ def beta_recommendation(M: float, T0: float, alpha: float, cs: CrossSection,
     if part == 1:
         cb = cb_constant(cs, d, "scaled")
         comb = 1.0 + (math.sqrt(2.0) if d == 1 else 2.0 ** (d - 1))
-        return C_tilde / (comb * cb * alpha * T0 * M + 1.0)
+        return 1.0 / (comb * cb * alpha * T0 * M + 1.0)
     if d < 2:
         raise ConfigError("parts II and III need d >= 2")
     cb2 = cb_constant(cs, d, "plain")
     if part == 2:
-        return C_tilde / ((1.0 + 2.0 ** (d - 1)) * cb2 * alpha * T0 * M + 1.0)
+        return 1.0 / ((1.0 + 2.0 ** (d - 1)) * cb2 * alpha * T0 * M + 1.0)
     if M2 is None or theta0 is None or vartheta0 is None:
         raise ConfigError("part III needs M2, theta0, and vartheta0")
     c_t0 = cs.b_value(theta0, d)
@@ -376,7 +373,7 @@ def beta_recommendation(M: float, T0: float, alpha: float, cs: CrossSection,
     denom = alpha * T0 * ((1.0 + 2.0 ** (d - 1)) * cb2 * M2
                           + (c_t0 + 2.0 ** d * c_v0) * M) + 1.0
     # b_value returns a numpy scalar
-    return float(C_tilde / denom)
+    return float(1.0 / denom)
 
 
 def _canonical_part(part) -> int:
@@ -436,12 +433,8 @@ class InductionSchedule:
     A_m: float
     K_empirical: float
     beta_formula: float
-    beta_start: float
-    C_tilde: float
-    factor: float = _SCALE_FACTOR
     theta0: float | None = None
     vartheta0: float | None = None
-    M2: float | None = None
 
     @property
     def n_max(self) -> int:
@@ -449,8 +442,10 @@ class InductionSchedule:
 
 
 def _l1m_norm(state: SpectralState, m: int) -> float:
-    """Moment norm int f <v>^m dv, via conserved even moments.  m = 2 is
-    exact; m = 3 and 4 use the m = 4 majorant (a safe overestimate)."""
+    """Moment norm int f <v>^m dv for 2 <= m <= 4, via conserved even
+    moments.  m = 2 is exact; m = 3 and 4 use the order-4 majorant
+    int f (1 + |v|^2)^2 dv, which bounds the integral from above only up to
+    m = 4."""
     if m == 2:
         m0, _, m2 = moments(state, order=2)
         return m0 + m2
@@ -481,9 +476,8 @@ def _alpha_cap(part, m: int, d: int, nu: float) -> float:
 
 
 def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
-                             cs: CrossSection, C_tilde: float = 1.0,
-                             lambda0: float | None = None, n_max: int = 16,
-                             M2: float | None = None) -> InductionSchedule:
+                             cs: CrossSection, lambda0: float | None = None,
+                             n_max: int = 16) -> InductionSchedule:
     """Two-pass schedule for the geometric chain of frequency scales.
 
     states: snapshots along one run covering [0, T0], first entry at t=0.
@@ -504,6 +498,8 @@ def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
         raise ConfigError("parts II and III need d >= 2")
     if m < 2:
         raise ConfigError("m must be >= 2")
+    if m > 4:
+        raise ConfigError(f"m = {m}: moments stop at order 4, so 2 <= m <= 4")
     a_cap = _alpha_cap(part, m, d, cs.nu)
     if alpha > a_cap * (1.0 + 1e-12):
         raise ConfigError(f"alpha {alpha:g} exceeds min(alpha_m_n, nu) = {a_cap:g}")
@@ -528,21 +524,20 @@ def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
     l2_f0 = math.sqrt(float(np.sum(cells * np.abs(states[0].values).reshape(-1) ** 2)))
     B = l2_f0 * math.exp(T0)
 
-    theta0 = vartheta0 = None
+    theta0 = vartheta0 = M2 = None
     if part == 3:
         theta0, vartheta0 = angle_thresholds(alpha, m)
-        if M2 is None:
-            M2 = 2.0 * sphere * A_m + 1.0
+        M2 = 2.0 * sphere * A_m + 1.0
 
     def formula(M):
-        return beta_recommendation(M, T0, alpha, cs, d, part, C_tilde,
-                                   M2=M2, theta0=theta0, vartheta0=vartheta0)
+        return beta_recommendation(M, T0, alpha, cs, d, part, M2=M2,
+                                   theta0=theta0, vartheta0=vartheta0)
 
     # crude start bound: the base-scale hypothesis value is at most
     # start_measure * A_m * exp(rate * T0 * <Lambda_0>^..)
     start_measure = omega_measure * (math.pi / 2.0 if part == 3 else 1.0)
 
-    def beta_start_for(M):
+    def start_rate(M):
         # rate below which the chain hypothesis holds at the base scale
         if M <= start_measure * A_m:
             return 0.0
@@ -552,7 +547,7 @@ def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
         return lg / (T0 * (1.0 + lam0 ** 2))
 
     def cap_parts(M):
-        vals = [formula(M), beta_start_for(M)]
+        vals = [formula(M), start_rate(M)]
         if part >= 2:
             vals.append(1.0 / T0)
         return min(v for v in vals if v > 0)
@@ -575,8 +570,7 @@ def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
         part={1: "I", 2: "II", 3: "III"}[part], dimension=d, alpha=alpha, m=m,
         T0=T0, lambda0=lam0, scales=tuple(scales), M=M_final, B=B, beta=beta,
         A_m=A_m, K_empirical=k_emp, beta_formula=formula(M_final),
-        beta_start=beta_start_for(M_final), C_tilde=C_tilde,
-        theta0=theta0, vartheta0=vartheta0, M2=M2)
+        theta0=theta0, vartheta0=vartheta0)
 
 
 def _unit_directions(d: int, n_random: int, rng) -> np.ndarray:
@@ -683,16 +677,15 @@ def check_hypotheses(trajectory, schedule: InductionSchedule,
     `trajectory` is any object with `snapshots`, a list of (t, state)
     pairs, and `final`, the state checked alone when that list is empty:
     a Trajectory from `run`, or a plain namespace of stored snapshots.
-    Returns HypothesisRow records; `passed` requires the part's hypothesis
-    supremum to stay at or below schedule.M and the weighted L2 norm at
-    sqrt(2)*scale to stay at or below schedule.B (small relative slack for
-    quadrature noise).
+    Each snapshot is priced at its state's own time `state.t`; the t of
+    the pair is not read.  Returns HypothesisRow records; `passed` requires
+    the part's hypothesis supremum to stay at or below schedule.M and the
+    weighted L2 norm at sqrt(2)*scale to stay at or below schedule.B (small
+    relative slack for quadrature noise).
     """
     part = _canonical_part(schedule.part)
-    snaps = list(trajectory.snapshots)
-    if not snaps:
-        snaps = [(trajectory.final.t, trajectory.final)]
-    grid = snaps[0][1].grid
+    states = [s for _, s in trajectory.snapshots] or [trajectory.final]
+    grid = states[0].grid
     d = grid.dimension
     rng = np.random.default_rng(seed)
     dirs = _unit_directions(d, n_random, rng) if d >= 2 else None
@@ -701,7 +694,7 @@ def check_hypotheses(trajectory, schedule: InductionSchedule,
 
     rows = []
     slack = 1.0 + 1e-9
-    for t, s in snaps:
+    for s in states:
         need_fine = part >= 2 and (grid.mode != "radial" or part == 3)
         fine = refine_array(grid, s.values) if need_fine else None
         for lam in schedule.scales:
@@ -712,12 +705,12 @@ def check_hypotheses(trajectory, schedule: InductionSchedule,
             if part == 3:
                 h3 = _hyp3_sup(s, fine, alpha, beta, lam, schedule.m,
                                schedule.theta0, schedule.vartheta0, dirs3)
-            wn = weighted_norms(s, GevreyWeight(alpha, beta, t=t,
+            wn = weighted_norms(s, GevreyWeight(alpha, beta, t=s.t,
                                                 lam=math.sqrt(2.0) * lam))
             relevant = {1: h1, 2: h2, 3: h3}[part]
             ok = (relevant is not None and relevant <= schedule.M * slack
                   and wn.l2 <= schedule.B * slack)
-            rows.append(HypothesisRow(scale=lam, t=t, hyp1=h1, hyp2=h2, hyp3=h3,
+            rows.append(HypothesisRow(scale=lam, t=s.t, hyp1=h1, hyp2=h2, hyp3=h3,
                                       weighted_l2=wn.l2, l2_cap=schedule.B,
                                       passed=bool(ok)))
     rows.sort(key=lambda r: (r.scale, r.t))
@@ -771,26 +764,23 @@ class LloglReport:
     c_delta: float
 
 
-def entropy_and_llogl(density, v_squared, cell: float, dimension: int,
-                      delta: float | None = None) -> LloglReport:
+def entropy_and_llogl(density, v_squared, cell: float,
+                      dimension: int) -> LloglReport:
     """Discrete entropy int f log f and the companion functional
     int f log(1+f), with the comparison bound
 
         llogl <= log(2)*mass + entropy + C * (int f <v>^2 dv)^{1-delta},
 
     where C packs the largest constant in log(u) <= u^delta / (e*delta)
-    against the integrable bracket weight.  delta defaults to 1/(d+2),
-    strictly inside the admissible range (0, 2/(d+2))."""
+    against the integrable bracket weight.  delta = 1/(d+2), strictly
+    inside the admissible range (0, 2/(d+2))."""
     f = np.asarray(density, dtype=float).reshape(-1)
     v2 = np.asarray(v_squared, dtype=float).reshape(-1)
     if f.shape != v2.shape:
         raise ConfigError("density and v_squared shapes disagree")
     if np.any(f < 0):
         raise ConfigError("density samples must be nonnegative")
-    if delta is None:
-        delta = 1.0 / (dimension + 2.0)
-    if not 0.0 < delta < 2.0 / (dimension + 2.0):
-        raise ConfigError("delta outside (0, 2/(d+2))")
+    delta = 1.0 / (dimension + 2.0)
     pos = f > 0
     mass = float(np.sum(f) * cell)
     ent = float(np.sum(f[pos] * np.log(f[pos])) * cell)

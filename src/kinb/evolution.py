@@ -137,7 +137,8 @@ def run(state: SpectralState, cs: CrossSection, quad: AngularQuadrature,
     """Advance to t_end, recording monitor rows and snapshot states.
 
     The clock starts at 0 whatever state.t holds, so a run continued from
-    another's final state counts its rows from 0 again.  At least one step
+    another's final state counts its rows from 0 again, and every snapshot
+    pair (t, s), the one at t = 0 included, has s.t == t.  At least one step
     is taken: a remainder below 1e-12 max(1, t_end) is dropped only when a
     full step absorbs it.  Snapshot times are rounded to the nearest step
     boundary, t_end counting as one when dt does not divide it; two that
@@ -180,7 +181,8 @@ def run(state: SpectralState, cs: CrossSection, quad: AngularQuadrature,
     rows = [_monitor(state, 0.0, tail_mask, track_entropy)]
     snaps = []
     if 0 in want:
-        snaps.append((0.0, state))
+        snaps.append((0.0, state if state.t == 0.0
+                      else state_with_values(state, state.values, t=0.0)))
 
     vals = state.values
     for k in range(1, n_total + 1):

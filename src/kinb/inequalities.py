@@ -153,15 +153,15 @@ def kl_vandermonde_norm_matrix(m: int, lambdas: Sequence[float]) -> float:
     return float(np.abs(Vi).sum(axis=0).max())
 
 
-def optimize_lambdas(m: int, seed: int = 0) -> LambdaPoints:
+def optimize_lambdas(m: int) -> LambdaPoints:
     """Coordinate-descent minimization of C_m over (0,1]^{m-1}.
 
-    Deterministic for a fixed seed; multistart with 16 random initial
-    orderings plus the equispaced one. m=2 recovers l=[1], C_2 = 8.
+    Deterministic: multistart from the equispaced points and 16 random
+    orderings drawn with seed 0. m=2 recovers l=[1], C_2 = 8.
     """
     if not 2 <= m <= 8:
         raise ConfigError("optimize_lambdas supports 2 <= m <= 8")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     dim = m - 1
 
     def cost(rows: np.ndarray) -> np.ndarray:
@@ -359,14 +359,11 @@ class TrigPoly:
         starting at `corner` and extending in the positive direction of
         each axis (the caller orients it). Corners of shape (..., n) give
         an array of integrals; a single corner gives a float."""
-        sq = getattr(self, "_sq_coeffs", None)
-        if sq is None:
-            sq = {}
-            for k1, c1 in self.coeffs.items():
-                for k2, c2 in self.coeffs.items():
-                    key = tuple(a + b for a, b in zip(k1, k2))
-                    sq[key] = sq.get(key, 0.0) + c1 * c2
-            object.__setattr__(self, "_sq_coeffs", sq)
+        sq = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in self.coeffs.items():
+                key = tuple(a + b for a, b in zip(k1, k2))
+                sq[key] = sq.get(key, 0.0) + c1 * c2
         corner = np.asarray(corner, dtype=float)
         w = 2.0j * np.pi / self.period
         total = np.zeros(corner.shape[:-1], dtype=complex)

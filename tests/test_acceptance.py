@@ -207,7 +207,7 @@ def test_criterion_09_induction_chain(reference_run, tmp_path):
     traj, cs = reference_run
     states = [s for _, s in traj.snapshots]
     sched = build_induction_schedule(states, part="I", m=2, alpha=0.25,
-                                     T0=1.0, cs=cs, C_tilde=1.0)
+                                     T0=1.0, cs=cs)
     # rate comes from the recommendation formula at the final bound
     assert sched.beta == sched.beta_formula
     assert sched.M >= max(2.0 * sched.A_m + 1.0, sched.K_empirical) - 1e-12

@@ -282,6 +282,16 @@ def test_induction_needs_room_for_scales(tmp_path, capsys):
     assert "no scale fits" in capsys.readouterr().err
 
 
+def test_induction_refuses_moment_orders_above_four(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["simulate", _write(tmp_path, "kac.ini", KAC_INI),
+                 "--out", out]) == 0
+    capsys.readouterr()
+    cfg = _write(tmp_path, "ind.ini", KAC_INI.replace("part = I", "part = I\nm = 5"))
+    assert main(["induction", out, "--config", cfg]) == 1
+    assert "moments stop at order 4" in capsys.readouterr().err
+
+
 def test_induction_chain_end_to_end(tmp_path, capsys):
     ini = KAC_INI.replace("n = 129", "n = 161").replace(
         "eta_max = 12.0", "eta_max = 16.0").replace(

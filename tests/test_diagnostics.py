@@ -20,6 +20,7 @@ from kinb import (
     check_hypotheses,
     commutation_error,
     embedding_constant,
+    entropy,
     entropy_and_llogl,
     entropy_and_llogl_from_state,
     fit_gevrey_order,
@@ -36,7 +37,7 @@ import kinb.collision as col
 import kinb.diagnostics as diag
 from kinb.diagnostics import (_grow, _unit_directions, angle_thresholds,
                               bracket_integral)
-from kinb.spectral import _InterpPlan, refine_array
+from kinb.spectral import _InterpPlan, refine_array, to_physical
 from kinb.inequalities import alpha_md, epsilon
 
 
@@ -60,9 +61,7 @@ def test_gevrey_weight_validation():
         GevreyWeight(alpha=0.5, beta=0.1, t=-1.0)
     with pytest.raises(ConfigError):
         GevreyWeight(alpha=0.5, beta=0.1, lam=0.0)
-    w = GevreyWeight(alpha=0.5, beta=0.2, t=0.0)
-    w2 = w.at_time(0.7)
-    assert w2.t == 0.7 and w2.alpha == w.alpha and w2.beta == w.beta
+    w2 = GevreyWeight(alpha=0.5, beta=0.2, t=0.7)
     # profile at the origin is exp(beta * t)
     assert np.isclose(w2.profile(0.0), math.exp(0.2 * 0.7), rtol=1e-14)
 
@@ -305,9 +304,9 @@ def test_beta_recommendation_formulas():
     want = 1.0 / ((1 + math.sqrt(2)) * cb1 * 0.5 * 1.0 * 3.0 + 1.0)
     assert np.isclose(beta_recommendation(3.0, 1.0, 0.5, cs, 1), want, rtol=1e-13)
     cb2 = cb_constant(cs, 2, "plain")
-    want2 = 2.0 / ((1 + 2.0) * cb2 * 0.5 * 1.0 * 3.0 + 1.0)
-    assert np.isclose(beta_recommendation(3.0, 1.0, 0.5, cs, 2, part="II",
-                                          C_tilde=2.0), want2, rtol=1e-13)
+    want2 = 1.0 / ((1 + 2.0) * cb2 * 0.5 * 1.0 * 3.0 + 1.0)
+    assert np.isclose(beta_recommendation(3.0, 1.0, 0.5, cs, 2, part="II"),
+                      want2, rtol=1e-13)
     # part III needs the second moment bound and both split angles
     with pytest.raises(ConfigError):
         beta_recommendation(3.0, 1.0, 0.5, cs, 2, part="III")
@@ -393,6 +392,50 @@ def test_hypothesis_rows_pass_on_short_run():
         assert r.hyp2 is None and r.hyp3 is None  # part I tracks Hyp1 only
         assert r.weighted_l2 <= r.l2_cap * (1 + 1e-9)
         assert r.passed
+
+
+def test_schedule_refuses_moment_orders_above_four():
+    g = GridSpec(dimension=1, mode="full-1d", n=161, eta_max=16.0)
+    st = init_state(g, InitialDatum(kind="laplace", dimension=1, a=1.0))
+    cs = CrossSection(nu=0.25)
+    assert build_induction_schedule([st], part="I", m=4, alpha=0.2, T0=0.2,
+                                    cs=cs).m == 4
+    # A_m is priced with the order-4 moment, an upper bound only up to m = 4
+    with pytest.raises(ConfigError, match="moments stop at order 4"):
+        build_induction_schedule([st], part="I", m=5, alpha=0.2, T0=0.2, cs=cs)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_moment_norm_bounds_its_integral(m):
+    # unit Gaussian on the line: A_m = 1 + 2 + 3 = 6 against the integrals
+    # 3.27 (m = 3) and 6 (m = 4); planar sigma = 0.7 reads 4.8807987 (closed
+    # form 4.8808) against 3.02 and 4.88
+    cases = ((GridSpec(dimension=1, mode="full-1d", n=257, eta_max=16.0), 1.0),
+             (GridSpec(dimension=2, mode="full-2d", n=64, eta_max=4.0), 0.7))
+    for g, sigma in cases:
+        d = g.dimension
+        st = init_state(g, InitialDatum(kind="gaussian", dimension=d, sigma=sigma))
+        v, f, dv = to_physical(st)
+        v2 = sum(a ** 2 for a in np.meshgrid(*([v] * d), indexing="ij"))
+        exact = float(np.sum(f * (1.0 + v2) ** (m / 2.0)) * dv ** d)
+        a_m = diag._l1m_norm(st, m)
+        assert a_m >= exact * (1.0 - 1e-12)
+        assert np.isclose(a_m, 1.0 + 2.0 * d * sigma ** 2
+                          + d * (d + 2) * sigma ** 4, rtol=1e-6)
+
+
+def test_hypotheses_price_each_snapshot_at_its_state_time():
+    g = GridSpec(dimension=1, mode="full-1d", n=161, eta_max=16.0)
+    s0 = init_state(g, InitialDatum(kind="laplace", dimension=1, a=1.0))
+    s1 = fractional_heat_evolve(s0, 0.25, 0.2)
+    sched = build_induction_schedule([s0, s1], part="I", m=2, alpha=0.2,
+                                     T0=0.2, cs=CrossSection(nu=0.25))
+    rows = check_hypotheses(SimpleNamespace(snapshots=[(0.0, s0), (0.2, s1)],
+                                            final=s1), sched)
+    assert {r.t for r in rows} == {0.0, 0.2}
+    # pair times that disagree with their states are not read
+    assert check_hypotheses(SimpleNamespace(snapshots=[(0.1, s0), (0.0, s1)],
+                                            final=s1), sched) == rows
 
 
 def _planar_frame(ehat):
@@ -671,5 +714,14 @@ def test_llogl_bound_and_entropy_values():
         entropy_and_llogl([-0.1, 0.2], [0.0, 1.0], 0.1, 1)
     with pytest.raises(ConfigError):
         entropy_and_llogl([0.1, 0.2], [0.0], 0.1, 1)
-    with pytest.raises(ConfigError):
-        entropy_and_llogl([0.1, 0.2], [0.0, 1.0], 0.1, 1, delta=0.9)
+
+
+def test_llogl_on_a_planar_state():
+    g = GridSpec(dimension=2, mode="full-2d", n=64, eta_max=4.0)
+    st = init_state(g, InitialDatum(kind="gaussian", dimension=2, sigma=0.7))
+    rep = entropy_and_llogl_from_state(st)
+    assert rep.bound_ok
+    assert np.isclose(rep.entropy, entropy(st), rtol=1e-13, atol=0.0)
+    # closed form -log(2 pi e sigma^2) = -2.1245271785; the grid reads
+    # -2.1245271116
+    assert abs(rep.entropy + math.log(2.0 * math.pi * math.e * 0.49)) < 1e-7

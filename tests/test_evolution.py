@@ -116,6 +116,18 @@ def test_continued_run_matches_one_run():
         [replace(r, t=0.0) for r in whole.rows[k:]]
 
 
+def test_continued_run_snapshots_carry_their_own_clock():
+    st = _kac_state()
+    dt, k = 1e-3, 3
+    first = run(st, CS, QUAD, dt=dt, t_end=k * dt)
+    second = run(first.final, CS, QUAD, dt=dt, t_end=k * dt,
+                 snapshot_times=(0.0, k * dt))
+    assert [t for t, _ in second.snapshots] == [0.0, k * dt]
+    for t, s in second.snapshots:
+        assert s.t == t
+    assert np.array_equal(second.snapshots[0][1].values, first.final.values)
+
+
 def test_run_validation():
     st = _kac_state()
     with pytest.raises(ConfigError):

@@ -128,8 +128,8 @@ def test_optimize_lambdas_m2_and_determinism():
     lp = optimize_lambdas(2)
     assert lp.points == (1.0,)
     assert abs(lp.constant - 8.0) < 1e-12
-    again = optimize_lambdas(3, seed=5)
-    assert optimize_lambdas(3, seed=5) == again
+    again = optimize_lambdas(3)
+    assert optimize_lambdas(3) == again
     assert again.constant <= kl_constant(3, [0.5, 1.0]) + 1e-9
 
 
