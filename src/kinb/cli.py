@@ -25,7 +25,7 @@ from .collision import AngularQuadrature, CrossSection
 from .diagnostics import (GevreyWeight, build_induction_schedule,
                           cb_constant, check_hypotheses, commutation_error,
                           fit_gevrey_order, weighted_norms, _alpha_cap,
-                          _default_lambda0)
+                          _base_scale)
 from .evolution import MonitorRow, RunConfig, Trajectory, simulate
 from .inequalities import alpha_md, optimize_lambdas, required_moment
 from .spectral import (ConfigError, GridSpec, InitialDatum, NumericalFailure,
@@ -47,10 +47,7 @@ _SCHEMA = {
              "azimuthal_nodes": int},
     "time": {"dt": float, "t_end": float, "snapshots": int},
     "init": {"kind": str, "params": str},
-    "weight": {"alpha": float, "beta": float},
-    "induction": {"part": str, "lambda0": float, "n_max": int, "m": int,
-                  "M": float, "B": float, "T0": float, "theta0": float,
-                  "vartheta0": float},
+    "induction": {"part": str, "m": int},
 }
 
 # keys that must be present whenever their section appears
@@ -60,7 +57,6 @@ _REQUIRED = {
     "quad": ("theta_min",),
     "time": ("dt", "t_end"),
     "init": ("kind",),
-    "weight": (),
     "induction": ("part",),
 }
 
@@ -82,12 +78,17 @@ _DEFAULTS = {
 def load_config(path: str) -> dict:
     """Parse and validate an INI config into {section: {key: typed value}}.
 
-    Unknown sections or keys, type errors, non-finite floats and missing
-    required keys all raise ConfigError. Sections listed in _DEFAULTS get
-    their optional keys filled, so the result is fully resolved.
+    Malformed INI text or text that is not UTF-8, unknown sections or
+    keys, type errors, non-finite floats and missing required keys all
+    raise ConfigError. Keys are read case-insensitively, so every schema
+    key is lower case. Sections listed in _DEFAULTS get their optional
+    keys filled, so the result is fully resolved.
     """
     cp = configparser.ConfigParser(interpolation=None)
-    read = cp.read(path)
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     cfg: dict = {}
@@ -119,7 +120,7 @@ def load_config(path: str) -> dict:
 def _require_sections(cfg: dict, names) -> None:
     for name in names:
         if name not in cfg:
-            missing = ", ".join(repr(k) for k in _REQUIRED[name]) or "keys"
+            missing = ", ".join(repr(k) for k in _REQUIRED[name])
             raise ConfigError(f"missing section [{name}] (needs {missing})")
 
 
@@ -419,12 +420,12 @@ def cmd_constants(args) -> int:
             if d >= 2:
                 parts.append(f"plain={cb_constant(cs, d, 'plain'):.6f}")
             print(f"  c_b(d={d}): " + "  ".join(parts))
-    print("default base scales")
+    print("base scales of the induction chain")
     for d in dims:
-        cells = [f"part I: {_default_lambda0(1, d):.4f}"]
+        cells = [f"part I: {_base_scale(1, d):.4f}"]
         if d >= 2:
-            cells.append(f"part II: {_default_lambda0(2, d):.4f}")
-            cells.append(f"part III: {_default_lambda0(3, d):.4f}")
+            cells.append(f"part II: {_base_scale(2, d):.4f}")
+            cells.append(f"part III: {_base_scale(3, d):.4f}")
         print(f"  d={d}  " + "  ".join(cells))
     for d in dims:
         rows.append((m, d, alpha_md(m, d), lp.constant, pts))
@@ -448,6 +449,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_induction(args) -> int:
+    """Check the hypothesis chain on the snapshots stored in a run directory.
+
+    The config (the run's manifest.ini unless --config is given) supplies
+    the kernel and [induction] part and m (default 2); every other number
+    is the schedule's own: alpha = min(alpha_{m,n}, nu) and T0 the time of
+    the last snapshot."""
     cfg_path = args.config or os.path.join(args.rundir, "manifest.ini")
     cfg = load_config(cfg_path)
     _require_sections(cfg, ("kernel", "induction"))
@@ -460,37 +467,12 @@ def cmd_induction(args) -> int:
         raise ConfigError(f"run dir {args.rundir!r} contains no snapshots")
     states = [read_snapshot(os.path.join(args.rundir, p)) for p in paths]
     states.sort(key=lambda s: s.t)
-    grid = states[0].grid
 
     part = ind["part"]
     m = ind.get("m", 2)
-    T0 = ind.get("T0", states[-1].t)
-    alpha = cfg.get("weight", {}).get("alpha")
-    if alpha is None:
-        alpha = _alpha_cap(part, m, grid.dimension, cs.nu)
-
-    schedule = build_induction_schedule(
-        states, part=part, m=m, alpha=alpha, T0=T0, cs=cs,
-        lambda0=ind.get("lambda0"), n_max=ind.get("n_max", 16))
-    over = {}
-    # the split angles may shrink below the largest ones the grazing-cone
-    # condition admits, which only part III reads
-    for key in ("theta0", "vartheta0"):
-        if key in ind:
-            limit = getattr(schedule, key)
-            if limit is None:
-                raise ConfigError(f"{key} applies to part III only")
-            if not 0.0 < ind[key] <= limit:
-                raise ConfigError(f"{key}={ind[key]:g} violates the grazing-cone "
-                                  f"condition; need 0 < {key} <= {limit:g}")
-            over[key] = ind[key]
-    for key in ("M", "B"):
-        if key in ind:
-            over[key] = ind[key]
-    if "beta" in cfg.get("weight", {}):
-        over["beta"] = cfg["weight"]["beta"]
-    if over:
-        schedule = replace(schedule, **over)
+    alpha = _alpha_cap(part, m, states[0].grid.dimension, cs.nu)
+    schedule = build_induction_schedule(states, part=part, m=m, alpha=alpha,
+                                        T0=states[-1].t, cs=cs)
 
     stored = types.SimpleNamespace(snapshots=[(s.t, s) for s in states],
                                    final=states[-1])
@@ -503,6 +485,8 @@ def cmd_induction(args) -> int:
         by_scale.setdefault(r.scale, []).append(r.passed)
     print(f"induction part {schedule.part}: beta={schedule.beta!r} "
           f"M={schedule.M!r} B={schedule.B!r}")
+    print(f"moment order m={m} (nu={cs.nu:g} requires m >= "
+          f"{required_moment(cs.nu)})")
     best = None
     for scale in sorted(by_scale):
         ok = all(by_scale[scale])

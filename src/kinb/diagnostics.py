@@ -421,11 +421,8 @@ def angle_thresholds(alpha: float, m: int) -> tuple:
 @dataclass(frozen=True)
 class InductionSchedule:
     part: str
-    dimension: int
     alpha: float
     m: int
-    T0: float
-    lambda0: float
     scales: tuple
     M: float
     B: float
@@ -435,10 +432,6 @@ class InductionSchedule:
     beta_formula: float
     theta0: float | None = None
     vartheta0: float | None = None
-
-    @property
-    def n_max(self) -> int:
-        return len(self.scales) - 1
 
 
 def _l1m_norm(state: SpectralState, m: int) -> float:
@@ -453,7 +446,7 @@ def _l1m_norm(state: SpectralState, m: int) -> float:
     return mom[0] + 2.0 * mom[2] + mom[-1]
 
 
-def _default_lambda0(part: int, d: int) -> float:
+def _base_scale(part: int, d: int) -> float:
     if part == 1:
         return 4.0 * math.sqrt(d) / (math.sqrt(2.0) - 1.0)
     if part == 2:
@@ -476,18 +469,18 @@ def _alpha_cap(part, m: int, d: int, nu: float) -> float:
 
 
 def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
-                             cs: CrossSection, lambda0: float | None = None,
-                             n_max: int = 16) -> InductionSchedule:
+                             cs: CrossSection) -> InductionSchedule:
     """Two-pass schedule for the geometric chain of frequency scales.
 
     states: snapshots along one run covering [0, T0], first entry at t=0.
-    Pass one prices the weight with the moment floor M = 2 A_m + 1 (times
-    the direction-sphere measure for parts II/III); the resulting rate is
-    used to measure the empirical decay constant, and the final rate is
-    the minimum of the pass-one rate and the formula at the enlarged M.
-    Scales above eta_max/sqrt(2) are dropped so every hypothesis window
-    stays inside the grid.  The L2 cap B is the L2 norm of states[0] times
-    exp(T0).
+    The chain starts at the part's base scale and grows by (1 + sqrt 2)/2
+    up to the last scale at or below eta_max/sqrt(2), so every hypothesis
+    window stays inside the grid.  Pass one prices the weight with the
+    moment floor M = 2 A_m + 1 (times the direction-sphere measure for
+    parts II/III); the resulting rate is used to measure the empirical
+    decay constant, and the final rate is the minimum of the pass-one rate
+    and the formula at the enlarged M.  The L2 cap B is the L2 norm of
+    states[0] times exp(T0).
     """
     if not states:
         raise ConfigError("need at least one snapshot state")
@@ -504,18 +497,15 @@ def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
     if alpha > a_cap * (1.0 + 1e-12):
         raise ConfigError(f"alpha {alpha:g} exceeds min(alpha_m_n, nu) = {a_cap:g}")
 
-    lam0 = _default_lambda0(part, d) if lambda0 is None else float(lambda0)
-    if lam0 < _default_lambda0(part, d) * (1.0 - 1e-12):
-        raise ConfigError("base scale below the admissible minimum")
+    lam0 = _base_scale(part, d)
     cap = grid.eta_max / math.sqrt(2.0)
     scales = []
     lam = lam0
-    while lam <= cap * (1.0 + 1e-12) and len(scales) <= n_max:
+    while lam <= cap * (1.0 + 1e-12):
         scales.append(lam)
         lam *= _SCALE_FACTOR
     if not scales:
-        raise ConfigError("no scale fits below eta_max/sqrt(2); "
-                          "raise eta_max or lower lambda0")
+        raise ConfigError("no scale fits below eta_max/sqrt(2); raise eta_max")
 
     sphere = _SPHERE_AREA[d - 1] if d >= 2 else 1.0  # |S^{d-2}| measure
     omega_measure = 1.0 if part == 1 else sphere
@@ -567,8 +557,8 @@ def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
     beta = min(beta_a, cap_parts(M_final))
 
     return InductionSchedule(
-        part={1: "I", 2: "II", 3: "III"}[part], dimension=d, alpha=alpha, m=m,
-        T0=T0, lambda0=lam0, scales=tuple(scales), M=M_final, B=B, beta=beta,
+        part={1: "I", 2: "II", 3: "III"}[part], alpha=alpha, m=m,
+        scales=tuple(scales), M=M_final, B=B, beta=beta,
         A_m=A_m, K_empirical=k_emp, beta_formula=formula(M_final),
         theta0=theta0, vartheta0=vartheta0)
 
@@ -757,11 +747,6 @@ class LloglReport:
     entropy: float
     llogl: float
     bound_ok: bool
-    mass: float
-    l12: float
-    bound_rhs: float
-    delta: float
-    c_delta: float
 
 
 def entropy_and_llogl(density, v_squared, cell: float,
@@ -790,8 +775,7 @@ def entropy_and_llogl(density, v_squared, cell: float,
                / (math.e * delta))
     rhs = math.log(2.0) * mass + ent + c_delta * l12 ** (1.0 - delta)
     ok = llogl <= rhs + 1e-12 * max(1.0, abs(rhs))
-    return LloglReport(entropy=ent, llogl=llogl, bound_ok=bool(ok), mass=mass,
-                       l12=l12, bound_rhs=rhs, delta=delta, c_delta=c_delta)
+    return LloglReport(entropy=ent, llogl=llogl, bound_ok=bool(ok))
 
 
 def entropy_and_llogl_from_state(state: SpectralState) -> LloglReport:

@@ -1,6 +1,9 @@
-"""Public names: every export listed in an __all__ resolves."""
+"""Public names: every export listed in an __all__ resolves, and every
+name a module imports is used."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -22,3 +25,19 @@ def test_module_exports_resolve(name):
     assert exports, f"{name} declares no __all__"
     missing = [attr for attr in exports if not hasattr(mod, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_uses_every_import(name):
+    # dead imports still cost every fresh interpreter their compile time
+    mod = importlib.import_module(name)
+    tree = ast.parse(pathlib.Path(mod.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(imported - used - set(mod.__all__)) == []

@@ -95,8 +95,30 @@ def test_load_config_rejects_unknown_and_missing(tmp_path):
     with pytest.raises(ConfigError):
         load_config(bad4)
     bad5 = _write(tmp_path, "e.ini", KAC_INI + "\n[weight]\nlambda = 3.0\n")
-    with pytest.raises(ConfigError, match="unknown key 'lambda'"):
+    with pytest.raises(ConfigError, match=r"unknown config section \[weight\]"):
         load_config(bad5)
+
+
+def test_schema_keys_are_lower_case():
+    # configparser folds keys to lower case, so a mixed-case key is unreachable
+    for section, keys in _SCHEMA.items():
+        assert all(k == k.lower() for k in keys), section
+
+
+@pytest.mark.parametrize("text", [
+    "n = 129\n" + KAC_INI,                                  # no section header
+    KAC_INI + "\n[kernel]\nkappa = 1.0\n",                   # repeated section
+    KAC_INI.replace("nu = 0.25", "nu = 0.25\nnu = 0.5"),     # repeated key
+    KAC_INI.replace("part = I", "part = I\nm = 2\nM = 3"),   # m next to M
+    KAC_INI.replace("laplace", "laplace\xff"),                # byte 0xff
+], ids=["no-section", "duplicate-section", "duplicate-key", "folded-key",
+        "not-utf8"])
+def test_malformed_ini_is_a_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(text.encode("latin-1"))
+    assert main(["simulate", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert "kinb: config error: malformed config file" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_simulate_writes_run_and_snapshots(tmp_path, capsys):
@@ -391,36 +413,23 @@ part = III
 """
 
 
-def test_induction_angle_overrides(tmp_path, capsys):
-    # parts I and II read neither split angle
-    ini = KAC_INI.replace("n = 129", "n = 161").replace(
-        "eta_max = 12.0", "eta_max = 16.0")
-    out = str(tmp_path / "kac")
-    assert main(["simulate", _write(tmp_path, "kac.ini", ini), "--out", out]) == 0
-    capsys.readouterr()
-    for line in ("theta0 = 0.1", "vartheta0 = 0.1"):
-        cfg = _write(tmp_path, "ind.ini", ini.replace("part = I",
-                                                      "part = I\n" + line))
-        assert main(["induction", out, "--config", cfg,
-                     "--n-random", "4"]) == 1, line
-        assert "applies to part III only" in capsys.readouterr().err
-    out = str(tmp_path / "rad")
-    assert main(["simulate", _write(tmp_path, "rad.ini", RADIAL_PART3_INI),
-                 "--out", out]) == 0
-    capsys.readouterr()
-    # nu = 0.9 lets the part-III exponent reach alpha_{2,1} = 0.848, where
-    # the grazing cone admits theta0 <= pi/4 and vartheta0 <= 0.446
-    for line, code in (("theta0 = 0.1", 0), ("vartheta0 = 0.1", 0),
-                       ("theta0 = 0.8", 1), ("vartheta0 = 0.5", 1)):
-        cfg = _write(tmp_path, "ind.ini", RADIAL_PART3_INI.replace(
-            "part = III", "part = III\n" + line))
-        assert main(["induction", out, "--config", cfg,
-                     "--n-random", "4"]) == code, line
-        captured = capsys.readouterr()
-        if code:
-            assert "violates the grazing-cone condition" in captured.err
-        else:
-            assert "largest passing scale" in captured.out
+@pytest.mark.parametrize("extra", [
+    "lambda0 = 10.0", "n_max = 4", "theta0 = 0.1", "vartheta0 = 0.1",
+    "\n[weight]\nalpha = 0.2",
+], ids=["lambda0", "n_max", "theta0", "vartheta0", "weight"])
+def test_induction_takes_its_schedule_from_the_run(tmp_path, capsys,
+                                                   monkeypatch, extra):
+    # [induction] sets part and m only (KAC_INI ends inside that section);
+    # any other key or a [weight] section fails before any work
+    calls = []
+    monkeypatch.setattr("kinb.cli.read_snapshot", lambda *a, **k: calls.append(a))
+    g = GridSpec(dimension=1, mode="full-1d", n=65, eta_max=8.0)
+    write_snapshot(init_state(g, InitialDatum(kind="gaussian", dimension=1)),
+                   str(tmp_path / "snapshot_0000_t0.000000.csv"))
+    cfg = _write(tmp_path, "ind.ini", KAC_INI + extra + "\n")
+    assert main(["induction", str(tmp_path), "--config", cfg]) == 1
+    assert "kinb: config error:" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_part3_schedule_holds_plain_floats(tmp_path, capsys):
@@ -431,6 +440,7 @@ def test_part3_schedule_holds_plain_floats(tmp_path, capsys):
     assert main(["induction", out, "--n-random", "4"]) == 0
     text = capsys.readouterr().out
     assert "induction part III: beta=" in text and "np.float64(" not in text
+    assert "moment order m=2 (nu=0.9 requires m >= 7)" in text
     states = [read_snapshot(os.path.join(out, f)) for f in sorted(os.listdir(out))
               if f.startswith("snapshot_")]
     sched = build_induction_schedule(states, part="III", m=2, alpha=0.3,

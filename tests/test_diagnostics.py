@@ -368,16 +368,26 @@ def test_schedule_chain_geometry():
     cap = 16.0 / math.sqrt(2)
     assert sched.scales[-1] <= cap * (1 + 1e-12)
     assert sched.scales[-1] * factor > cap
-    assert sched.n_max == len(sched.scales) - 1
     assert sched.M >= 2 * sched.A_m + 1 - 1e-12
     assert 0 < sched.beta <= sched.beta_formula + 1e-15
-    with pytest.raises(ConfigError):
-        build_induction_schedule(states, part="I", m=2, alpha=0.2, T0=0.2,
-                                 cs=cs, lambda0=1.0)  # below admissible base
     with pytest.raises(ConfigError):
         build_induction_schedule(states, part="II", m=2, alpha=0.2, T0=0.2, cs=cs)
     with pytest.raises(ConfigError):
         build_induction_schedule(states, part="I", m=2, alpha=0.9, T0=0.2, cs=cs)
+
+
+def test_schedule_chain_reaches_the_grid_cap():
+    # a wide grid needs 18 scales from the part-III base 3.0 to
+    # eta_max/sqrt(2) = 84.85; the chain must not stop short of it
+    g = GridSpec(dimension=3, mode="radial", n=128, eta_max=120.0)
+    st = init_state(g, InitialDatum(kind="gaussian", dimension=3, sigma=0.05))
+    sched = build_induction_schedule([st], part="III", m=2, alpha=0.25,
+                                     T0=0.2, cs=CrossSection(nu=0.5))
+    cap = 120.0 / math.sqrt(2)
+    factor = (1 + math.sqrt(2)) / 2
+    assert len(sched.scales) == 18
+    assert abs(sched.scales[-1] - 73.59) < 5e-3
+    assert sched.scales[-1] <= cap < sched.scales[-1] * factor
 
 
 def test_hypothesis_rows_pass_on_short_run():
