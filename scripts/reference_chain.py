@@ -2,8 +2,8 @@
 """Kac reference run with the full induction chain and multiplier-norm table.
 
 Simulates the unit-mass laplace datum under the nu = 1/4 kernel on two
-resolutions, builds the part-I schedule with C~ = 1, checks Hyp1 at every
-scale and snapshot, and writes run.csv / induction.csv / hinf.csv to the
+resolutions, builds the part-I schedule, checks Hyp1 at every scale and
+snapshot, and writes run.csv / induction.csv / hinf.csv to the
 output directory.
 """
 

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import types
+import typing
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -40,39 +41,42 @@ __all__ = ["main", "load_config", "write_manifest", "read_snapshot",
 # configuration schema
 # ----------------------------------------------------------------------------
 
-_SCHEMA = {
-    "grid": {"dimension": int, "mode": str, "n": int, "eta_max": float},
-    "kernel": {"nu": float, "kappa": float},
-    "quad": {"theta_min": float, "panels": int, "nodes_per_panel": int,
-             "azimuthal_nodes": int},
-    "time": {"dt": float, "t_end": float, "snapshots": int},
-    "init": {"kind": str, "params": str},
-    "induction": {"part": str, "m": int},
+def _section(cls) -> tuple:
+    """(key types, required keys, defaults) of the config section that builds
+    the dataclass `cls`: its int, float and str fields, required when they
+    have no default."""
+    hints = typing.get_type_hints(cls)
+    types_ = {f.name: hints[f.name] for f in fields(cls)
+              if hints[f.name] in (int, float, str)}
+    defaults = {f.name: f.default for f in fields(cls)
+                if f.name in types_ and f.default is not MISSING}
+    return types_, tuple(k for k in types_ if k not in defaults), defaults
+
+
+# {section: (key types, required keys, defaults)}; [init] and [induction]
+# build no dataclass of their own
+_SECTIONS = {
+    "grid": _section(GridSpec),
+    "kernel": _section(CrossSection),
+    "quad": _section(AngularQuadrature),
+    "time": _section(RunConfig),
+    "init": ({"kind": str, "params": str}, ("kind",), {"params": ""}),
+    "induction": ({"part": str, "m": int}, ("part",), {}),
 }
 
-# keys that must be present whenever their section appears
-_REQUIRED = {
-    "grid": ("dimension", "mode", "n", "eta_max"),
-    "kernel": ("nu",),
-    "quad": ("theta_min",),
-    "time": ("dt", "t_end"),
-    "init": ("kind",),
-    "induction": ("part",),
-}
 
-
-def _field_defaults(cls) -> dict:
-    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-
-
-# the defaults of the objects each section builds; a required key never
-# reads its default
-_DEFAULTS = {
-    "kernel": _field_defaults(CrossSection),
-    "quad": _field_defaults(AngularQuadrature),
-    "time": _field_defaults(RunConfig),
-    "init": {"params": ""},
-}
+def _parse(raw: str, typ, where: str):
+    """`raw` as `typ` (str, int or float); a float must be finite."""
+    if typ is str:
+        return raw
+    try:
+        val = typ(raw)
+    except ValueError:
+        raise ConfigError(
+            f"{where}: cannot parse {raw!r} as {typ.__name__}") from None
+    if typ is float and not math.isfinite(val):
+        raise ConfigError(f"{where}: {raw!r} is not finite")
+    return val
 
 
 def load_config(path: str) -> dict:
@@ -81,8 +85,8 @@ def load_config(path: str) -> dict:
     Malformed INI text or text that is not UTF-8, unknown sections or
     keys, type errors, non-finite floats and missing required keys all
     raise ConfigError. Keys are read case-insensitively, so every schema
-    key is lower case. Sections listed in _DEFAULTS get their optional
-    keys filled, so the result is fully resolved.
+    key is lower case. Optional keys are filled with their defaults, so
+    the result is fully resolved.
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
@@ -93,25 +97,18 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path!r}")
     cfg: dict = {}
     for sec in cp.sections():
-        if sec not in _SCHEMA:
+        if sec not in _SECTIONS:
             raise ConfigError(f"unknown config section [{sec}]")
+        types_, required, defaults = _SECTIONS[sec]
         out = {}
         for key, raw in cp.items(sec):
-            if key not in _SCHEMA[sec]:
+            if key not in types_:
                 raise ConfigError(f"unknown key {key!r} in [{sec}]")
-            typ = _SCHEMA[sec][key]
-            try:
-                out[key] = raw if typ is str else typ(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"key {key!r} in [{sec}]: cannot parse {raw!r} as "
-                    f"{typ.__name__}") from None
-            if typ is float and not math.isfinite(out[key]):
-                raise ConfigError(f"key {key!r} in [{sec}]: {raw!r} is not finite")
-        for key in _REQUIRED[sec]:
+            out[key] = _parse(raw, types_[key], f"key {key!r} in [{sec}]")
+        for key in required:
             if key not in out:
                 raise ConfigError(f"missing key {key!r} in [{sec}]")
-        for key, val in _DEFAULTS.get(sec, {}).items():
+        for key, val in defaults.items():
             out.setdefault(key, val)
         cfg[sec] = out
     return cfg
@@ -120,7 +117,7 @@ def load_config(path: str) -> dict:
 def _require_sections(cfg: dict, names) -> None:
     for name in names:
         if name not in cfg:
-            missing = ", ".join(repr(k) for k in _REQUIRED[name])
+            missing = ", ".join(repr(k) for k in _SECTIONS[name][1])
             raise ConfigError(f"missing section [{name}] (needs {missing})")
 
 
@@ -140,14 +137,16 @@ def write_manifest(cfg: dict, path: str) -> None:
 def _parse_params(raw: str) -> dict:
     """Parse the [init] params string: space-separated key=value tokens.
 
-    Values are floats, comma-separated float tuples, or for `components`
-    a semicolon list of weight:center:sigma with a comma-separated center.
+    Values are finite floats, comma-separated float tuples, or for
+    `components` a semicolon list of weight:center:sigma with a
+    comma-separated center.
     """
     out: dict = {}
     for tok in raw.split():
         if "=" not in tok:
             raise ConfigError(f"init params token {tok!r} is not key=value")
         key, val = tok.split("=", 1)
+        where = f"init param {key!r}"
         if key == "components":
             comps = []
             for item in val.split(";"):
@@ -156,13 +155,14 @@ def _parse_params(raw: str) -> dict:
                     raise ConfigError(
                         f"component {item!r} is not weight:center:sigma")
                 w, c, s = parts
-                comps.append((float(w), tuple(float(x) for x in c.split(",")),
-                              float(s)))
+                comps.append((_parse(w, float, where),
+                              tuple(_parse(x, float, where) for x in c.split(",")),
+                              _parse(s, float, where)))
             out[key] = tuple(comps)
         elif "," in val:
-            out[key] = tuple(float(x) for x in val.split(","))
+            out[key] = tuple(_parse(x, float, where) for x in val.split(","))
         else:
-            out[key] = float(val)
+            out[key] = _parse(val, float, where)
     return out
 
 
@@ -225,25 +225,28 @@ def write_snapshot(state: SpectralState, path: str) -> None:
 def read_snapshot(path: str) -> SpectralState:
     meta: dict = {}
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
-                    meta[k.strip()] = v.strip()
-                continue
-            if line.startswith("re,"):
-                continue
-            try:
-                a, b = line.split(",")
-                rows.append(complex(float(a), float(b)))
-            except ValueError:
-                raise ConfigError(
-                    f"snapshot {path!r} has a malformed row {line!r}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if "=" in body:
+                        k, v = body.split("=", 1)
+                        meta[k.strip()] = v.strip()
+                    continue
+                if line.startswith("re,"):
+                    continue
+                try:
+                    a, b = line.split(",")
+                    rows.append(complex(float(a), float(b)))
+                except ValueError:
+                    raise ConfigError(f"snapshot {path!r} has a malformed "
+                                      f"row {line!r}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"snapshot {path!r} is not UTF-8 text: {exc}") from None
     try:
         grid = GridSpec(dimension=int(meta["dimension"]), mode=meta["mode"],
                         n=int(meta["n"]), eta_max=float(meta["eta_max"]))
@@ -329,31 +332,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _diagnose_operator(args) -> tuple:
-    """Kernel and quadrature of the commutator, and where they come from:
-    the run's own, from the manifest.ini beside the first snapshot, or
-    else nu = --nu (0.5 by default), kappa = 1 and theta_min = 0.05 on
-    6 panels of 4 nodes."""
-    path = os.path.join(os.path.dirname(args.snapshots[0]), "manifest.ini")
-    if os.path.isfile(path):
-        if args.nu is not None:
-            raise ConfigError(f"--nu conflicts with the kernel in {path}")
-        cfg = load_config(path)
-        _require_sections(cfg, ("kernel", "quad"))
-        return (*_operator(cfg), path)
-    cs = CrossSection(nu=0.5 if args.nu is None else args.nu)
-    quad = AngularQuadrature(theta_min=0.05, panels=6, nodes_per_panel=4)
-    return cs, quad, "defaults: no manifest.ini beside the first snapshot"
+def _diagnose_operator(snapshot: str) -> tuple:
+    """Kernel and quadrature of the run that wrote `snapshot`, read from the
+    manifest.ini beside it, and that manifest's path."""
+    path = os.path.join(os.path.dirname(snapshot), "manifest.ini")
+    if not os.path.isfile(path):
+        raise ConfigError(f"the commutator needs the run's manifest.ini "
+                          f"beside the first snapshot; {path!r} is missing")
+    cfg = load_config(path)
+    _require_sections(cfg, ("kernel", "quad"))
+    return (*_operator(cfg), path)
 
 
 def cmd_diagnose(args) -> int:
     if (args.alpha is None) != (args.beta is None):
         raise ConfigError("--alpha and --beta must be given together")
-    for flag, given in (("--lambda", args.lam), ("--nu", args.nu)):
-        if given is not None and args.alpha is None:
-            raise ConfigError(f"{flag} needs --alpha and --beta")
+    if args.lam is not None and args.alpha is None:
+        raise ConfigError("--lambda needs --alpha and --beta")
     if args.alpha is not None:
-        cs, quad, source = _diagnose_operator(args)
+        cs, quad, source = _diagnose_operator(args.snapshots[0])
         print(f"commutator kernel nu={cs.nu!r} kappa={cs.kappa!r}, quadrature "
               f"theta_min={quad.theta_min!r} panels={quad.panels} "
               f"nodes_per_panel={quad.nodes_per_panel} ({source})")
@@ -523,7 +520,6 @@ def _parser() -> argparse.ArgumentParser:
     pd.add_argument("--alpha", type=float)
     pd.add_argument("--beta", type=float)
     pd.add_argument("--lambda", dest="lam", type=float)
-    pd.add_argument("--nu", type=float)
     pd.add_argument("--out", default=".")
     pd.set_defaults(fn=cmd_diagnose)
 

@@ -107,7 +107,7 @@ class AngularQuadrature:
     which matches the theta^(-1-2 nu) singularity: each panel sees a bounded
     relative variation of the kernel.
     """
-    theta_min: float = 1e-4
+    theta_min: float
     panels: int = 8
     nodes_per_panel: int = 5
     azimuthal_nodes: int = 8

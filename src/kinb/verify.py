@@ -14,7 +14,7 @@ import numpy as np
 
 from . import inequalities as ineq
 from .collision import (AngularQuadrature, CrossSection, collision_geometry,
-                        kac_pair, transform_jacobian)
+                        kac_pair, sigma_from_angle, transform_jacobian)
 from .diagnostics import GevreyWeight, commutation_error
 from .errors import ConfigError
 from .evolution import run
@@ -177,8 +177,7 @@ def _random_sigma(eta_hat: np.ndarray, theta: float, rng) -> np.ndarray:
     d = eta_hat.shape[-1]
     if d == 2:
         s = 1 if rng.uniform() < 0.5 else -1
-        perp = np.array([-eta_hat[1], eta_hat[0]])
-        return math.cos(theta) * eta_hat + s * math.sin(theta) * perp
+        return sigma_from_angle(eta_hat, s * theta)
     a = rng.normal(size=3)
     e1 = np.cross(eta_hat, a)
     e1 /= np.linalg.norm(e1)

@@ -1,9 +1,11 @@
 """Command-line interface: config parsing, file formats, exit codes."""
 
+import argparse
 import csv
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from kinb import (AngularQuadrature, CrossSection, GevreyWeight, GridSpec,
                   InitialDatum, RunConfig, build_induction_schedule,
                   commutation_error, fractional_heat_evolve, init_state,
                   simulate)
-from kinb.cli import (_DEFAULTS, _SCHEMA, _run_config, load_config, main,
+from kinb.cli import (_SECTIONS, _parser, _run_config, load_config, main,
                       read_snapshot, write_manifest, write_snapshot)
 from kinb.errors import ConfigError
 
@@ -66,9 +68,10 @@ def test_config_sections_match_the_objects_they_build(tmp_path):
     for section, cls in (("grid", GridSpec), ("kernel", CrossSection),
                          ("quad", AngularQuadrature), ("time", RunConfig)):
         defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        keys, _, filled = _SECTIONS[section]
         if section != "time":
-            assert set(_SCHEMA[section]) == set(defaults), section
-        for key, val in _DEFAULTS.get(section, {}).items():
+            assert set(keys) == set(defaults), section
+        for key, val in filled.items():
             assert val == defaults[key], (section, key)
     # a config that sets only the required keys runs the library defaults
     ini = KAC_INI.replace("snapshots = 2\n", "")
@@ -97,11 +100,14 @@ def test_load_config_rejects_unknown_and_missing(tmp_path):
     bad5 = _write(tmp_path, "e.ini", KAC_INI + "\n[weight]\nlambda = 3.0\n")
     with pytest.raises(ConfigError, match=r"unknown config section \[weight\]"):
         load_config(bad5)
+    bad6 = _write(tmp_path, "f.ini", KAC_INI.replace("theta_min = 5e-3", ""))
+    with pytest.raises(ConfigError, match=r"missing key 'theta_min' in \[quad\]"):
+        load_config(bad6)
 
 
 def test_schema_keys_are_lower_case():
     # configparser folds keys to lower case, so a mixed-case key is unreachable
-    for section, keys in _SCHEMA.items():
+    for section, (keys, _, _) in _SECTIONS.items():
         assert all(k == k.lower() for k in keys), section
 
 
@@ -279,9 +285,7 @@ def test_diagnose_numerical_failure_exits_2(tmp_path, capsys):
     ["--beta", "0.1"],
     ["--lambda", "3"],
     ["--alpha", "0.3", "--lambda", "3"],
-    ["--nu", "0.3"],
-], ids=["alpha-alone", "beta-alone", "lambda-alone", "lambda-without-beta",
-        "nu-alone"])
+], ids=["alpha-alone", "beta-alone", "lambda-alone", "lambda-without-beta"])
 def test_diagnose_rejects_half_a_weight(tmp_path, capsys, monkeypatch, weight):
     calls = []
     monkeypatch.setattr("kinb.cli.fit_gevrey_order", lambda *a, **k: calls.append(a))
@@ -378,6 +382,18 @@ def test_malformed_snapshot_is_a_config_error(tmp_path, capsys):
         fh.write(good.replace("# n=129", "# n=many"))
     with pytest.raises(ConfigError, match="malformed header"):
         read_snapshot(path)
+
+
+def test_snapshot_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    g = GridSpec(dimension=1, mode="full-1d", n=65, eta_max=8.0)
+    snap = tmp_path / "snap.csv"
+    write_snapshot(init_state(g, InitialDatum(kind="gaussian", dimension=1)),
+                   str(snap))
+    snap.write_bytes(snap.read_bytes().replace(b"spectral", b"spectr\xe9l"))
+    out = tmp_path / "out"
+    assert main(["diagnose", str(snap), "--out", str(out)]) == 1
+    assert "is not UTF-8 text" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("suite", ["commutator", "conservation"])
@@ -483,6 +499,25 @@ def test_init_params_of_another_kind_are_rejected(tmp_path, capsys, kind, params
     assert not os.path.exists(tmp_path / "run")
 
 
+@pytest.mark.parametrize("kind,params,message", [
+    ("laplace", "a=abc", "init param 'a': cannot parse 'abc' as float"),
+    ("gaussian-mixture", "components=1:0:x",
+     "init param 'components': cannot parse 'x' as float"),
+    ("laplace", "a=nan", "init param 'a': 'nan' is not finite"),
+    ("laplace", "a=inf", "init param 'a': 'inf' is not finite"),
+    ("laplace", "mass=inf", "init param 'mass': 'inf' is not finite"),
+    ("gaussian", "sigma=nan", "init param 'sigma': 'nan' is not finite"),
+], ids=["a-abc", "component-x", "a-nan", "a-inf", "mass-inf", "sigma-nan"])
+def test_init_params_follow_the_config_number_rule(tmp_path, capsys, kind,
+                                                   params, message):
+    ini = KAC_INI.replace("kind = laplace", f"kind = {kind}").replace(
+        "params = a=1.0", f"params = {params}")
+    assert main(["simulate", _write(tmp_path, "kac.ini", ini),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert f"kinb: config error: {message}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_planar_script_config_is_the_bench_mixture():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
                         "boltzmann_2d.ini")
@@ -539,18 +574,21 @@ def test_diagnose_commutator_matches_library(tmp_path, capsys):
         0.5, 0.2)
     p = str(tmp_path / "snap.csv")
     write_snapshot(st, p)
+    manifest = _write(tmp_path, "manifest.ini",
+                      "[kernel]\nnu = 0.5\nkappa = 1.0\n\n[quad]\n"
+                      "theta_min = 0.05\npanels = 6\nnodes_per_panel = 4\n")
     assert main(["diagnose", p, "--fit-window", "0.5", "2.0", "--alpha", "0.3",
                  "--beta", "0.1", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    # no --lambda: the commutator cutoff is eta_max/sqrt(2); no manifest.ini
-    # beside the snapshot: the kernel and quadrature are the command's defaults
+    # no --lambda: the commutator cutoff is eta_max/sqrt(2); the kernel and
+    # quadrature are those of the manifest.ini beside the snapshot
     com = commutation_error(
         read_snapshot(p), GevreyWeight(alpha=0.3, beta=0.1, t=st.t,
                                        lam=16.0 / math.sqrt(2.0)),
         CrossSection(nu=0.5, kappa=1.0),
         AngularQuadrature(theta_min=0.05, panels=6, nodes_per_panel=4))
     assert ("commutator kernel nu=0.5 kappa=1.0, quadrature theta_min=0.05 "
-            "panels=6 nodes_per_panel=4 (defaults: ") in out
+            f"panels=6 nodes_per_panel=4 ({manifest})\n") in out
     assert f"  commutator lhs={com.lhs!r} rhs_bound={com.rhs_bound!r}\n" in out
     assert f"i_term={com.i_term!r} i_plus_term={com.i_plus_term!r}\n" in out
 
@@ -575,10 +613,26 @@ def test_diagnose_commutator_uses_the_run_manifest(tmp_path, capsys):
         AngularQuadrature(theta_min=5e-3, panels=8, nodes_per_panel=5))
     assert f"  commutator lhs={com.lhs!r} rhs_bound={com.rhs_bound!r}\n" in out
     assert f"i_term={com.i_term!r} i_plus_term={com.i_plus_term!r}\n" in out
-    # the run fixes the kernel: --nu beside its manifest exits 1 before any work
-    assert main(args + [str(tmp_path / "other"), "--nu", "0.5"]) == 1
-    assert "--nu conflicts with the kernel in" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "other")
+
+
+def test_diagnose_commutator_needs_the_run_manifest(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("kinb.cli.fit_gevrey_order", lambda *a, **k: calls.append(a))
+    g = GridSpec(dimension=1, mode="full-1d", n=65, eta_max=8.0)
+    snap = str(tmp_path / "snap.csv")
+    write_snapshot(init_state(g, InitialDatum(kind="gaussian", dimension=1)), snap)
+    out = tmp_path / "out"
+    # no manifest.ini beside the snapshot: no operator, so no work at all
+    assert main(["diagnose", snap, "--alpha", "0.3", "--beta", "0.1",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "kinb: config error:" in err and "manifest.ini" in err
+    assert calls == [] and not os.path.exists(out)
+    # the operator has no flag of its own
+    assert main(["diagnose", snap, "--alpha", "0.3", "--beta", "0.1",
+                 "--nu", "0.5", "--out", str(out)]) == 1
+    assert "unrecognized arguments: --nu" in capsys.readouterr().err
+    assert calls == [] and not os.path.exists(out)
 
 
 def test_constants_writes_one_csv_row_per_dimension(tmp_path, capsys):
@@ -589,3 +643,20 @@ def test_constants_writes_one_csv_row_per_dimension(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert [(r["m"], r["n"]) for r in rows] == [("3", "1"), ("3", "2"), ("3", "3")]
     assert all(float(r["alpha_md"]) > 0 and float(r["C_m"]) > 0 for r in rows)
+
+
+
+def test_readme_command_line_lists_every_flag():
+    # the "Command line" block of the README names each subcommand's options
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    documented = {line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+                  for line in block.splitlines() if line.startswith("kinb ")}
+    subparsers = next(a for a in _parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actual = {name: {s for act in sub._actions for s in act.option_strings
+                     if s.startswith("--") and s != "--help"}
+              for name, sub in subparsers.choices.items()}
+    assert documented == actual

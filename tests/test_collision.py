@@ -72,11 +72,11 @@ def test_quadrature_validation():
     with pytest.raises(ConfigError):
         AngularQuadrature(theta_min=1.0)  # above pi/4
     with pytest.raises(ConfigError):
-        AngularQuadrature(panels=0)
+        AngularQuadrature(theta_min=0.1, panels=0)
     with pytest.raises(ConfigError):
-        AngularQuadrature(nodes_per_panel=1)
+        AngularQuadrature(theta_min=0.1, nodes_per_panel=1)
     with pytest.raises(ConfigError):
-        AngularQuadrature(azimuthal_nodes=0)
+        AngularQuadrature(theta_min=0.1, azimuthal_nodes=0)
     q = AngularQuadrature(theta_min=0.1)
     with pytest.raises(ConfigError):
         q.angles(0.05)  # upper limit below theta_min
