@@ -22,7 +22,7 @@ from .diagnostics import (GevreyWeight, WeightedNorms, weighted_norms,
                           HypothesisRow, check_hypotheses,
                           hinf_weighted_norm, negative_sobolev_norm,
                           embedding_constant, bracket_integral, LloglReport,
-                          entropy_and_llogl, entropy_and_llogl_from_state)
+                          entropy_and_llogl)
 from .verify import VerifyResult, SUITE_NAMES, run_suite
 
 __version__ = "0.1.0"
@@ -47,7 +47,6 @@ __all__ = [
     "build_induction_schedule", "HypothesisRow", "check_hypotheses",
     "hinf_weighted_norm", "negative_sobolev_norm", "embedding_constant",
     "bracket_integral", "LloglReport", "entropy_and_llogl",
-    "entropy_and_llogl_from_state",
     "VerifyResult", "SUITE_NAMES", "run_suite",
     "__version__",
 ]

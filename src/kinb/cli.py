@@ -26,7 +26,7 @@ from .collision import AngularQuadrature, CrossSection
 from .diagnostics import (GevreyWeight, build_induction_schedule,
                           cb_constant, check_hypotheses, commutation_error,
                           fit_gevrey_order, weighted_norms, _alpha_cap,
-                          _base_scale)
+                          _base_scale, _check_chain)
 from .evolution import MonitorRow, RunConfig, Trajectory, simulate
 from .inequalities import alpha_md, optimize_lambdas, required_moment
 from .spectral import (ConfigError, GridSpec, InitialDatum, NumericalFailure,
@@ -83,10 +83,11 @@ def load_config(path: str) -> dict:
     """Parse and validate an INI config into {section: {key: typed value}}.
 
     Malformed INI text or text that is not UTF-8, unknown sections or
-    keys, type errors, non-finite floats and missing required keys all
-    raise ConfigError. Keys are read case-insensitively, so every schema
-    key is lower case. Optional keys are filled with their defaults, so
-    the result is fully resolved.
+    keys, type errors, non-finite floats, missing required keys and an
+    [induction] part or m that the chain refuses all raise ConfigError.
+    Keys are read case-insensitively, so every schema key is lower case.
+    Optional keys are filled with their defaults, so the result is fully
+    resolved.
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
@@ -111,6 +112,8 @@ def load_config(path: str) -> dict:
         for key, val in defaults.items():
             out.setdefault(key, val)
         cfg[sec] = out
+    if "induction" in cfg:
+        _check_chain(cfg["induction"]["part"], cfg["induction"].get("m", 2))
     return cfg
 
 
@@ -207,19 +210,22 @@ def _run_config(cfg: dict) -> RunConfig:
 # snapshot and CSV files
 # ----------------------------------------------------------------------------
 
+def _write_csv(path: str, head, rows) -> None:
+    """Write the `head` lines, then `rows` as CSV records; every line ends
+    in a bare newline."""
+    with open(path, "w", newline="") as fh:
+        for line in head:
+            fh.write(line + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def write_snapshot(state: SpectralState, path: str) -> None:
     g = state.grid
-    with open(path, "w", newline="") as fh:
-        fh.write("# spectral snapshot\n")
-        fh.write(f"# dimension={g.dimension}\n")
-        fh.write(f"# mode={g.mode}\n")
-        fh.write(f"# n={g.n}\n")
-        fh.write(f"# eta_max={g.eta_max!r}\n")
-        fh.write(f"# t={state.t!r}\n")
-        fh.write("re,im\n")
-        wr = csv.writer(fh)
-        for z in state.values.reshape(-1):
-            wr.writerow([repr(float(z.real)), repr(float(z.imag))])
+    _write_csv(path, ("# spectral snapshot", f"# dimension={g.dimension}",
+                      f"# mode={g.mode}", f"# n={g.n}",
+                      f"# eta_max={g.eta_max!r}", f"# t={state.t!r}", "re,im"),
+               ([repr(float(z.real)), repr(float(z.imag))]
+                for z in state.values.reshape(-1)))
 
 
 def read_snapshot(path: str) -> SpectralState:
@@ -272,21 +278,15 @@ def _fmt(x) -> str:
 
 def _write_run_csv(traj: Trajectory, path: str) -> None:
     names = [f.name for f in fields(MonitorRow)]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        wr = csv.writer(fh)
-        for r in traj.rows:
-            wr.writerow([_fmt(getattr(r, name)) for name in names])
+    _write_csv(path, (",".join(names),),
+               ([_fmt(getattr(r, name)) for name in names] for r in traj.rows))
 
 
 def _write_induction_csv(rows, schedule, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,scale,hyp1,hyp2,hyp3,empirical_M,weighted_l2,cap_ok\n")
-        wr = csv.writer(fh)
-        for r in rows:
-            wr.writerow([_fmt(r.t), _fmt(r.scale), _fmt(r.hyp1),
-                         _fmt(r.hyp2), _fmt(r.hyp3), _fmt(schedule.M),
-                         _fmt(r.weighted_l2), "1" if r.passed else "0"])
+    _write_csv(path, ("t,scale,hyp1,hyp2,hyp3,empirical_M,weighted_l2,cap_ok",),
+               ([_fmt(r.t), _fmt(r.scale), _fmt(r.hyp1), _fmt(r.hyp2),
+                 _fmt(r.hyp3), _fmt(schedule.M), _fmt(r.weighted_l2),
+                 "1" if r.passed else "0"] for r in rows))
 
 
 # ----------------------------------------------------------------------------
@@ -350,6 +350,8 @@ def cmd_diagnose(args) -> int:
     if args.lam is not None and args.alpha is None:
         raise ConfigError("--lambda needs --alpha and --beta")
     if args.alpha is not None:
+        lam = args.lam if args.lam is not None else math.inf
+        weight = GevreyWeight(alpha=args.alpha, beta=args.beta, lam=lam)
         cs, quad, source = _diagnose_operator(args.snapshots[0])
         print(f"commutator kernel nu={cs.nu!r} kappa={cs.kappa!r}, quadrature "
               f"theta_min={quad.theta_min!r} panels={quad.panels} "
@@ -369,9 +371,7 @@ def cmd_diagnose(args) -> int:
             print(f"  residual   = {rep.residual!r}")
             print(f"  window     = {rep.window!r}  n_points = {rep.n_points}")
             if args.alpha is not None:
-                lam = args.lam if args.lam is not None else math.inf
-                w = GevreyWeight(alpha=args.alpha, beta=args.beta,
-                                 t=state.t, lam=lam)
+                w = replace(weight, t=state.t)
                 norms = weighted_norms(state, w)
                 print(f"  weighted l2={norms.l2!r} sup={norms.sup!r} "
                       f"h_alpha={norms.h_alpha!r}")
@@ -382,22 +382,19 @@ def cmd_diagnose(args) -> int:
                 print(f"  commutator lhs={com.lhs!r} rhs_bound={com.rhs_bound!r}")
                 print(f"             i_term={com.i_term!r} "
                       f"i_plus_term={com.i_plus_term!r}")
-    with open(os.path.join(args.out, "fit.csv"), "w", newline="") as fh:
-        fh.write("snapshot,t,alpha_hat,beta_t_hat,residual,"
-                 "window_lo,window_hi,n_points\n")
-        wr = csv.writer(fh)
-        for path, state, rep in reports:
-            wr.writerow([path, _fmt(state.t), _fmt(rep.alpha_hat),
-                         _fmt(rep.beta_t_hat), _fmt(rep.residual),
-                         _fmt(rep.window[0]), _fmt(rep.window[1]),
-                         rep.n_points])
+    _write_csv(os.path.join(args.out, "fit.csv"),
+               ("snapshot,t,alpha_hat,beta_t_hat,residual,"
+                "window_lo,window_hi,n_points",),
+               ([path, _fmt(state.t), _fmt(rep.alpha_hat),
+                 _fmt(rep.beta_t_hat), _fmt(rep.residual),
+                 _fmt(rep.window[0]), _fmt(rep.window[1]), rep.n_points]
+                for path, state, rep in reports))
     return 0
 
 
 def cmd_constants(args) -> int:
     m = args.m
     dims = (args.d,) if args.d else (1, 2, 3)
-    rows = []
     print("smoothing exponents")
     for d in dims:
         a = alpha_md(m, d)
@@ -424,15 +421,10 @@ def cmd_constants(args) -> int:
             cells.append(f"part II: {_base_scale(2, d):.4f}")
             cells.append(f"part III: {_base_scale(3, d):.4f}")
         print(f"  d={d}  " + "  ".join(cells))
-    for d in dims:
-        rows.append((m, d, alpha_md(m, d), lp.constant, pts))
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            fh.write("m,n,alpha_md,C_m,lambda_points\n")
-            wr = csv.writer(fh)
-            for row in rows:
-                wr.writerow([row[0], row[1], _fmt(row[2]), _fmt(row[3]),
-                             row[4]])
+        _write_csv(args.csv, ("m,n,alpha_md,C_m,lambda_points",),
+                   ([m, d, _fmt(alpha_md(m, d)), _fmt(lp.constant), pts]
+                    for d in dims))
     return 0
 
 

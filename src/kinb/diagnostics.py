@@ -26,6 +26,7 @@ from .spectral import (GridSpec, SpectralState, moments, refine_array,
                        state_with_values, to_physical, _InterpPlan, _SPHERE_AREA)
 from .collision import (AngularQuadrature, CrossSection, _bilinear, _evaluator,
                         kac_pair, perp_unit)
+from .evolution import entropy
 
 __all__ = [
     "GevreyWeight", "WeightedNorms", "weighted_norms",
@@ -36,7 +37,6 @@ __all__ = [
     "HypothesisRow", "check_hypotheses",
     "hinf_weighted_norm", "negative_sobolev_norm", "embedding_constant",
     "bracket_integral", "LloglReport", "entropy_and_llogl",
-    "entropy_and_llogl_from_state",
 ]
 
 _SCALE_FACTOR = (1.0 + math.sqrt(2.0)) / 2.0
@@ -376,6 +376,17 @@ def beta_recommendation(M: float, T0: float, alpha: float, cs: CrossSection,
     return float(1.0 / denom)
 
 
+def _check_chain(part, m: int) -> int:
+    """Number of induction part `part` (I, II or III), after checking that
+    it names one and that the moment order m lies in 2..4."""
+    part = _canonical_part(part)
+    if m < 2:
+        raise ConfigError("m must be >= 2")
+    if m > 4:
+        raise ConfigError(f"m = {m}: moments stop at order 4, so 2 <= m <= 4")
+    return part
+
+
 def _canonical_part(part) -> int:
     table = {"I": 1, "II": 2, "III": 3, "1": 1, "2": 2, "3": 3, 1: 1, 2: 2, 3: 3}
     try:
@@ -484,15 +495,11 @@ def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
     """
     if not states:
         raise ConfigError("need at least one snapshot state")
-    part = _canonical_part(part)
+    part = _check_chain(part, m)
     grid = states[0].grid
     d = grid.dimension
     if part >= 2 and d < 2:
         raise ConfigError("parts II and III need d >= 2")
-    if m < 2:
-        raise ConfigError("m must be >= 2")
-    if m > 4:
-        raise ConfigError(f"m = {m}: moments stop at order 4, so 2 <= m <= 4")
     a_cap = _alpha_cap(part, m, d, cs.nu)
     if alpha > a_cap * (1.0 + 1e-12):
         raise ConfigError(f"alpha {alpha:g} exceeds min(alpha_m_n, nu) = {a_cap:g}")
@@ -656,7 +663,6 @@ class HypothesisRow:
     hyp2: float | None
     hyp3: float | None
     weighted_l2: float
-    l2_cap: float
     passed: bool
 
 
@@ -668,10 +674,12 @@ def check_hypotheses(trajectory, schedule: InductionSchedule,
     pairs, and `final`, the state checked alone when that list is empty:
     a Trajectory from `run`, or a plain namespace of stored snapshots.
     Each snapshot is priced at its state's own time `state.t`; the t of
-    the pair is not read.  Returns HypothesisRow records; `passed` requires
-    the part's hypothesis supremum to stay at or below schedule.M and the
-    weighted L2 norm at sqrt(2)*scale to stay at or below schedule.B (small
-    relative slack for quadrature noise).
+    the pair is not read.  In d >= 2 the direction sweeps read the d axes
+    plus `n_random` random unit directions; part III reads the axes and
+    at most the first 16 random ones.  Returns HypothesisRow records;
+    `passed` requires the part's hypothesis supremum to stay at or below
+    schedule.M and the weighted L2 norm at sqrt(2)*scale to stay at or
+    below schedule.B (small relative slack for quadrature noise).
     """
     part = _canonical_part(schedule.part)
     states = [s for _, s in trajectory.snapshots] or [trajectory.final]
@@ -701,8 +709,7 @@ def check_hypotheses(trajectory, schedule: InductionSchedule,
             ok = (relevant is not None and relevant <= schedule.M * slack
                   and wn.l2 <= schedule.B * slack)
             rows.append(HypothesisRow(scale=lam, t=s.t, hyp1=h1, hyp2=h2, hyp3=h3,
-                                      weighted_l2=wn.l2, l2_cap=schedule.B,
-                                      passed=bool(ok)))
+                                      weighted_l2=wn.l2, passed=bool(ok)))
     rows.sort(key=lambda r: (r.scale, r.t))
     return rows
 
@@ -749,41 +756,28 @@ class LloglReport:
     bound_ok: bool
 
 
-def entropy_and_llogl(density, v_squared, cell: float,
-                      dimension: int) -> LloglReport:
-    """Discrete entropy int f log f and the companion functional
-    int f log(1+f), with the comparison bound
+def entropy_and_llogl(state: SpectralState) -> LloglReport:
+    """Entropy int f log f (`evolution.entropy`) and the companion
+    functional int f log(1+f) of a full-grid state, with the comparison
+    bound
 
         llogl <= log(2)*mass + entropy + C * (int f <v>^2 dv)^{1-delta},
 
     where C packs the largest constant in log(u) <= u^delta / (e*delta)
     against the integrable bracket weight.  delta = 1/(d+2), strictly
     inside the admissible range (0, 2/(d+2))."""
-    f = np.asarray(density, dtype=float).reshape(-1)
-    v2 = np.asarray(v_squared, dtype=float).reshape(-1)
-    if f.shape != v2.shape:
-        raise ConfigError("density and v_squared shapes disagree")
-    if np.any(f < 0):
-        raise ConfigError("density samples must be nonnegative")
-    delta = 1.0 / (dimension + 2.0)
-    pos = f > 0
+    v, dens, dv = to_physical(state)
+    d = state.grid.dimension
+    cell = dv ** d
+    f = dens.reshape(-1)
+    v2 = sum(a ** 2 for a in np.meshgrid(*([v] * d), indexing="ij")).reshape(-1)
+    delta = 1.0 / (d + 2.0)
     mass = float(np.sum(f) * cell)
-    ent = float(np.sum(f[pos] * np.log(f[pos])) * cell)
+    ent = entropy(state)
     llogl = float(np.sum(f * np.log1p(f)) * cell)
     l12 = float(np.sum(f * (1.0 + v2)) * cell)
-    c_delta = (bracket_integral(dimension, 2.0 * (1.0 - delta) / delta) ** delta
+    c_delta = (bracket_integral(d, 2.0 * (1.0 - delta) / delta) ** delta
                / (math.e * delta))
     rhs = math.log(2.0) * mass + ent + c_delta * l12 ** (1.0 - delta)
     ok = llogl <= rhs + 1e-12 * max(1.0, abs(rhs))
     return LloglReport(entropy=ent, llogl=llogl, bound_ok=bool(ok))
-
-
-def entropy_and_llogl_from_state(state: SpectralState) -> LloglReport:
-    v, dens, dv = to_physical(state)
-    d = state.grid.dimension
-    if d == 1:
-        v2 = v ** 2
-    else:
-        axes = np.meshgrid(*([v] * d), indexing="ij")
-        v2 = sum(a ** 2 for a in axes)
-    return entropy_and_llogl(dens, v2, dv ** d, d)

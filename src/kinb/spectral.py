@@ -292,12 +292,18 @@ class InitialDatum:
             return ((self.mass, self.center, self.sigma),)
         return self.components
 
+    def _points(self, x: np.ndarray) -> bool:
+        """Whether the last axis of x holds d-vectors (d >= 2 and length d).
+        Otherwise every entry is one coordinate: the point itself for
+        d = 1, a radius |x| for d >= 2 (radially symmetric data only)."""
+        return self.dimension > 1 and x.ndim >= 1 and x.shape[-1] == self.dimension
+
     def hat(self, eta: np.ndarray) -> np.ndarray:
-        """Analytic transform at points eta (shape (..., d)); 1-d arrays are
-        read as |eta| radii when the datum is radially symmetric."""
+        """Analytic transform at eta, points or radii as `_points` reads
+        them."""
         eta = np.asarray(eta, dtype=float)
         d = self.dimension
-        if d > 1 and eta.ndim >= 1 and eta.shape[-1] == d:
+        if self._points(eta):
             r2 = (eta ** 2).sum(-1)
             dot = lambda c: eta @ np.asarray(c)
         else:
@@ -312,15 +318,17 @@ class InitialDatum:
         return out
 
     def density(self, v: np.ndarray) -> np.ndarray:
+        """Density at v, points or radii as `_points` reads them."""
         v = np.asarray(v, dtype=float)
         d = self.dimension
+        points = self._points(v)
         if self.kind == "laplace":
-            r = np.abs(v) if (v.ndim <= 1 or v.shape[-1] != d) else np.linalg.norm(v, axis=-1)
+            r = np.linalg.norm(v, axis=-1) if points else np.abs(v)
             norm = self.a ** d * _SPHERE_AREA[d] * math.gamma(d)
             return self.mass * np.exp(-r / self.a) / norm
         out = 0.0
         for w, c, s in self._triples():
-            if v.ndim >= 1 and d > 1 and v.shape[-1] == d:
+            if points:
                 q = ((v - np.asarray(c)) ** 2).sum(-1)
             else:
                 q = (v - (c[0] if c else 0.0)) ** 2

@@ -645,6 +645,61 @@ def test_constants_writes_one_csv_row_per_dimension(tmp_path, capsys):
     assert all(float(r["alpha_md"]) > 0 and float(r["C_m"]) > 0 for r in rows)
 
 
+def test_every_file_kinb_writes_ends_its_lines_in_a_bare_newline(tmp_path, capsys):
+    ini = KAC_INI.replace("n = 129", "n = 161").replace("eta_max = 12.0",
+                                                          "eta_max = 16.0")
+    run = tmp_path / "run"
+    assert main(["simulate", _write(tmp_path, "kac.ini", ini),
+                 "--out", str(run)]) == 0
+    assert main(["induction", str(run), "--n-random", "4"]) == 0
+    snap = sorted(run.glob("snapshot_*.csv"))[-1]
+    assert main(["diagnose", str(snap), "--alpha", "0.3", "--beta", "0.1",
+                 "--out", str(tmp_path / "diag")]) == 0
+    assert main(["constants", "--nu", "0.25",
+                 "--csv", str(tmp_path / "constants.csv")]) == 0
+    capsys.readouterr()
+    written = [p for p in tmp_path.rglob("*") if p.is_file() and p.name != "kac.ini"]
+    assert {p.name for p in written} == {
+        "run.csv", "manifest.ini", "induction.csv", "fit.csv", "constants.csv",
+        *(p.name for p in run.glob("snapshot_*.csv"))}
+    for p in written:
+        assert b"\r" not in p.read_bytes(), p.name
+
+
+@pytest.mark.parametrize("induction, message", [
+    ("part = IV", "unknown induction part 'IV'"),
+    ("part = I\nm = 9", "moments stop at order 4"),
+    ("part = I\nm = 1", "m must be >= 2"),
+], ids=["part-IV", "m-9", "m-1"])
+def test_simulate_checks_the_induction_section(tmp_path, capsys, induction,
+                                               message):
+    cfg = _write(tmp_path, "kac.ini", KAC_INI.replace("part = I", induction))
+    out = tmp_path / "run"
+    assert main(["simulate", cfg, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("weight", [
+    ["--alpha", "1.5", "--beta", "0.1"],
+    ["--alpha", "nan", "--beta", "0.1"],
+    ["--alpha", "0.3", "--beta", "-1"],
+    ["--alpha", "0.3", "--beta", "0.1", "--lambda", "-2"],
+], ids=["alpha-above-1", "alpha-nan", "beta-negative", "lambda-negative"])
+def test_diagnose_checks_the_weight_before_the_work(tmp_path, capsys, weight):
+    g = GridSpec(dimension=1, mode="full-1d", n=129, eta_max=12.0)
+    snap = str(tmp_path / "snap.csv")
+    write_snapshot(init_state(g, InitialDatum(kind="laplace", dimension=1)), snap)
+    write_manifest(load_config(_write(tmp_path, "kac.ini", KAC_INI)),
+                   str(tmp_path / "manifest.ini"))
+    out = tmp_path / "out"
+    assert main(["diagnose", snap, *weight, "--out", str(out)]) == 1
+    io = capsys.readouterr()
+    assert "kinb: config error:" in io.err
+    assert "alpha_hat" not in io.out
+    assert not os.path.exists(out)
+
+
 
 def test_readme_command_line_lists_every_flag():
     # the "Command line" block of the README names each subcommand's options

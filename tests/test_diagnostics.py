@@ -22,7 +22,6 @@ from kinb import (
     embedding_constant,
     entropy,
     entropy_and_llogl,
-    entropy_and_llogl_from_state,
     fit_gevrey_order,
     fractional_heat_evolve,
     hinf_weighted_norm,
@@ -400,7 +399,7 @@ def test_hypothesis_rows_pass_on_short_run():
     for r in rows:
         assert r.hyp1 <= sched.M * (1 + 1e-9)
         assert r.hyp2 is None and r.hyp3 is None  # part I tracks Hyp1 only
-        assert r.weighted_l2 <= r.l2_cap * (1 + 1e-9)
+        assert r.weighted_l2 <= sched.B * (1 + 1e-9)
         assert r.passed
 
 
@@ -711,27 +710,22 @@ def test_hinf_norm_monotone_under_heat_flow():
 def test_llogl_bound_and_entropy_values():
     g = GridSpec(dimension=1, mode="full-1d", n=257, eta_max=16.0)
     sg = init_state(g, InitialDatum(kind="gaussian", dimension=1, sigma=1.0))
-    rg = entropy_and_llogl_from_state(sg)
+    rg = entropy_and_llogl(sg)
     assert rg.bound_ok
     assert abs(rg.entropy - (-1.418938533205)) < 1e-10
     sl = init_state(g, InitialDatum(kind="laplace", dimension=1, a=1.0))
-    rl = entropy_and_llogl_from_state(sl)
+    rl = entropy_and_llogl(sl)
     assert rl.bound_ok
     assert abs(rl.entropy - (-1.693147180560)) < 5e-3
     assert rl.llogl >= 0.0
-    # direct interface guards
-    with pytest.raises(ConfigError):
-        entropy_and_llogl([-0.1, 0.2], [0.0, 1.0], 0.1, 1)
-    with pytest.raises(ConfigError):
-        entropy_and_llogl([0.1, 0.2], [0.0], 0.1, 1)
 
 
 def test_llogl_on_a_planar_state():
     g = GridSpec(dimension=2, mode="full-2d", n=64, eta_max=4.0)
     st = init_state(g, InitialDatum(kind="gaussian", dimension=2, sigma=0.7))
-    rep = entropy_and_llogl_from_state(st)
+    rep = entropy_and_llogl(st)
     assert rep.bound_ok
-    assert np.isclose(rep.entropy, entropy(st), rtol=1e-13, atol=0.0)
+    assert rep.entropy == entropy(st)
     # closed form -log(2 pi e sigma^2) = -2.1245271785; the grid reads
     # -2.1245271116
     assert abs(rep.entropy + math.log(2.0 * math.pi * math.e * 0.49)) < 1e-7

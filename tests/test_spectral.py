@@ -159,6 +159,41 @@ def test_laplace_hat_frozen_oracles():
         assert abs(got - want) < 1e-12, (d, got, want)
 
 
+def test_laplace_density_closed_form():
+    # mass exp(-|v|/a) / (a^d |S^{d-1}| Gamma(d)): norms 2a, 2 pi a^2, 8 pi a^3
+    rng = np.random.default_rng(3)
+    for d, norm in ((1, 2.0 * 1.3), (2, 2.0 * np.pi * 1.3 ** 2),
+                    (3, 8.0 * np.pi * 1.3 ** 3)):
+        datum = InitialDatum(kind="laplace", dimension=d, a=1.3, mass=2.0)
+        pts = rng.normal(size=(5, d))
+        r = np.linalg.norm(pts, axis=-1)
+        want = 2.0 * np.exp(-r / 1.3) / norm
+        got = datum.density(pts).reshape(-1)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0), d
+        # one d-vector is the row of its (1, d) form, for density and hat
+        for fn in (datum.density, datum.hat):
+            assert np.array_equal(fn(pts[0]), fn(pts[:1])[0]), (d, fn)
+        # d >= 2 reads a 1-d array of another length as radii
+        if d > 1:
+            assert np.allclose(datum.density(r), want, rtol=1e-14, atol=0.0)
+
+
+def test_mixture_density_in_two_dimensions():
+    comps = ((0.7, (0.9, -0.4), 0.5), (0.3, (-0.6, 0.8), 0.55))
+    datum = InitialDatum(kind="gaussian-mixture", dimension=2, components=comps)
+    pts = np.random.default_rng(4).normal(size=(6, 2))
+    want = sum(w * np.exp(-((pts - c) ** 2).sum(-1) / (2 * s * s))
+               / (2 * np.pi * s * s) for w, c, s in comps)
+    assert np.allclose(datum.density(pts), want, rtol=1e-14, atol=0.0)
+    for fn in (datum.density, datum.hat):
+        assert np.array_equal(fn(pts[0]), fn(pts[:1])[0]), fn
+    # the density is the inverse transform of hat on a planar grid
+    g = GridSpec(dimension=2, mode="full-2d", n=64, eta_max=2.5)
+    v, dens, _ = to_physical(init_state(g, datum))
+    mesh = np.stack(np.meshgrid(v, v, indexing="ij"), axis=-1)
+    assert np.max(np.abs(dens - datum.density(mesh))) < 1e-10
+
+
 def test_laplace_moment2_closed_form():
     for d in (1, 2, 3):
         datum = InitialDatum(kind="laplace", dimension=d, a=0.8, mass=1.5)
