@@ -26,11 +26,11 @@ from .collision import AngularQuadrature, CrossSection
 from .diagnostics import (GevreyWeight, build_induction_schedule,
                           cb_constant, check_hypotheses, commutation_error,
                           fit_gevrey_order, weighted_norms, _alpha_cap,
-                          _base_scale, _check_chain)
+                          _check_chain, _PARTS)
 from .evolution import MonitorRow, RunConfig, Trajectory, simulate
 from .inequalities import alpha_md, optimize_lambdas, required_moment
 from .spectral import (ConfigError, GridSpec, InitialDatum, NumericalFailure,
-                       SpectralState)
+                       SpectralState, _DATUM_PARAMS)
 from .verify import SUITE_NAMES, run_suite
 
 __all__ = ["main", "load_config", "write_manifest", "read_snapshot",
@@ -84,7 +84,8 @@ def load_config(path: str) -> dict:
 
     Malformed INI text or text that is not UTF-8, unknown sections or
     keys, type errors, non-finite floats, missing required keys and an
-    [induction] part or m that the chain refuses all raise ConfigError.
+    [induction] part or m that the chain refuses, or a part II or III on a
+    one-dimensional [grid], all raise ConfigError.
     Keys are read case-insensitively, so every schema key is lower case.
     Optional keys are filled with their defaults, so the result is fully
     resolved.
@@ -113,7 +114,8 @@ def load_config(path: str) -> dict:
             out.setdefault(key, val)
         cfg[sec] = out
     if "induction" in cfg:
-        _check_chain(cfg["induction"]["part"], cfg["induction"].get("m", 2))
+        _check_chain(cfg["induction"]["part"], cfg["induction"].get("m", 2),
+                     cfg["grid"]["dimension"] if "grid" in cfg else None)
     return cfg
 
 
@@ -167,14 +169,6 @@ def _parse_params(raw: str) -> dict:
         else:
             out[key] = _parse(val, float, where)
     return out
-
-
-# the [init] params each datum kind accepts
-_DATUM_PARAMS = {
-    "gaussian": ("sigma", "mass", "center"),
-    "gaussian-mixture": ("components",),
-    "laplace": ("a", "mass"),
-}
 
 
 def _build_datum(dimension: int, kind: str, params: str) -> InitialDatum:
@@ -416,10 +410,8 @@ def cmd_constants(args) -> int:
             print(f"  c_b(d={d}): " + "  ".join(parts))
     print("base scales of the induction chain")
     for d in dims:
-        cells = [f"part I: {_base_scale(1, d):.4f}"]
-        if d >= 2:
-            cells.append(f"part II: {_base_scale(2, d):.4f}")
-            cells.append(f"part III: {_base_scale(3, d):.4f}")
+        cells = [f"part {part}: {base(d):.4f}"
+                 for part, (_, base, d_min) in _PARTS.items() if d >= d_min]
         print(f"  d={d}  " + "  ".join(cells))
     if args.csv:
         _write_csv(args.csv, ("m,n,alpha_md,C_m,lambda_points",),

@@ -67,7 +67,7 @@ class GevreyWeight:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError("alpha must be in (0, 1]")
-        if self.beta < 0.0 or self.t < 0.0:
+        if not (self.beta >= 0.0 and self.t >= 0.0):
             raise ConfigError("beta and t must be nonnegative")
         if not self.lam > 0.0:
             raise ConfigError("lam must be positive (use math.inf for none)")
@@ -354,17 +354,15 @@ def beta_recommendation(M: float, T0: float, alpha: float, cs: CrossSection,
     Part II:  same shape with the plain kernel constant.
     Part III: 1 / (alpha T0 [(1+2^{d-1}) c_b2 M2 + (C_t0 + 2^d C_v0) M] + 1).
     """
-    part = _canonical_part(part)
+    _check_chain(part, d=d)
     if M < 0 or T0 <= 0 or not 0 < alpha <= 1:
         raise ConfigError("need M >= 0, T0 > 0, alpha in (0, 1]")
-    if part == 1:
+    if part == "I":
         cb = cb_constant(cs, d, "scaled")
         comb = 1.0 + (math.sqrt(2.0) if d == 1 else 2.0 ** (d - 1))
         return 1.0 / (comb * cb * alpha * T0 * M + 1.0)
-    if d < 2:
-        raise ConfigError("parts II and III need d >= 2")
     cb2 = cb_constant(cs, d, "plain")
-    if part == 2:
+    if part == "II":
         return 1.0 / ((1.0 + 2.0 ** (d - 1)) * cb2 * alpha * T0 * M + 1.0)
     if M2 is None or theta0 is None or vartheta0 is None:
         raise ConfigError("part III needs M2, theta0, and vartheta0")
@@ -376,23 +374,29 @@ def beta_recommendation(M: float, T0: float, alpha: float, cs: CrossSection,
     return float(1.0 / denom)
 
 
-def _check_chain(part, m: int) -> int:
-    """Number of induction part `part` (I, II or III), after checking that
-    it names one and that the moment order m lies in 2..4."""
-    part = _canonical_part(part)
+# what differs between the three parts of the scale induction: the index
+# n(d) of alpha_{m,n} and of the decay exponent 2m/(2m + n), the chain's
+# base scale as a function of d, and the smallest dimension of the part
+_PARTS = {
+    "I": (lambda d: d, lambda d: 4.0 * math.sqrt(d) / (math.sqrt(2.0) - 1.0), 1),
+    "II": (lambda d: 2, lambda d: 4.0 * math.sqrt(2.0) / (math.sqrt(2.0) - 1.0), 2),
+    "III": (lambda d: 1, lambda d: 3.0, 2),
+}
+
+
+def _check_chain(part: str, m: int = 2, d: int | None = None) -> None:
+    """Check that `part` is one of the induction parts I, II and III, that
+    the moment order m lies in 2..4 and, when the dimension d is given,
+    that the part applies in it.  A config's [induction] section is checked
+    when it loads, against its [grid] dimension if it has one."""
+    if part not in _PARTS:
+        raise ConfigError(f"unknown induction part {part!r}")
     if m < 2:
         raise ConfigError("m must be >= 2")
     if m > 4:
         raise ConfigError(f"m = {m}: moments stop at order 4, so 2 <= m <= 4")
-    return part
-
-
-def _canonical_part(part) -> int:
-    table = {"I": 1, "II": 2, "III": 3, "1": 1, "2": 2, "3": 3, 1: 1, 2: 2, 3: 3}
-    try:
-        return table[part]
-    except KeyError:
-        raise ConfigError(f"unknown induction part {part!r}") from None
+    if d is not None and d < _PARTS[part][2]:
+        raise ConfigError("parts II and III need d >= 2")
 
 
 def angle_thresholds(alpha: float, m: int) -> tuple:
@@ -457,29 +461,16 @@ def _l1m_norm(state: SpectralState, m: int) -> float:
     return mom[0] + 2.0 * mom[2] + mom[-1]
 
 
-def _base_scale(part: int, d: int) -> float:
-    if part == 1:
-        return 4.0 * math.sqrt(d) / (math.sqrt(2.0) - 1.0)
-    if part == 2:
-        return 4.0 * math.sqrt(2.0) / (math.sqrt(2.0) - 1.0)
-    return 3.0
+def _decay_exponent(part: str, m: int, d: int) -> float:
+    return 2.0 * m / (2.0 * m + _PARTS[part][0](d))
 
 
-def _part_n(part: int, d: int) -> int:
-    """Index n of alpha_{m,n} and of the decay exponent for a part."""
-    return {1: d, 2: 2, 3: 1}[part]
-
-
-def _decay_exponent(part: int, m: int, d: int) -> float:
-    return 2.0 * m / (2.0 * m + _part_n(part, d))
-
-
-def _alpha_cap(part, m: int, d: int, nu: float) -> float:
+def _alpha_cap(part: str, m: int, d: int, nu: float) -> float:
     """Largest admissible weight order min(alpha_{m,n}, nu) for a part."""
-    return min(alpha_md(m, _part_n(_canonical_part(part), d)), nu)
+    return min(alpha_md(m, _PARTS[part][0](d)), nu)
 
 
-def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
+def build_induction_schedule(states, part: str, m: int, alpha: float, T0: float,
                              cs: CrossSection) -> InductionSchedule:
     """Two-pass schedule for the geometric chain of frequency scales.
 
@@ -495,16 +486,14 @@ def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
     """
     if not states:
         raise ConfigError("need at least one snapshot state")
-    part = _check_chain(part, m)
     grid = states[0].grid
     d = grid.dimension
-    if part >= 2 and d < 2:
-        raise ConfigError("parts II and III need d >= 2")
+    _check_chain(part, m, d)
     a_cap = _alpha_cap(part, m, d, cs.nu)
     if alpha > a_cap * (1.0 + 1e-12):
         raise ConfigError(f"alpha {alpha:g} exceeds min(alpha_m_n, nu) = {a_cap:g}")
 
-    lam0 = _base_scale(part, d)
+    lam0 = _PARTS[part][1](d)
     cap = grid.eta_max / math.sqrt(2.0)
     scales = []
     lam = lam0
@@ -515,14 +504,14 @@ def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
         raise ConfigError("no scale fits below eta_max/sqrt(2); raise eta_max")
 
     sphere = _SPHERE_AREA[d - 1] if d >= 2 else 1.0  # |S^{d-2}| measure
-    omega_measure = 1.0 if part == 1 else sphere
+    omega_measure = 1.0 if part == "I" else sphere
     A_m = max(_l1m_norm(s, m) for s in states)
     cells = grid.cell_weights().reshape(-1)
     l2_f0 = math.sqrt(float(np.sum(cells * np.abs(states[0].values).reshape(-1) ** 2)))
     B = l2_f0 * math.exp(T0)
 
     theta0 = vartheta0 = M2 = None
-    if part == 3:
+    if part == "III":
         theta0, vartheta0 = angle_thresholds(alpha, m)
         M2 = 2.0 * sphere * A_m + 1.0
 
@@ -532,20 +521,20 @@ def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
 
     # crude start bound: the base-scale hypothesis value is at most
     # start_measure * A_m * exp(rate * T0 * <Lambda_0>^..)
-    start_measure = omega_measure * (math.pi / 2.0 if part == 3 else 1.0)
+    start_measure = omega_measure * (math.pi / 2.0 if part == "III" else 1.0)
 
     def start_rate(M):
         # rate below which the chain hypothesis holds at the base scale
         if M <= start_measure * A_m:
             return 0.0
         lg = math.log(M / (start_measure * A_m))
-        if part == 1:
+        if part == "I":
             return lg / (epsilon(alpha, 1.0) * T0 * (1.0 + lam0 ** 2) ** alpha)
         return lg / (T0 * (1.0 + lam0 ** 2))
 
     def cap_parts(M):
         vals = [formula(M), start_rate(M)]
-        if part >= 2:
+        if part != "I":
             vals.append(1.0 / T0)
         return min(v for v in vals if v > 0)
 
@@ -564,7 +553,7 @@ def build_induction_schedule(states, part, m: int, alpha: float, T0: float,
     beta = min(beta_a, cap_parts(M_final))
 
     return InductionSchedule(
-        part={1: "I", 2: "II", 3: "III"}[part], alpha=alpha, m=m,
+        part=part, alpha=alpha, m=m,
         scales=tuple(scales), M=M_final, B=B, beta=beta,
         A_m=A_m, K_empirical=k_emp, beta_formula=formula(M_final),
         theta0=theta0, vartheta0=vartheta0)
@@ -590,11 +579,6 @@ def _hyp2_sup(state, fine, alpha, beta, lam, dirs) -> float:
     grid = state.grid
     eps1 = epsilon(alpha, 1.0)
     bt = beta * state.t
-    if grid.mode == "radial":
-        # radially symmetric data: the direction average collapses to the
-        # sphere measure times the profile at radius sqrt(z^2 + rho^2)
-        sphere = _SPHERE_AREA[grid.dimension - 1]
-        return sphere * _weighted_sup(state, bt, lam, eps1, alpha)
     # (z, rho) on a 32 x 32 polar lattice of the sector pi/4 < phi < pi/2
     # of the disk of radius lam; one plan for every direction, with axes
     # (direction, lattice point, omega node, coordinate)
@@ -614,29 +598,22 @@ def _gl_rule(lo, hi, n):
 
 
 def _hyp3_sup(state, fine, alpha, beta, lam, m, theta0, vartheta0, dirs) -> float:
+    """Part-III supremum over the planar directions `dirs`.  A radial grid
+    sweeps one direction: its plan reads the radius |point|, and the two
+    omega nodes stand for the sphere S^{d-2}, so their sum is scaled by
+    |S^{d-2}|/2."""
     grid = state.grid
-    p = _decay_exponent(3, m, grid.dimension)
+    p = _decay_exponent("III", m, grid.dimension)
     bt = beta * state.t
     sq2lam = math.sqrt(2.0) * lam
     if sq2lam > grid.eta_max * (1.0 + 1e-9):
         raise ConfigError("hypothesis window sqrt(2)*lam exceeds the grid")
+    radial = grid.mode == "radial"
+    omega_scale = _SPHERE_AREA[grid.dimension - 1] / 2.0 if radial else 1.0
 
     radii = np.linspace(sq2lam / 24, sq2lam, 24)
     th_a, w_a = _gl_rule(theta0, math.pi / 2.0, 48)
     th_b, w_b = _gl_rule(vartheta0, math.pi / 4.0, 48)
-
-    if grid.mode == "radial":
-        # |eta^-| depends only on |eta| and the angle, the direction
-        # average is the sphere measure
-        sphere = _SPHERE_AREA[grid.dimension - 1]
-        sup = 0.0
-        for rm, wq in ((radii[:, None] * np.sin(th_a / 2.0)[None, :], w_a),
-                       (radii[:, None] * np.tan(th_b)[None, :], w_b)):
-            g = _grow(bt, rm ** 2, power=p, alpha=alpha)
-            ind = rm <= lam * (1.0 + 1e-12)
-            vals = np.abs(_InterpPlan(grid, rm).apply(fine))
-            sup = max(sup, sphere * float(((g * vals * ind) @ wq).max()))
-        return sup
 
     # one plan per angle branch for every direction and radius; axes are
     # (direction, radius, angle, omega node, coordinate)
@@ -650,7 +627,8 @@ def _hyp3_sup(state, fine, alpha, beta, lam, m, theta0, vartheta0, dirs) -> floa
         rad = np.linalg.norm(pts, axis=-1)
         g = _grow(bt, rad ** 2, power=p, alpha=alpha)
         ind = rad <= lam * (1.0 + 1e-12)
-        omega_avg = (g * np.abs(_InterpPlan(grid, pts).apply(fine)) * ind).sum(axis=-1)
+        vals = np.abs(_InterpPlan(grid, rad if radial else pts).apply(fine))
+        omega_avg = omega_scale * (g * vals * ind).sum(axis=-1)
         sup = max(sup, float(np.sum(wq * omega_avg, axis=-1).max()))
     return sup
 
@@ -674,40 +652,48 @@ def check_hypotheses(trajectory, schedule: InductionSchedule,
     pairs, and `final`, the state checked alone when that list is empty:
     a Trajectory from `run`, or a plain namespace of stored snapshots.
     Each snapshot is priced at its state's own time `state.t`; the t of
-    the pair is not read.  In d >= 2 the direction sweeps read the d axes
-    plus `n_random` random unit directions; part III reads the axes and
-    at most the first 16 random ones.  Returns HypothesisRow records;
+    the pair is not read.  On full-2d grids the direction sweeps read the
+    two axes plus `n_random` random unit directions; part III reads the
+    axes and at most the first 16 random ones.  Radial grids sweep one
+    direction.  Returns HypothesisRow records;
     `passed` requires the part's hypothesis supremum to stay at or below
     schedule.M and the weighted L2 norm at sqrt(2)*scale to stay at or
     below schedule.B (small relative slack for quadrature noise).
     """
-    part = _canonical_part(schedule.part)
+    part = schedule.part
     states = [s for _, s in trajectory.snapshots] or [trajectory.final]
     grid = states[0].grid
     d = grid.dimension
-    rng = np.random.default_rng(seed)
-    dirs = _unit_directions(d, n_random, rng) if d >= 2 else None
-    dirs3 = dirs[: d + min(n_random, 16)] if d >= 2 else None
+    radial = grid.mode == "radial"
+    dirs = dirs3 = None
+    if d >= 2:
+        # radial data read every direction alike: one planar direction
+        # stands for them all
+        dirs = np.eye(2)[:1] if radial else \
+            _unit_directions(d, n_random, np.random.default_rng(seed))
+        dirs3 = dirs[: d + min(n_random, 16)]
     alpha, beta = schedule.alpha, schedule.beta
 
     rows = []
     slack = 1.0 + 1e-9
     for s in states:
-        need_fine = part >= 2 and (grid.mode != "radial" or part == 3)
+        need_fine = part == "III" or (part == "II" and not radial)
         fine = refine_array(grid, s.values) if need_fine else None
         for lam in schedule.scales:
             h1 = _weighted_sup(s, beta * s.t, lam, epsilon(alpha, 1.0), alpha)
             h2 = h3 = None
-            if part == 2:
-                h2 = _hyp2_sup(s, fine, alpha, beta, lam, dirs)
-            if part == 3:
+            if part == "II":
+                # radial data: the direction average is |S^{d-2}| times the
+                # profile at radius sqrt(z^2 + rho^2), which h1 maximizes
+                h2 = (_SPHERE_AREA[d - 1] * h1 if radial
+                      else _hyp2_sup(s, fine, alpha, beta, lam, dirs))
+            if part == "III":
                 h3 = _hyp3_sup(s, fine, alpha, beta, lam, schedule.m,
                                schedule.theta0, schedule.vartheta0, dirs3)
             wn = weighted_norms(s, GevreyWeight(alpha, beta, t=s.t,
                                                 lam=math.sqrt(2.0) * lam))
-            relevant = {1: h1, 2: h2, 3: h3}[part]
-            ok = (relevant is not None and relevant <= schedule.M * slack
-                  and wn.l2 <= schedule.B * slack)
+            relevant = {"I": h1, "II": h2, "III": h3}[part]
+            ok = relevant <= schedule.M * slack and wn.l2 <= schedule.B * slack
             rows.append(HypothesisRow(scale=lam, t=s.t, hyp1=h1, hyp2=h2, hyp3=h3,
                                       weighted_l2=wn.l2, passed=bool(ok)))
     rows.sort(key=lambda r: (r.scale, r.t))

@@ -41,7 +41,7 @@ sum_j c_j v_j^k (radial: over the even extension of the profile).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -242,6 +242,14 @@ def state_with_values(state: SpectralState, values: np.ndarray,
 # catalog of initial data with closed-form transforms
 # ----------------------------------------------------------------------------
 
+# the parameters each datum kind reads; the others must keep their defaults
+_DATUM_PARAMS = {
+    "gaussian": ("sigma", "mass", "center"),
+    "gaussian-mixture": ("components",),
+    "laplace": ("a", "mass"),
+}
+
+
 @dataclass(frozen=True)
 class InitialDatum:
     """Catalog datum. Kinds:
@@ -262,6 +270,12 @@ class InitialDatum:
         d = self.dimension
         if d not in (1, 2, 3):
             raise ConfigError("dimension must be 1, 2 or 3")
+        if self.kind not in _DATUM_PARAMS:
+            raise ConfigError(f"unknown datum kind {self.kind!r}")
+        for f in fields(self):
+            if (f.default is not MISSING and f.name not in _DATUM_PARAMS[self.kind]
+                    and getattr(self, f.name) != f.default):
+                raise ConfigError(f"datum kind {self.kind!r} takes no {f.name!r}")
         if self.kind == "gaussian":
             if self.sigma <= 0 or self.mass <= 0:
                 raise ConfigError("gaussian needs sigma > 0 and mass > 0")
@@ -281,11 +295,8 @@ class InitialDatum:
                     raise ConfigError("mixture center dimension mismatch")
                 comps.append((float(w), c, float(s)))
             object.__setattr__(self, "components", tuple(comps))
-        elif self.kind == "laplace":
-            if self.a <= 0 or self.mass <= 0:
-                raise ConfigError("laplace needs a > 0 and mass > 0")
-        else:
-            raise ConfigError(f"unknown datum kind {self.kind!r}")
+        elif self.a <= 0 or self.mass <= 0:
+            raise ConfigError("laplace needs a > 0 and mass > 0")
 
     def _triples(self):
         if self.kind == "gaussian":

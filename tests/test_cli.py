@@ -398,8 +398,17 @@ def test_snapshot_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("suite", ["commutator", "conservation"])
 def test_verify_operator_suites_pass(suite, capsys):
-    assert main(["verify", suite, "--n", "2"]) == 0
+    # three commutator cases draw each grid mode once: full-1d, radial, full-2d
+    assert main(["verify", suite, "--n", "3"]) == 0
     assert "counterexample" not in capsys.readouterr().out.lower()
+
+
+@pytest.mark.parametrize("suite,checks", [
+    ("epsilon", 10128), ("expdiff", 10000), ("geometry", 1000)])
+def test_verify_runs_its_default_size(suite, checks, capsys):
+    # without --n each suite runs its own default number of cases
+    assert main(["verify", suite]) == 0
+    assert capsys.readouterr().out == f"{suite}: {checks} checks passed\n"
 
 
 RADIAL_PART3_INI = """\
@@ -670,7 +679,9 @@ def test_every_file_kinb_writes_ends_its_lines_in_a_bare_newline(tmp_path, capsy
     ("part = IV", "unknown induction part 'IV'"),
     ("part = I\nm = 9", "moments stop at order 4"),
     ("part = I\nm = 1", "m must be >= 2"),
-], ids=["part-IV", "m-9", "m-1"])
+    ("part = II", "parts II and III need d >= 2"),
+    ("part = 2", "unknown induction part '2'"),
+], ids=["part-IV", "m-9", "m-1", "part-II-on-a-line", "part-2"])
 def test_simulate_checks_the_induction_section(tmp_path, capsys, induction,
                                                message):
     cfg = _write(tmp_path, "kac.ini", KAC_INI.replace("part = I", induction))
@@ -684,8 +695,10 @@ def test_simulate_checks_the_induction_section(tmp_path, capsys, induction,
     ["--alpha", "1.5", "--beta", "0.1"],
     ["--alpha", "nan", "--beta", "0.1"],
     ["--alpha", "0.3", "--beta", "-1"],
+    ["--alpha", "0.3", "--beta", "nan"],
     ["--alpha", "0.3", "--beta", "0.1", "--lambda", "-2"],
-], ids=["alpha-above-1", "alpha-nan", "beta-negative", "lambda-negative"])
+], ids=["alpha-above-1", "alpha-nan", "beta-negative", "beta-nan",
+        "lambda-negative"])
 def test_diagnose_checks_the_weight_before_the_work(tmp_path, capsys, weight):
     g = GridSpec(dimension=1, mode="full-1d", n=129, eta_max=12.0)
     snap = str(tmp_path / "snap.csv")

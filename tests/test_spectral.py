@@ -237,6 +237,30 @@ def test_datum_validation():
         InitialDatum(kind="gaussian-mixture", dimension=1, components=())
     with pytest.raises(ConfigError):
         InitialDatum(kind="gaussian", dimension=2, center=(1.0,))
+    with pytest.raises(ConfigError, match="unknown datum kind"):
+        InitialDatum(kind="cauchy", dimension=1)
+
+
+_ONE_COMPONENT = ((1.0, (0.0,), 0.5),)
+
+
+@pytest.mark.parametrize("kind,name,value", [
+    ("gaussian-mixture", "mass", 3.0),
+    ("gaussian-mixture", "sigma", 0.5),
+    ("laplace", "sigma", 0.3),
+    ("laplace", "center", (2.0,)),
+    ("laplace", "components", _ONE_COMPONENT),
+    ("gaussian", "a", 2.0),
+    ("gaussian", "components", _ONE_COMPONENT),
+])
+def test_datum_refuses_parameters_its_kind_does_not_read(kind, name, value):
+    base = {"gaussian": {}, "laplace": {"a": 0.5},
+            "gaussian-mixture": {"components": _ONE_COMPONENT}}[kind]
+    with pytest.raises(ConfigError, match=f"datum kind '{kind}' takes no '{name}'"):
+        InitialDatum(kind=kind, dimension=1, **base, **{name: value})
+    # a field the kind does not read may keep its default
+    default = InitialDatum.__dataclass_fields__[name].default
+    InitialDatum(kind=kind, dimension=1, **base, **{name: default})
 
 
 # ---------------------------------------------------------------------------
