@@ -74,7 +74,7 @@ def main():
     print(f"resolution twin n={args.n_fine}: {time.time() - t1:.1f}s")
     path = os.path.join(args.out, "hinf.csv")
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
+        wr = csv.writer(fh, lineterminator="\n")
         wr.writerow(["t", f"hinf_n{args.n}", f"hinf_n{args.n_fine}", "rel_gap"])
         for (t, s1), (_, s2) in zip(traj.snapshots, fine.snapshots):
             v1 = hinf_weighted_norm(s1, beta=args.beta_weight)

@@ -47,7 +47,7 @@ def main():
 
     path = os.path.join(args.out, "alpha_fit.csv")
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
+        wr = csv.writer(fh, lineterminator="\n")
         wr.writerow(["t", "alpha_hat", "beta_t_hat", "beta_hat", "residual",
                      "n_points"])
         for t, s in traj.snapshots:

@@ -15,22 +15,24 @@ band-limited zero-padding in physical space (valid because every density
 this package evolves is compactly supported well inside the physical window
 1/h), then applies a local Lagrange stencil on the refined grid: 6 points
 on the full-1d and radial half-axis (on the laplace datum at n=512,
-eta_max=32 it errs by at most 6e-10 mass), 4x4 on the planar lattice.
-The refinement factor and the stencils are constants, not knobs.
+eta_max=32 it errs by at most 6e-10 mass), 4x4 on the planar lattice,
+both weighted by _lagrange_weights. The refinement factor and the stencils
+are constants, not knobs.
 
 Every sample set must be the transform of a real density: x(-eta) =
 conj x(eta) on the node pairs of GridSpec.mirror (radial values are real).
 SpectralState owns this contract: it checks the residue and stores the
 projection _hermitize, with exact pairs and exact zeros on the unpaired
 -n/2 row and column of the planar lattice, which carry no real-density
-content. Every refinement stores one half: irfft of the eta >= 0 nodes
-gives the real physical samples, rfft of their zero-padding gives the
-refined eta >= 0 half-axis (real in radial mode), and points eta < 0 are
-read at |eta| and conjugated. The planar refinement keeps the rows kx <= 0
-of the refined lattice, from rfft of the real parts of the inverse-DFT
-samples along kx; a point in kx > 0 keeps its stencil on the whole lattice
-and reads each tap at the mirror node, conjugated. interpolate_array checks
-raw samples, whose unpaired nodes enter through their Hermitian part.
+content. Every refinement therefore stores one half, and every mode reads
+the other half by one rule: a point there is evaluated at -eta and its sum
+conjugated. On the line the stored half is eta >= 0: irfft of the eta >= 0
+nodes gives the real physical samples, rfft of their zero-padding the
+refined half-axis (real in radial mode, whose points read |eta| with no
+conjugation). On the plane it is the rows kx <= 0 of the refined lattice,
+from rfft along kx of the real parts of the inverse-DFT samples.
+interpolate_array checks raw samples, whose unpaired nodes enter through
+their Hermitian part.
 
 Moments need no refinement: the refined transform is the trigonometric
 polynomial sum_j c_j e^{-2 pi i v_j . eta} whose coefficients are the
@@ -267,6 +269,11 @@ class InitialDatum:
     components: tuple = ()
 
     def __post_init__(self):
+        # array-valued centers and components are read as the tuples the
+        # checks below compare and test for emptiness
+        object.__setattr__(self, "center", tuple(self.center))
+        object.__setattr__(self, "components",
+                           tuple((w, tuple(c), s) for w, c, s in self.components))
         d = self.dimension
         if d not in (1, 2, 3):
             raise ConfigError("dimension must be 1, 2 or 3")
@@ -414,10 +421,10 @@ def _refine_2d(values: np.ndarray) -> np.ndarray:
     only. For even M and Mf the ifftshift of the input and the fftshift of
     the output are sign modulations that cancel, so neither is applied.
 
-    Returns those Mf/2 + 1 rows and three margin rows Mf/2 + k, k = 1..3,
-    filled by the mirror conj E[Mf/2 - k, (Mf - c) mod Mf], each with one
-    wrap column E[:, Mf] = E[:, 0] (the lattice is periodic). Every other
-    row is the mirror conj of a stored one; _InterpPlan reads it there.
+    Returns those Mf/2 + 1 rows and two margin rows Mf/2 + k, k = 1, 2,
+    filled by the mirror conj E[Mf/2 - k, (Mf - c) mod Mf]: the 4x4 stencil
+    of a point on kx = 0 reads up to row Mf/2 + 2. A point in kx > 0 is
+    read at -eta (see _InterpPlan), so no other row is needed.
     """
     M = values.shape[0]
     half = M // 2  # indices 0..M/2-1 hold v >= 0
@@ -428,15 +435,14 @@ def _refine_2d(values: np.ndarray) -> np.ndarray:
     cols[:half] = c[:half]
     cols[half - M:] = c[half:]
     cols = np.fft.rfft(cols, axis=0)
-    fine = np.empty((H + 4, Mf + 1), dtype=complex)
-    body = fine[:H + 1, :Mf]
+    fine = np.empty((H + 3, Mf), dtype=complex)
+    body = fine[:H + 1]
     body[:, :half] = cols[:, :half]
     body[:, half:half - M] = 0.0
     body[:, half - M:] = cols[:, half:]
     np.fft.fft(body, axis=1, out=body)
-    fine[H + 1:, 0] = fine[H - 1:H - 4:-1, 0].conj()
-    fine[H + 1:, 1:Mf] = fine[H - 1:H - 4:-1, Mf - 1:0:-1].conj()
-    fine[:, Mf] = fine[:, 0]
+    fine[H + 1:, 0] = fine[H - 1:H - 3:-1, 0].conj()
+    fine[H + 1:, 1:] = fine[H - 1:H - 3:-1, :0:-1].conj()
     return fine
 
 
@@ -464,8 +470,8 @@ def refine_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     full-1d and radial read only the eta >= 0 nodes and full-2d only the
     Hermitian part of the samples, so for other input the result is wrong
     without warning. Radial results are real and returned as float64;
-    full-2d returns the kx <= 0 half of the refined lattice, shape
-    (Mf/2 + 4, Mf + 1) (see _refine_2d).
+    full-2d returns the kx <= 0 half of the refined lattice and two margin
+    rows, shape (Mf/2 + 3, Mf) (see _refine_2d).
     """
     values = np.asarray(values, dtype=complex)
     if grid.mode == "full-2d":
@@ -488,66 +494,47 @@ def _fine_cell(u: np.ndarray, x0: float, hf: float, count: int,
     return u, i
 
 
-def _cubic_weights(t: np.ndarray) -> np.ndarray:
-    """4-point cubic Lagrange weights at offset t from the second node:
-    w0 = -t (t-1) (t-2)/6, w1 = (t+1) (t-1) (t-2)/2, w2 = -(t+1) t (t-2)/2,
-    w3 = (t+1) t (t-1)/6, products taken left to right. Overwrites t; a
-    planar plan holds ~10^5 points, so the buffers are reused."""
-    w = np.empty((4,) + t.shape)
-    tm1 = t - 1
-    np.add(t, 1, out=w[2])
-    np.multiply(w[2], tm1, out=w[1])
-    np.multiply(w[2], t, out=w[3])
-    w[3] *= tm1
-    np.negative(w[2], out=w[2])
-    w[2] *= t
-    np.negative(t, out=w[0])
-    w[0] *= tm1
-    t -= 2
-    w[:3] *= t
-    w[0::3] /= 6.0
-    w[1:3] /= 2.0
-    return w
-
-
-def _half_weights(t: np.ndarray) -> np.ndarray:
-    """6-point Lagrange weights at offset t from the third node:
-    w_k = prod_{j != k} (x - j)/(k - j) for k = 0..5 with x = t + 2, the
-    prefix product x (x-1) ... (x-k+1) times the suffix product
-    (x-k-1) ... (x-5), over (-1)^(5-k) k! (5-k)!. Overwrites t."""
-    w = np.empty((6,) + t.shape)
-    f = np.empty_like(t)
-    t += 2
+def _lagrange_weights(t: np.ndarray, taps: int) -> np.ndarray:
+    """Lagrange weights of the nodes k = 0..taps-1 at offsets
+    k+1-taps/2, read at offset t: with x = t + taps/2 - 1,
+    w_k = prod_{j != k} (x - j)/(k - j), the prefix product
+    x (x-1) ... (x-k+1) times the suffix product (x-taps+1) ... (x-k-1),
+    each taken left to right, over (-1)^(taps-1-k) k! (taps-1-k)!.
+    Overwrites t; a planar plan holds ~10^5 points, so the suffix runs in
+    w[0] and one point-sized buffer is the only other allocation."""
+    w = np.empty((taps,) + t.shape)
+    t += taps // 2 - 1
     w[1] = t
-    for k in range(2, 6):
-        np.subtract(t, k - 1, out=f)
-        np.multiply(w[k - 1], f, out=w[k])
-    s = t - 5
-    for k in range(4, 0, -1):
-        w[k] *= s
+    for k in range(2, taps):
+        np.subtract(t, k - 1, out=w[k])
+        w[k] *= w[k - 1]
+    f = np.empty_like(t)
+    np.subtract(t, taps - 1, out=w[0])
+    for k in range(taps - 2, 0, -1):
+        w[k] *= w[0]
         np.subtract(t, k, out=f)
-        s *= f
-    w[0] = s
-    w /= np.array([-120.0, 24.0, -12.0, 12.0, -24.0, 120.0])[:, None]
+        w[0] *= f
+    w /= np.array([(-1) ** (taps - 1 - k) * math.factorial(k)
+                   * math.factorial(taps - 1 - k) for k in range(taps)])[:, None]
     return w
 
 
 class _InterpPlan:
     """Precomputed stencil for evaluating many fixed points repeatedly.
 
-    full-1d and radial points read the 6 taps of their clipped cell i, the
-    nodes i-2..i+3 of the refined half-axis, |eta| taken first (full-1d
-    conjugates the sum at eta < 0); points beyond eta_max read 0.
-    full-2d keeps only the points inside the eta_max disk. Each point has
-    the clipped cell (i, j) of the whole refined lattice and reads its 16
-    taps from the stored kx <= 0 half (see _refine_2d): directly when
-    i <= Mf/2 + 1, and otherwise from the mirror block, whose taps are the
-    conj of the ones it stands for, conjugating the sum. Direct points come
-    first, then mirrored ones, each ordered by the band of lattice rows
-    they read, and `apply` sums them in blocks of consecutive points of one
-    group, so that a block's taps read a few rows that stay in cache; it
-    scatters the sums back to the caller's order. `apply` returns the
-    caller's point shape (planar: without the coordinate axis).
+    refine_array stores one half of the refined grid, and a point in the
+    other half is read at -eta with its sum conjugated: a full-1d point at
+    eta < 0, a planar one at kx > 0 (radial points read |eta|, the data
+    being even). Each point then reads the taps of its clipped cell on the
+    stored half: full-1d and radial the 6 nodes i-2..i+3 of the refined
+    half-axis, points beyond eta_max reading 0; full-2d the 4x4 nodes
+    (i-1..i+2, j-1..j+2) of the refined lattice, for the points inside the
+    eta_max disk only. Planar points are ordered by the band of lattice
+    rows they read, a band's points in kx > 0 last, and `apply` sums them
+    in blocks of consecutive points, so that a block's taps read a few rows
+    that stay in cache; it scatters the sums back to the caller's order.
+    `apply` returns the caller's point shape (planar: without the
+    coordinate axis).
     """
 
     def __init__(self, grid: GridSpec, points: np.ndarray):
@@ -561,67 +548,71 @@ class _InterpPlan:
             self.size = pts.shape[0]
             order = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1])
                                    <= g.eta_max * (1 + 1e-12))
-            u, row = _fine_cell(pts[order, 0], x0, hf, cnt, 4)
-            # sorted by bands of (cnt + 3)/256 rows: the stable argsort of
-            # an 8-bit key is a one-pass radix sort, and the key is below
-            # 128 exactly for the direct rows i <= cnt/2 + 1
-            key = (row * (256 / (cnt + 3))).astype(np.uint8)
+            # u is the one coordinate buffer, so that the permutation below
+            # releases its unsorted copy; every point reads the cell of
+            # -|kx|
+            u = pts[order, 0]
+            flip = u > 0
+            np.negative(np.abs(u, out=u), out=u)
+            u, row = _fine_cell(u, x0, hf, cnt, 4)
+            # sorted by bands of (cnt + 3)/256 rows, a band's flipped points
+            # last, so that the ufuncs masked by `flip` meet at most 256 runs
+            # (they pay per run): the stable argsort of an 8-bit key is a
+            # one-pass radix sort
+            key = (row * (256 / (cnt + 3))).astype(np.uint8) * 2 + flip
             perm = np.argsort(key, kind="stable")
-            self.split = int(np.count_nonzero(key < 128))
-            order, u, row = order[perm], u[perm], row[perm]
+            order, flip, u, row = order[perm], flip[perm], u[perm], row[perm]
             u -= row
-            self.wx = _cubic_weights(u)
-            u, col = _fine_cell(pts[order, 1], x0, hf, cnt, 4)
+            self.wx = _lagrange_weights(u, 4)
+            # y has its own name so that u is released only after col is
+            # allocated; released first, its place goes to col and splits
+            # the heap hole that later refined lattices reuse (+2 MB peak
+            # RSS on the 64x64 planar run)
+            y = pts[order, 1]
+            np.negative(y, out=y, where=flip)
+            u, col = _fine_cell(y, x0, hf, cnt, 4)
             u -= col
-            self.wy = _cubic_weights(u)
-            # with row stride W = cnt + 1, tap (a, b) of a direct point
-            # reads flat[a*W + b:][base] from (i - 1, j - 1), and of a
-            # mirrored one flat[(3 - a)*W + 3 - b:][base] from
-            # (cnt - i - 2, cnt - j - 2)
-            W = cnt + 1
-            row *= W
+            self.wy = _lagrange_weights(u, 4)
+            # with row stride cnt, tap (a, b) reads flat[a*cnt + b:][base]
+            # from (i - 1, j - 1)
+            row *= cnt
             row += col
             base = row.astype(np.int64)
-            base[:self.split] -= W + 1
-            np.subtract((cnt - 2) * (W + 1), base[self.split:],
-                        out=base[self.split:])
-            self.base, self.order, self.stride = base, order, W
+            base -= cnt + 1
+            self.base, self.order, self.stride = base, order, cnt
         else:
-            # the refined axis holds eta >= 0: full-1d reads x < 0 at |x|
-            # and conjugates, radial data are even
+            # the refined axis holds eta >= 0, and radial data are even
             x = points.reshape(-1)
             neg = x < 0
-            self.conj = neg if g.mode == "full-1d" and neg.any() else None
+            flip = neg if g.mode == "full-1d" and neg.any() else None
             x = np.abs(x)
             self.mask = x <= g.eta_max * (1 + 1e-12)
             u, i = _fine_cell(np.where(self.mask, x, 0.0), x0, hf, cnt, _HALF_TAPS)
             u -= i
-            self.wx = _half_weights(u)
+            self.wx = _lagrange_weights(u, _HALF_TAPS)
             # tap a reads fine[a:][first]
             self.first = i.astype(np.int64) - (_HALF_TAPS // 2 - 1)
+        self.flip = flip
 
     def apply(self, fine: np.ndarray) -> np.ndarray:
         """Stencil sums on a refine_array result, in its dtype."""
         if self.planar:
-            flat, W, split = fine.ravel(), self.stride, self.split
-            acc = np.empty(self.base.size, dtype=complex)
-            for lo, hi, taps in ((0, split, (0, 1, 2, 3)),
-                                 (split, acc.size, (3, 2, 1, 0))):
-                for s in range(lo, hi, _GATHER_BLOCK):
-                    blk = slice(s, min(s + _GATHER_BLOCK, hi))
-                    base, wx, wy = self.base[blk], self.wx[:, blk], self.wy[:, blk]
-                    for a in range(4):
-                        row = flat[taps[a] * W:]
-                        partial = wy[0] * row[taps[0]:][base]
-                        for b in range(1, 4):
-                            partial += wy[b] * row[taps[b]:][base]
-                        if a == 0:
-                            np.multiply(wx[0], partial, out=acc[blk])
-                        else:
-                            acc[blk] += wx[a] * partial
-            np.conjugate(acc[split:], out=acc[split:])
+            flat, W = fine.ravel(), self.stride
             out = np.zeros(self.size, dtype=complex)
-            out[self.order] = acc
+            for s in range(0, self.base.size, _GATHER_BLOCK):
+                blk = slice(s, s + _GATHER_BLOCK)
+                base, wx, wy = self.base[blk], self.wx[:, blk], self.wy[:, blk]
+                for a in range(4):
+                    row = flat[a * W:]
+                    partial = wy[0] * row[base]
+                    for b in range(1, 4):
+                        partial += wy[b] * row[b:][base]
+                    if a == 0:
+                        acc = wx[0] * partial
+                    else:
+                        acc += wx[a] * partial
+                np.conjugate(acc, out=acc, where=self.flip[blk])
+                out[self.order[blk]] = acc
             return out.reshape(self.shape)
         # two point-sized arrays per call, each tap taken into the same
         # buffer; mode="clip" clips nothing (every first + a is on the
@@ -633,8 +624,8 @@ class _InterpPlan:
             np.take(fine[a:], self.first, out=tap, mode="clip")
             tap *= self.wx[a]
             out += tap
-        if self.conj is not None:
-            out = np.where(self.conj, out.conj(), out)
+        if self.flip is not None:
+            np.conjugate(out, out=out, where=self.flip)
         if not self.mask.all():
             out = np.where(self.mask, out, 0.0)
         return out.reshape(self.shape)

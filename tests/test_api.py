@@ -1,5 +1,5 @@
-"""Public names: every export listed in an __all__ resolves, and every
-name a module imports is used."""
+"""Public names: every export listed in an __all__ resolves, every name a
+module imports is used, and every module-level private name is read."""
 
 import ast
 import importlib
@@ -41,3 +41,35 @@ def test_module_uses_every_import(name):
                 imported.add(alias.asname or alias.name.split(".")[0])
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used - set(mod.__all__)) == []
+
+
+def _private_definitions(tree):
+    """(name, node) of every module-level private def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_name_is_used():
+    # a private helper that nothing in src/ reads any more (say a stencil
+    # routine left behind by its replacement) is dead code
+    trees = [ast.parse(pathlib.Path(importlib.import_module(name).__file__).read_text())
+             for name in MODULES]
+    reads = [(n, n.id if isinstance(n, ast.Name) else n.attr)
+             for tree in trees for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+    dead = []
+    for mod, tree in zip(MODULES, trees):
+        for name, node in _private_definitions(tree):
+            own = {id(n) for n in ast.walk(node)}
+            if not any(read == name and id(n) not in own for n, read in reads):
+                dead.append(f"{mod}.{name}")
+    assert dead == []

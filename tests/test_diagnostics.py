@@ -193,7 +193,7 @@ def test_commutator_values_are_pinned():
                         0.012265082271249594, 0.007334069556796562),
         ("radial", 3): (-0.0013081882575581793, 0.016840658442121348,
                         0.02392987385026959, 0.0156632786550768),
-        ("full-2d", 2): (-0.0005915185819084313, 0.009690925186019276,
+        ("full-2d", 2): (-0.0005915185819088185, 0.009690925186019276,
                          0.014317853584484445, 0.008548555080505404),
     }
     grids = (

@@ -26,6 +26,6 @@ def test_script_runs(tmp_path, script, args, written):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     for name in written:
-        with open(tmp_path / "out" / name) as fh:
-            lines = fh.read().splitlines()
-        assert len(lines) >= 2, name   # a header and at least one row
+        raw = (tmp_path / "out" / name).read_bytes()
+        assert b"\r" not in raw, name   # every line ends in a bare newline
+        assert len(raw.decode().splitlines()) >= 2, name   # a header and a row

@@ -263,6 +263,17 @@ def test_datum_refuses_parameters_its_kind_does_not_read(kind, name, value):
     InitialDatum(kind=kind, dimension=1, **base, **{name: default})
 
 
+def test_datum_reads_numpy_centers_and_components_as_tuples():
+    datum = InitialDatum(kind="gaussian", dimension=2, center=np.array([0.5, 0.0]))
+    assert datum == InitialDatum(kind="gaussian", dimension=2, center=(0.5, 0.0))
+    comps = ((0.5, (0.2, 0.0), 0.4), (0.5, (-0.2, 0.0), 0.6))
+    mix = InitialDatum(kind="gaussian-mixture", dimension=2,
+                       components=np.array(comps, dtype=object))
+    assert mix == InitialDatum(kind="gaussian-mixture", dimension=2, components=comps)
+    with pytest.raises(ConfigError, match="datum kind 'laplace' takes no 'center'"):
+        InitialDatum(kind="laplace", dimension=1, center=np.array([2.0]))
+
+
 # ---------------------------------------------------------------------------
 # interpolation
 # ---------------------------------------------------------------------------
@@ -388,21 +399,22 @@ def test_half_axis_interpolation_floor(grid, bound):
     assert err < bound * values[grid.zero_index].real
 
 
-def test_half_axis_weights_reproduce_quintics():
-    # 6-point Lagrange weights on the offsets -2..3 sum polynomials of
-    # degree <= 5 exactly
+@pytest.mark.parametrize("taps", [4, 6])
+def test_lagrange_weights_reproduce_polynomials(taps):
+    # Lagrange weights on the offsets 1-taps/2..taps/2 sum polynomials of
+    # degree <= taps-1 exactly
     t = np.random.default_rng(5).uniform(0.0, 1.0, 500)
-    w = spectral._half_weights(t.copy())
-    for p in range(6):
-        got = sum(w[k] * float(k - 2) ** p for k in range(6))
+    w = spectral._lagrange_weights(t.copy(), taps)
+    for p in range(taps):
+        got = sum(w[k] * float(k + 1 - taps // 2) ** p for k in range(taps))
         np.testing.assert_allclose(got, t ** p, rtol=0, atol=1e-13)
 
 
 def _check_planar_refinement(grid, values):
-    # the stored rows kx <= 0, the three margin rows kx = h/U..3h/U and the
-    # wrap column ky = +eta_max are the trigonometric polynomial of the
-    # real parts c_j of the inverse-DFT samples, at v_j = j/(M h),
-    # j = -M/2..M/2-1; the refined lattice point (i, c) is ((i, c) - Mf/2) h/U
+    # the stored rows kx <= 0 and the two margin rows kx = h/U, 2h/U are the
+    # trigonometric polynomial of the real parts c_j of the inverse-DFT
+    # samples, at v_j = j/(M h), j = -M/2..M/2-1; the refined lattice point
+    # (i, c) is ((i, c) - Mf/2) h/U
     M, h = grid.n, grid.spacing
     x0, hf, Mf = spectral._fine_axis(grid)
     H = Mf // 2
@@ -411,26 +423,34 @@ def _check_planar_refinement(grid, values):
     phase = np.exp(2j * np.pi * np.outer(v, k * h))
     c = (phase @ values @ phase.T).real / M ** 2
     fine = refine_array(grid, values)
-    assert fine.shape == (H + 4, Mf + 1) and fine.dtype == complex
-    ex = np.exp(-2j * np.pi * np.outer(x0 + np.arange(H + 4) * hf, v))
-    ey = np.exp(-2j * np.pi * np.outer(x0 + np.arange(Mf + 1) * hf, v))
+    assert fine.shape == (H + 3, Mf) and fine.dtype == complex
+    ex = np.exp(-2j * np.pi * np.outer(x0 + np.arange(H + 3) * hf, v))
+    ey = np.exp(-2j * np.pi * np.outer(x0 + np.arange(Mf) * hf, v))
     want = ex @ c @ ey.T
     mass = values[grid.zero_index].real
     assert np.abs(fine - want).max() < 1e-13 * mass
-    # F(-eta) = conj F(eta) away from the clipped strips at +-eta_max, where
-    # the stencils of eta and -eta hold the same four nodes per axis
+    # a point in kx > 0 is read at -eta and conjugated, so F(-eta) =
+    # conj F(eta) holds bit for bit off kx = 0, in the clipped strips at
+    # |kx| or |ky| near eta_max too
+    e = grid.eta_max
     rng = np.random.default_rng(7)
-    pts = rng.uniform(-grid.eta_max, grid.eta_max, (4000, 2))
-    pts = pts[np.hypot(pts[:, 0], pts[:, 1]) < grid.eta_max - 2 * hf]
-    got = interpolate_array(grid, values, pts)
-    assert np.abs(interpolate_array(grid, values, -pts) - got.conj()).max() < 1e-14 * mass
+    phi = rng.uniform(0.0, 2.0 * np.pi, 1000)
+    strips = np.concatenate([e * np.stack([np.cos(phi), np.sin(phi)], axis=1),
+                             [[e - 0.5 * hf, 0.1], [0.2, e - 0.3 * hf],
+                              [-0.3, -e + 1.5 * hf], [-e + 0.2 * hf, -0.05]]])
+    pts = np.concatenate([rng.uniform(-e, e, (4000, 2)), strips])
+    pts = pts[(np.hypot(pts[:, 0], pts[:, 1]) <= e) & (pts[:, 0] != 0.0)]
+    assert np.count_nonzero(np.abs(pts) > e - 2.0 * hf) > 100
+    np.testing.assert_array_equal(interpolate_array(grid, values, -pts),
+                                  np.conj(interpolate_array(grid, values, pts)))
 
 
 def test_planar_plan_matches_direct_16_tap_sum():
     # the planar plan keeps only in-disk points, sorted by refined row; its
     # sums must equal, bit for bit and in the caller's order, the 16-tap sum
     # (y-taps first, then x-taps) on the whole lattice that the stored half
-    # defines, with beyond-disk points 0
+    # defines: at the point's own cell for kx <= 0, and conjugated at -eta
+    # for kx > 0; beyond-disk points read 0
     g = GridSpec(dimension=2, mode="full-2d", n=32, eta_max=3.0)
     datum = InitialDatum(kind="gaussian-mixture", dimension=2,
                          components=((0.6, (0.4, -0.3), 0.5), (0.4, (-0.6, 0.2), 0.7)))
@@ -443,26 +463,27 @@ def test_planar_plan_matches_direct_16_tap_sum():
                      [-0.2, e - 0.3 * hf], [-e + 0.4 * hf, 0.05],
                      [e * (1 + 1e-13), 0.0], [0.6 * e, -0.8 * e]])
     # blocks straddling row cnt/2 (kx = 0), blocks just above it, and
-    # mirrored points at ky ~ -eta_max, which read the wrap column
+    # points at ky ~ +-eta_max on either side of kx = 0
     y = rng.uniform(-0.9 * e, 0.9 * e, 40)
     straddle = np.stack([np.linspace(-2.0 * hf, 1.99 * hf, 40), y], axis=1)
     above = np.stack([np.linspace(2.0 * hf, 3.99 * hf, 40), y], axis=1)
-    wrap = np.array([[0.05, -e + 0.3 * hf], [0.1, -e + 0.9 * hf],
-                     [0.03, -e + 0.1 * hf], [0.12, -e + 1.9 * hf]])
+    rim = np.array([[0.05, -e + 0.3 * hf], [-0.1, -e + 0.9 * hf],
+                    [0.03, e - 0.1 * hf], [-0.12, e - 1.9 * hf]])
     beyond = np.array([[e * 1.001, 0.0], [0.0, -e * 1.2], [e, e], [-0.9 * e, 0.9 * e]])
     pts = np.concatenate([g.nodes(), rng.uniform(-1.1 * e, 1.1 * e, (20000, 2)),
-                          edge, straddle, above, wrap, beyond])
+                          edge, straddle, above, rim, beyond])
     pts = pts[rng.permutation(len(pts))]
 
     def stencil(x):
-        # the clipped cell and the 4-point Lagrange weights, from their formulas
+        # the clipped cell and the 4-point Lagrange weights, from their
+        # formulas with the products in the order of _lagrange_weights
         u = (x - x0) / hf
         i = np.clip(np.floor(u), 1, cnt - 3)
-        t = u - i
-        return i.astype(np.int64), np.array([-t * (t - 1) * (t - 2) / 6.0,
-                                             (t + 1) * (t - 1) * (t - 2) / 2.0,
-                                             -(t + 1) * t * (t - 2) / 2.0,
-                                             (t + 1) * t * (t - 1) / 6.0])
+        s = u - i + 1
+        return i.astype(np.int64), np.array([((s - 3) * (s - 2)) * (s - 1) / -6.0,
+                                             s * ((s - 3) * (s - 2)) / 2.0,
+                                             (s * (s - 1)) * (s - 3) / -2.0,
+                                             (s * (s - 1)) * (s - 2) / 6.0])
 
     # the plan's in-place helpers compute the same bits
     x = x0 + rng.uniform(-1.5, cnt + 1.5, 1000) * hf
@@ -470,26 +491,27 @@ def test_planar_plan_matches_direct_16_tap_sum():
     u -= i
     want_i, want_w = stencil(x)
     np.testing.assert_array_equal(i, want_i)
-    np.testing.assert_array_equal(spectral._cubic_weights(u), want_w)
+    np.testing.assert_array_equal(spectral._lagrange_weights(u, 4), want_w)
 
     mask = np.hypot(pts[:, 0], pts[:, 1]) <= e * (1 + 1e-12)
-    ix, wx = stencil(np.where(mask, pts[:, 0], 0.0))
-    iy, wy = stencil(np.where(mask, pts[:, 1], 0.0))
-    # the clipped strips at both edges are hit, and so are the rows around
-    # cnt/2 and the wrap column
-    assert ix.min() == iy.min() == 1 and ix.max() == iy.max() == cnt - 3
+    flip = pts[:, 0] > 0
+    read = np.where(mask[:, None], np.where(flip[:, None], -pts, pts), 0.0)
+    ix, wx = stencil(read[:, 0])
+    iy, wy = stencil(read[:, 1])
+    # the clipped strips at both edges are hit, and so are the rows up to
+    # cnt/2 (kx = 0), whose stencils read the margin rows
     H = cnt // 2
-    assert {H - 2, H - 1, H, H + 1, H + 2, H + 3} <= set(ix[mask].tolist())
-    assert np.any(mask & (ix >= H + 2) & (iy == 1))
-    np.testing.assert_array_equal(half[H + 1:, :cnt], fine[H + 1:H + 4])
-    np.testing.assert_array_equal(half[:, cnt], half[:, 0])
+    assert ix.min() == iy.min() == 1 and ix.max() == H and iy.max() == cnt - 3
+    assert {H - 2, H - 1} <= set(ix[mask & flip].tolist())
+    assert {H - 2, H - 1, H} <= set(ix[mask & ~flip].tolist())
+    np.testing.assert_array_equal(half[H + 1:], fine[H + 1:H + 3])
     want = np.zeros(len(pts), dtype=complex)
     for a in range(4):
         partial = np.zeros(len(pts), dtype=complex)
         for b in range(4):
             partial += wy[b] * fine[ix + a - 1, iy + b - 1]
         want += wx[a] * partial
-    want = np.where(mask, want, 0.0)
+    want = np.where(mask, np.where(flip, want.conj(), want), 0.0)
 
     got = spectral._InterpPlan(g, pts).apply(half)
     np.testing.assert_array_equal(got, want)
@@ -500,6 +522,39 @@ def test_planar_plan_matches_direct_16_tap_sum():
     np.testing.assert_array_equal(
         spectral._InterpPlan(g, pts[perm].reshape(-1, 4, 2)).apply(half),
         got[perm].reshape(-1, 4))
+
+
+@pytest.mark.parametrize("case", sorted(_REFINE_CASES))
+def test_plan_reads_stay_on_the_refined_array(case):
+    # numpy wraps a negative index without an error, so a margin off by one
+    # would read wrong values silently: every flat index a plan reads, on
+    # random points and on the edges (the rim, the rows around kx = 0 and
+    # ky = +-eta_max), must lie in [0, fine.size)
+    grid, datum = _REFINE_CASES[case]
+    fine = refine_array(grid, init_state(grid, datum).values)
+    x0, hf, cnt = spectral._fine_axis(grid)
+    e = grid.eta_max
+    rng = np.random.default_rng(13)
+    if grid.mode == "full-2d":
+        phi = rng.uniform(0.0, 2.0 * np.pi, 500)
+        s = rng.uniform(-e, e, 200)
+        kx0 = np.stack([hf * rng.uniform(-3.0, 3.0, 200), s], axis=1)
+        edge = np.concatenate([
+            e * np.stack([np.cos(phi), np.sin(phi)], axis=1),
+            kx0, np.stack([np.zeros(200), s], axis=1),
+            np.stack([hf * rng.uniform(-2.0, 2.0, 50), np.full(50, e)], axis=1),
+            np.stack([hf * rng.uniform(-2.0, 2.0, 50), np.full(50, -e)], axis=1)])
+        pts = np.concatenate([rng.uniform(-e, e, (2000, 2)), edge])
+        plan = spectral._InterpPlan(grid, pts)
+        assert plan.stride == fine.shape[1]
+        taps = (np.arange(4)[:, None] * plan.stride + np.arange(4)).ravel()
+        reads = plan.base[:, None] + taps
+    else:
+        edge = np.array([0.0, hf / 3, 2.5 * hf, e - hf / 3, e, e * (1 + 1e-13), 1.5 * e])
+        pts = np.concatenate([rng.uniform(-e, e, 2000), edge, -edge])
+        plan = spectral._InterpPlan(grid, pts)
+        reads = plan.first[:, None] + np.arange(spectral._HALF_TAPS)
+    assert reads.min() >= 0 and reads.max() < fine.size
 
 
 def test_interpolate_array_rejects_non_real_samples():
