@@ -10,14 +10,19 @@ so fhat(0) is the mass and derivatives at 0 give signed moments with powers of
   full-2d : nodes (kx, ky)*h for k = -n/2..n/2-1, h = 2*eta_max/n (n^2 nodes)
   radial  : nodes j*h for j = 0..n-1, h = eta_max/(n-1), rotation-invariant data
 
-Off-grid evaluation first refines the stored samples 16-fold by exact
-band-limited zero-padding in physical space (valid because every density
-this package evolves is compactly supported well inside the physical window
-1/h), then applies a local Lagrange stencil on the refined grid: 6 points
-on the full-1d and radial half-axis (on the laplace datum at n=512,
-eta_max=32 it errs by at most 6e-10 mass), 4x4 on the planar lattice,
-both weighted by _lagrange_weights. The refinement factor and the stencils
-are constants, not knobs.
+Off-grid evaluation refines the stored samples 8-fold by exact band-limited
+zero-padding in physical space (valid because every density this package
+evolves is compactly supported well inside the physical window 1/h) and
+sums a B-spline interpolant of the refined grid: quintic, 6 taps, on the
+full-1d and radial half-axis (on the laplace datum at n=512, eta_max=32 it
+errs by at most 3.1e-10 mass), cubic, 4x4 taps, on the planar lattice
+(3.5e-8 mass on the planar operator's own points), both weighted by
+_bspline_weights. The spline prefilter costs one division of the physical
+samples by the spline's symbol before the zero-padding, so refine_array
+returns spline coefficients, not samples. The planar lattice is periodic,
+and its stencils read the periodic continuation at kx = -eta_max and
+ky = +-eta_max. The refinement factor and the stencils are constants, not
+knobs.
 
 Every sample set must be the transform of a real density: x(-eta) =
 conj x(eta) on the node pairs of GridSpec.mirror (radial values are real).
@@ -62,8 +67,8 @@ __all__ = [
 ]
 
 _MODES = ("full-1d", "full-2d", "radial")
-_UPSAMPLE = 16   # band-limited refinement factor of every mode
-_HALF_TAPS = 6   # Lagrange stencil width on the full-1d and radial half-axis
+_UPSAMPLE = 8    # band-limited refinement factor of every mode
+_HALF_TAPS = 6   # quintic B-spline stencil width on the full-1d and radial half-axis
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}  # |S^{d-1}|
 _GATHER_BLOCK = 8192  # points per block of a planar gather (see _InterpPlan)
@@ -386,92 +391,103 @@ def init_state(grid: GridSpec, datum: InitialDatum) -> SpectralState:
 
 
 # ----------------------------------------------------------------------------
-# band-limited refinement + local Lagrange interpolation
+# band-limited refinement + local B-spline interpolation
 # ----------------------------------------------------------------------------
 
 def _refine_half(half: np.ndarray) -> np.ndarray:
-    """Real band-limited refinement read on the eta >= 0 half-axis.
+    """Quintic B-spline coefficients of the band-limited refinement on the
+    eta >= 0 half-axis.
 
     `half` holds the node values at k h, k = 0..n-1, of a Hermitian set of
-    M = 2n - 1 samples; their inverse DFT is M real physical samples, which
-    are zero-padded to U*M (U = _UPSAMPLE) and transformed back by rfft.
-    Returns the values at k h/U for k = -2..U*M/2: the nodes at -2h/U and
-    -h/U are the mirror conj of the ones at +2h/U and +h/U, so the 6-point
-    stencil also works at eta = 0. Valid when the physical signal is
-    supported inside the window 1/h.
+    M = 2n - 1 samples; their inverse DFT is M real physical samples c_j.
+    Each is divided by the quintic spline's symbol B5(w) = (66 + 52 cos w
+    + 2 cos 2w)/120 at w = 2 pi j/Mf (Mf = U*M, U = _UPSAMPLE), which is the
+    spline prefilter, and the result is zero-padded to Mf and transformed
+    back by rfft. The coefficients a_k at k h/U then make
+    sum_k a_k beta5(eta U/h - k) equal the trigonometric polynomial of the
+    samples at every k h/U. Returns a_k for k = -2..Mf/2: the ones at
+    -2h/U and -h/U are the mirror conj of the ones at +2h/U and +h/U, so
+    the 6-tap stencil also works at eta = 0. Valid when the physical signal
+    is supported inside the window 1/h.
     """
     n = half.shape[0]
     M = 2 * n - 1
     Mf = _UPSAMPLE * M
     c = np.fft.irfft(half, M)
+    x = np.cos((2.0 * np.pi / _UPSAMPLE) * np.fft.fftfreq(M))
+    c /= (16.0 + x * (13.0 + x)) / 30.0   # B5, with cos 2w = 2 x^2 - 1
     ext = np.zeros(Mf)
     ext[:n] = c[:n]            # v_j for j = 0..n-1
     ext[Mf - n + 1:] = c[n:]   # j = -(n-1)..-1, wrapped to the end
-    spec = np.fft.rfft(ext)
-    return np.concatenate([spec[_HALF_TAPS // 2 - 1:0:-1].conj(), spec])
+    margin = _HALF_TAPS // 2 - 1
+    fine = np.empty(Mf // 2 + 1 + margin, dtype=complex)
+    np.fft.rfft(ext, out=fine[margin:])
+    np.conjugate(fine[2 * margin:margin:-1], out=fine[:margin])
+    return fine
 
 
 def _refine_2d(values: np.ndarray) -> np.ndarray:
-    """2-D refinement of an even M x M lattice on the half-plane kx <= 0.
+    """Cubic B-spline coefficients of the 2-D refinement of an even M x M
+    lattice, on the half-plane kx <= 0.
 
-    Row i, column c of the Mf x Mf refined lattice (Mf = U*M) is the point
-    ((i, c) - Mf/2) h/U. The real physical samples Re ifft2(values) are
-    zero-padded; rfft along axis 0 of their M nonzero columns gives the
-    rows i = 0..Mf/2 (kx <= 0), and the row transforms run on those rows
-    only. For even M and Mf the ifftshift of the input and the fftshift of
-    the output are sign modulations that cancel, so neither is applied.
+    Lattice row i, column c of the Mf x Mf refined lattice (Mf = U*M) is
+    the point ((i, c) - Mf/2) h/U; the lattice is periodic with period Mf
+    in each index (2 eta_max in each coordinate). The real physical
+    samples c_j = Re ifft2(values) are divided by the cubic spline's symbol
+    B3(wx) B3(wy), B3(w) = (2 + cos w)/3 at w = 2 pi j/Mf, which is the
+    spline prefilter, and zero-padded; rfft along axis 0 of their M nonzero
+    columns gives the lattice rows i = 0..Mf/2 (kx <= 0), and the row
+    transforms run on those rows only. For even M and Mf the ifftshift of
+    the input and the fftshift of the output are sign modulations that
+    cancel, so neither is applied.
 
-    Returns those Mf/2 + 1 rows and two margin rows Mf/2 + k, k = 1, 2,
-    filled by the mirror conj E[Mf/2 - k, (Mf - c) mod Mf]: the 4x4 stencil
-    of a point on kx = 0 reads up to row Mf/2 + 2. A point in kx > 0 is
-    read at -eta (see _InterpPlan), so no other row is needed.
+    Stored row r, column s hold lattice row r - 1, column s - 1: shape
+    (Mf/2 + 3, Mf + 3), lattice rows -1..Mf/2 + 1 and columns -1..Mf + 1.
+    Columns -1, Mf and Mf + 1 are the periodic copies of Mf - 1, 0 and 1;
+    rows -1 and Mf/2 + 1 are the mirror conj of rows 1 and Mf/2 - 1, a
+    stored row reversed. A 4x4 stencil on the cells 0..Mf/2 - 1 in kx and
+    0..Mf - 1 in ky therefore reads the periodic continuation of the
+    lattice at kx = -eta_max and ky = +-eta_max; a point in kx > 0 is read
+    at -eta (see _InterpPlan), so no other row is needed.
     """
     M = values.shape[0]
     half = M // 2  # indices 0..M/2-1 hold v >= 0
     Mf = _UPSAMPLE * M
     H = Mf // 2
     c = np.fft.ifft2(values).real
+    b = (2.0 + np.cos((2.0 * np.pi / _UPSAMPLE) * np.fft.fftfreq(M))) / 3.0
+    c /= np.outer(b, b)
     cols = np.zeros((Mf, M))
     cols[:half] = c[:half]
     cols[half - M:] = c[half:]
     cols = np.fft.rfft(cols, axis=0)
-    fine = np.empty((H + 3, Mf), dtype=complex)
-    body = fine[:H + 1]
+    fine = np.empty((H + 3, Mf + 3), dtype=complex)
+    body = fine[1:H + 2, 1:Mf + 1]
     body[:, :half] = cols[:, :half]
     body[:, half:half - M] = 0.0
     body[:, half - M:] = cols[:, half:]
     np.fft.fft(body, axis=1, out=body)
-    fine[H + 1:, 0] = fine[H - 1:H - 3:-1, 0].conj()
-    fine[H + 1:, 1:] = fine[H - 1:H - 3:-1, :0:-1].conj()
+    fine[1:H + 2, 0] = fine[1:H + 2, Mf]
+    fine[1:H + 2, Mf + 1:] = fine[1:H + 2, 1:3]
+    np.conjugate(fine[2, ::-1], out=fine[0])
+    np.conjugate(fine[H, ::-1], out=fine[H + 2])
     return fine
 
 
-def _fine_axis(grid: GridSpec) -> tuple:
-    """(origin, spacing, count) of the refined axis for each mode: either
-    axis of the whole periodic Mf x Mf lattice for full-2d (refine_array
-    stores its kx <= 0 half), the eta >= 0 half-axis with the mirrored
-    nodes at -2h/U and -h/U in front for full-1d and radial."""
-    U = _UPSAMPLE
-    h = grid.spacing
-    if grid.mode == "full-2d":
-        M = grid.n
-        Mf = U * M
-        x0 = -(Mf // 2) * (h / U)
-        return x0, h / U, Mf
-    Mf = U * (2 * grid.n - 1)
-    margin = _HALF_TAPS // 2 - 1
-    return -margin * h / U, h / U, Mf // 2 + 1 + margin
-
-
 def refine_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Band-limited refinement of node samples on the axes of _fine_axis.
+    """The B-spline coefficient lattice that _InterpPlan reads: band-limited
+    refinement by U = _UPSAMPLE with the spline prefilter folded in.
 
     The samples must be transforms of real densities, as every state is:
     full-1d and radial read only the eta >= 0 nodes and full-2d only the
     Hermitian part of the samples, so for other input the result is wrong
-    without warning. Radial results are real and returned as float64;
-    full-2d returns the kx <= 0 half of the refined lattice and two margin
-    rows, shape (Mf/2 + 3, Mf) (see _refine_2d).
+    without warning. full-1d and radial return the quintic coefficients at
+    k h/U, k = -2..Mf/2 (see _refine_half; radial ones are real and
+    returned as float64); full-2d returns the cubic coefficients of the
+    kx <= 0 half of the refined lattice with one margin row and column in
+    front and one row and two columns behind, shape (Mf/2 + 3, Mf + 3)
+    (see _refine_2d). The coefficients are not samples of the transform:
+    only the spline sum of _InterpPlan is.
     """
     values = np.asarray(values, dtype=complex)
     if grid.mode == "full-2d":
@@ -481,69 +497,88 @@ def refine_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_refine_half(values).real)
 
 
-def _fine_cell(u: np.ndarray, x0: float, hf: float, count: int,
-               taps: int) -> tuple:
+def _fine_axis(grid: GridSpec) -> tuple:
+    """(x0, hf, cells) of the refined axis the plans read: a point at x lies
+    in the cell floor((x - x0)/hf), clipped to 0..cells-1, and the taps of
+    cell i read the entries i..i+taps-1 of refine_array along the axis.
+    full-2d: x0 = -eta_max and the Mf cells of the periodic ky axis, of
+    which kx uses the first Mf/2 (kx <= 0); full-1d and radial: x0 = 0 and
+    the cells of eta >= 0 whose 6 taps lie on the stored half-axis."""
+    hf = grid.spacing / _UPSAMPLE
+    if grid.mode == "full-2d":
+        return -grid.eta_max, hf, _UPSAMPLE * grid.n
+    return 0.0, hf, _UPSAMPLE * (2 * grid.n - 1) // 2 - _HALF_TAPS // 2 + 1
+
+
+def _fine_cell(u: np.ndarray, x0: float, hf: float, last: int) -> tuple:
     """Fine-lattice coordinate u = (x - x0)/hf, computed in place from the
-    float array x passed as u, and the index floor(u), clipped to
-    taps/2-1..count-taps/2-1 so that a stencil on the offsets
-    1-taps/2..taps/2 stays on the lattice; the index is returned as float."""
+    float array x passed as u, and the cell index floor(u), clipped to
+    0..last and returned as float. A point on the upper end of the last
+    cell keeps that cell with u - floor(u) = 1, where the B-spline weights
+    are still exact."""
     u -= x0
     u /= hf
     i = np.floor(u)
-    np.clip(i, taps // 2 - 1, count - taps // 2 - 1, out=i)
+    np.clip(i, 0, last, out=i)
     return u, i
 
 
-def _lagrange_weights(t: np.ndarray, taps: int) -> np.ndarray:
-    """Lagrange weights of the nodes k = 0..taps-1 at offsets
-    k+1-taps/2, read at offset t: with x = t + taps/2 - 1,
-    w_k = prod_{j != k} (x - j)/(k - j), the prefix product
-    x (x-1) ... (x-k+1) times the suffix product (x-taps+1) ... (x-k-1),
-    each taken left to right, over (-1)^(taps-1-k) k! (taps-1-k)!.
-    Overwrites t; a planar plan holds ~10^5 points, so the suffix runs in
-    w[0] and one point-sized buffer is the only other allocation."""
-    w = np.empty((taps,) + t.shape)
-    t += taps // 2 - 1
-    w[1] = t
-    for k in range(2, taps):
-        np.subtract(t, k - 1, out=w[k])
-        w[k] *= w[k - 1]
-    f = np.empty_like(t)
-    np.subtract(t, taps - 1, out=w[0])
-    for k in range(taps - 2, 0, -1):
-        w[k] *= w[0]
-        np.subtract(t, k, out=f)
-        w[0] *= f
-    w /= np.array([(-1) ** (taps - 1 - k) * math.factorial(k)
-                   * math.factorial(taps - 1 - k) for k in range(taps)])[:, None]
+# uniform B-spline weights of the taps at offsets 1-taps/2..taps/2 from a
+# point's cell, as polynomials in the offset t in [0, 1] of the point in
+# its cell: column k holds the coefficients of tap k's cubic (4 taps) or
+# quintic (6 taps) basis function, highest power of t first
+_BSPLINE = {
+    4: np.array([[-1, 3, -3, 1], [3, -6, 0, 4], [-3, 3, 3, 1],
+                 [1, 0, 0, 0]]).T / 6.0,
+    6: np.array([[-1, 5, -10, 10, -5, 1], [5, -20, 20, 20, -50, 26],
+                 [-10, 30, 0, -60, 0, 66], [10, -20, -20, 20, 50, 26],
+                 [-5, 5, 10, 10, 5, 1], [1, 0, 0, 0, 0, 0]]).T / 120.0,
+}
+
+
+def _bspline_weights(t: np.ndarray, taps: int) -> np.ndarray:
+    """B-spline weights of shape (taps,) + t.shape, by Horner's rule on
+    every tap at once: w = c0 t + c1, then w = w t + c_p. The weight array
+    is the only allocation; a planar plan holds ~10^5 points."""
+    coef = _BSPLINE[taps]
+    w = np.multiply.outer(coef[0], t)
+    w += coef[1][:, None]
+    for c in coef[2:]:
+        w *= t
+        w += c[:, None]
     return w
 
 
 class _InterpPlan:
     """Precomputed stencil for evaluating many fixed points repeatedly.
 
-    refine_array stores one half of the refined grid, and a point in the
-    other half is read at -eta with its sum conjugated: a full-1d point at
-    eta < 0, a planar one at kx > 0 (radial points read |eta|, the data
-    being even). Each point then reads the taps of its clipped cell on the
-    stored half: full-1d and radial the 6 nodes i-2..i+3 of the refined
-    half-axis, points beyond eta_max reading 0; full-2d the 4x4 nodes
-    (i-1..i+2, j-1..j+2) of the refined lattice, for the points inside the
-    eta_max disk only. Planar points are ordered by the band of lattice
-    rows they read, a band's points in kx > 0 last, and `apply` sums them
-    in blocks of consecutive points, so that a block's taps read a few rows
-    that stay in cache; it scatters the sums back to the caller's order.
-    `apply` returns the caller's point shape (planar: without the
-    coordinate axis).
+    refine_array stores one half of the B-spline coefficient lattice, and a
+    point in the other half is read at -eta with its sum conjugated: a
+    full-1d point at eta < 0, a planar one at kx > 0 (radial points read
+    |eta|, the data being even). Each point then sums the taps around its
+    cell on the stored half with B-spline weights: full-1d and radial the
+    6 coefficients i-2..i+3 of the refined half-axis with quintic weights,
+    points beyond eta_max reading 0; full-2d the 4x4 coefficients
+    (i-1..i+2, j-1..j+2) of the refined lattice with cubic weights, for the
+    points inside the eta_max disk only, its cells clipped to kx < 0 and
+    ky < eta_max (a point on the upper edge of a cell reads it at t = 1).
+    Near kx = -eta_max and ky = +-eta_max the planar taps read the margin
+    of refine_array, the periodic continuation of the lattice. Planar
+    points are ordered by the band of lattice rows they read, a band's
+    points in kx > 0 last, and `apply` sums them in blocks of consecutive
+    points, so that a block's taps read a few rows that stay in cache; it
+    scatters the sums back to the caller's order. `apply` returns the
+    caller's point shape (planar: without the coordinate axis).
     """
 
     def __init__(self, grid: GridSpec, points: np.ndarray):
         g = grid
-        x0, hf, cnt = _fine_axis(g)
+        x0, hf, cells = _fine_axis(g)
         points = np.asarray(points, dtype=float)
         self.planar = g.mode == "full-2d"
         self.shape = points.shape[:-1] if self.planar else points.shape
         if self.planar:
+            H = cells // 2
             pts = points.reshape(-1, 2)
             self.size = pts.shape[0]
             order = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1])
@@ -554,32 +589,32 @@ class _InterpPlan:
             u = pts[order, 0]
             flip = u > 0
             np.negative(np.abs(u, out=u), out=u)
-            u, row = _fine_cell(u, x0, hf, cnt, 4)
-            # sorted by bands of (cnt + 3)/256 rows, a band's flipped points
-            # last, so that the ufuncs masked by `flip` meet at most 256 runs
-            # (they pay per run): the stable argsort of an 8-bit key is a
+            u, row = _fine_cell(u, x0, hf, H - 1)
+            # sorted by 128 bands of rows, a band's flipped points last, so
+            # that the ufuncs masked by `flip` meet at most 256 runs (they
+            # pay per run): the stable argsort of an 8-bit key is a
             # one-pass radix sort
-            key = (row * (256 / (cnt + 3))).astype(np.uint8) * 2 + flip
+            key = (row * (128 / H)).astype(np.uint8) * 2 + flip
             perm = np.argsort(key, kind="stable")
             order, flip, u, row = order[perm], flip[perm], u[perm], row[perm]
             u -= row
-            self.wx = _lagrange_weights(u, 4)
+            self.wx = _bspline_weights(u, 4)
             # y has its own name so that u is released only after col is
             # allocated; released first, its place goes to col and splits
-            # the heap hole that later refined lattices reuse (+2 MB peak
+            # the heap hole that later refined lattices reuse (+0.3 MB peak
             # RSS on the 64x64 planar run)
             y = pts[order, 1]
             np.negative(y, out=y, where=flip)
-            u, col = _fine_cell(y, x0, hf, cnt, 4)
+            u, col = _fine_cell(y, x0, hf, cells - 1)
             u -= col
-            self.wy = _lagrange_weights(u, 4)
-            # with row stride cnt, tap (a, b) reads flat[a*cnt + b:][base]
-            # from (i - 1, j - 1)
-            row *= cnt
+            self.wy = _bspline_weights(u, 4)
+            # with row stride W = Mf + 3, tap (a, b) of the cell (i, j)
+            # reads flat[a*W + b:][base] from the stored (i, j), which is
+            # the lattice (i - 1, j - 1)
+            W = cells + 3
+            row *= W
             row += col
-            base = row.astype(np.int64)
-            base -= cnt + 1
-            self.base, self.order, self.stride = base, order, cnt
+            self.base, self.order, self.stride = row.astype(np.int64), order, W
         else:
             # the refined axis holds eta >= 0, and radial data are even
             x = points.reshape(-1)
@@ -587,11 +622,12 @@ class _InterpPlan:
             flip = neg if g.mode == "full-1d" and neg.any() else None
             x = np.abs(x)
             self.mask = x <= g.eta_max * (1 + 1e-12)
-            u, i = _fine_cell(np.where(self.mask, x, 0.0), x0, hf, cnt, _HALF_TAPS)
+            u, i = _fine_cell(np.where(self.mask, x, 0.0), x0, hf, cells - 1)
             u -= i
-            self.wx = _lagrange_weights(u, _HALF_TAPS)
-            # tap a reads fine[a:][first]
-            self.first = i.astype(np.int64) - (_HALF_TAPS // 2 - 1)
+            self.wx = _bspline_weights(u, _HALF_TAPS)
+            # tap a of the cell i reads fine[a:][first], the coefficient at
+            # (i + a - 2) h/U
+            self.first = i.astype(np.int64)
         self.flip = flip
 
     def apply(self, fine: np.ndarray) -> np.ndarray:

@@ -130,8 +130,8 @@ def test_criterion_05_gevrey_smoothing_observed():
     # the decaying envelope sits above the window-aliasing floor only for
     # |eta| below ~2 at these parameters: the density is not small at the
     # edge of the physical window (half-width 8), so |fhat| flattens like
-    # |eta|^-2 beyond. Raising the refinement factor from 16 to 64 moves
-    # |fhat(4)| = 6.04e-7 by 4e-5 of itself; doubling n to 512 brings it to
+    # |eta|^-2 beyond. Raising the refinement factor from 8 to 32 moves
+    # |fhat(4)| = 6.04e-7 by 9e-6 of itself; doubling n to 512 brings it to
     # 2.8e-12. The fit window tracks that transition
     window = (0.5, 1.5)
     fits = {t: fit_gevrey_order(s, fit_window=window) for t, s in traj.snapshots}

@@ -187,14 +187,14 @@ def test_commutator_values_are_pinned():
     # the sandwich is loose enough to hold for a wrong split angle (phi = theta
     # instead of theta/2 for d >= 2 about triples rhs_bound), so pin the values
     want = {
-        ("full-1d", 1): (-0.0007108451141195856, 0.02232641653174997,
-                         0.010640819411893694, 0.014728419878357421),
-        ("radial", 2): (-0.00045176393679111125, 0.008330426464846821,
-                        0.012265082271249594, 0.007334069556796562),
-        ("radial", 3): (-0.0013081882575581793, 0.016840658442121348,
-                        0.02392987385026959, 0.0156632786550768),
-        ("full-2d", 2): (-0.0005915185819088185, 0.009690925186019276,
-                         0.014317853584484445, 0.008548555080505404),
+        ("full-1d", 1): (-0.0007108451141041764, 0.02232641653175379,
+                         0.010640819411895359, 0.014728419878359187),
+        ("radial", 2): (-0.0004517639367901879, 0.008330426464846828,
+                        0.012265082271249634, 0.00733406955679659),
+        ("radial", 3): (-0.0013081882575562936, 0.016840658442121303,
+                        0.02392987385026964, 0.01566327865507684),
+        ("full-2d", 2): (-0.0005915185567505791, 0.009690924879223786,
+                         0.01431785314805448, 0.008548554915248913),
     }
     grids = (
         GridSpec(dimension=1, mode="full-1d", n=129, eta_max=12.0),

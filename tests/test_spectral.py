@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kinb import spectral
+from kinb.collision import AngularQuadrature, collision_geometry, sigma_from_angle
 from kinb.errors import ConfigError
 from kinb.spectral import (GridSpec, InitialDatum, SpectralState, init_state,
                            interpolate_array, moments, refine_array,
@@ -333,12 +334,14 @@ _REFINE_CASES = {
 
 
 def _full_lattice(fine: np.ndarray, Mf: int) -> np.ndarray:
-    """The Mf x Mf refined lattice defined by a stored planar half: rows
-    0..Mf/2 as stored, row i > Mf/2 the mirror conj of row Mf - i."""
+    """The Mf x Mf refined coefficient lattice defined by a stored planar
+    half: lattice rows 0..Mf/2 and columns 0..Mf-1 are the stored rows
+    1..Mf/2+1 and columns 1..Mf, row i > Mf/2 the mirror conj of row
+    Mf - i."""
     H = Mf // 2
     full = np.empty((Mf, Mf), dtype=complex)
-    full[:H + 1] = fine[:H + 1, :Mf]
-    full[H + 1:] = fine[Mf - np.arange(H + 1, Mf)][:, -np.arange(Mf) % Mf].conj()
+    full[:H + 1] = fine[1:H + 2, 1:Mf + 1]
+    full[H + 1:] = full[Mf - np.arange(H + 1, Mf)][:, -np.arange(Mf) % Mf].conj()
     return full
 
 
@@ -354,27 +357,57 @@ def _trig_poly(grid, values):
     return v, np.exp(2j * np.pi * np.outer(v, k * h)) @ full / M
 
 
+def _planar_poly(grid, values):
+    """(v, c) of the planar trigonometric polynomial
+    sum_jk c_jk e^{-2 pi i (v_j kx + v_k ky)}: the real parts of the
+    inverse-DFT samples at v_j = j/(M h), j = -M/2..M/2-1, by direct sums."""
+    M, h = grid.n, grid.spacing
+    k = np.arange(-M // 2, M // 2)
+    v = k / (M * h)
+    phase = np.exp(2j * np.pi * np.outer(v, k * h))
+    return v, (phase @ values @ phase.T).real / M ** 2
+
+
+def _planar_sum(v, c, pts):
+    """The polynomial of _planar_poly at the (N, 2) points pts."""
+    ex = np.exp(-2j * np.pi * np.outer(pts[:, 0], v))
+    ey = np.exp(-2j * np.pi * np.outer(pts[:, 1], v))
+    return np.einsum("pj,jk,pk->p", ex, c, ey)
+
+
 @pytest.mark.parametrize("case", sorted(_REFINE_CASES))
 def test_refine_array_matches_direct_trigonometric_sum(case):
-    # the refinement is the trigonometric polynomial of _trig_poly, read at
-    # eta = x0 + i hf on the refined axis of _fine_axis; the sum is
-    # evaluated directly here, without an FFT
+    # refine_array holds the quintic B-spline coefficients of the
+    # trigonometric polynomial of _trig_poly: its coefficients c_j divided
+    # by the spline's symbol B5(w) = (66 + 52 cos w + 2 cos 2w)/120 at
+    # w = 2 pi j/Mf, summed at eta = (k - 2) hf, k = 0..Mf/2 + 2, hf = h/U;
+    # the spline through them equals the polynomial at every refined node.
+    # Both sums are evaluated directly here, without an FFT
     grid, datum = _REFINE_CASES[case]
     values = init_state(grid, datum).values
     if grid.mode == "full-2d":
         _check_planar_refinement(grid, values)
         return
+    mass = values[grid.zero_index].real
     v, c = _trig_poly(grid, values)
     fine = refine_array(grid, values)
-    x0, hf, cnt = spectral._fine_axis(grid)
-    assert fine.shape == (cnt,)
+    _, hf, _ = spectral._fine_axis(grid)
+    Mf = spectral._UPSAMPLE * (2 * grid.n - 1)
+    assert fine.shape == (Mf // 2 + 3,)
     assert fine.dtype == (complex if grid.mode == "full-1d" else float)
+    w = 2.0 * np.pi * v * hf
+    b5 = (66.0 + 52.0 * np.cos(w) + 2.0 * np.cos(2.0 * w)) / 120.0
     rng = np.random.default_rng(7)
     idx = np.concatenate([[0, 1, 2, fine.size - 1],
                           rng.choice(fine.size, size=196, replace=False)])
-    eta = x0 + idx * hf
-    want = np.exp(-2j * np.pi * np.outer(eta, v)) @ c
-    assert np.abs(fine[idx] - want).max() < 1e-13 * values[grid.zero_index].real
+    eta = (idx - 2) * hf
+    coef = np.exp(-2j * np.pi * np.outer(eta, v)) @ (c / b5)
+    assert np.abs(fine[idx] - coef).max() < 1e-13 * mass
+    nodes = eta[(eta >= 0.0) & (eta <= grid.eta_max)]
+    if grid.mode == "full-1d":
+        nodes = np.concatenate([nodes, -nodes])
+    want = np.exp(-2j * np.pi * np.outer(nodes, v)) @ c
+    assert np.abs(interpolate_array(grid, values, nodes) - want).max() < 1e-13 * mass
     if grid.mode == "full-1d":
         pts = rng.uniform(0.0, grid.eta_max, size=100)
         np.testing.assert_array_equal(interpolate_array(grid, values, -pts),
@@ -386,10 +419,12 @@ def test_refine_array_matches_direct_trigonometric_sum(case):
     (GridSpec(dimension=3, mode="radial", n=128, eta_max=8.0), 5e-9),
 ], ids=["kac_reference", "radial-3"])
 def test_half_axis_interpolation_floor(grid, bound):
-    # 16-fold refinement and the 6-point stencil against the trigonometric
-    # polynomial through the nodes, summed directly, on the laplace datum,
-    # whose |eta|^-(d+1) tail is the hardest catalog case; 4 points at
-    # 32-fold refinement read 8.8e-9 and 3.2e-8 mass on these points
+    # 8-fold refinement and the 6-tap quintic B-spline against the
+    # trigonometric polynomial through the nodes, summed directly, on the
+    # laplace datum, whose |eta|^-(d+1) tail is the hardest catalog case:
+    # 3.1e-10 and 1.65e-9 mass (the 6-point Lagrange stencil at 16-fold
+    # refinement read 4.0e-10 and 1.93e-9, 4 points at 32-fold refinement
+    # 8.8e-9 and 3.2e-8)
     values = init_state(grid, InitialDatum(kind="laplace", dimension=grid.dimension)).values
     v, c = _trig_poly(grid, values)
     lo = -grid.eta_max if grid.mode == "full-1d" else 0.0
@@ -399,41 +434,78 @@ def test_half_axis_interpolation_floor(grid, bound):
     assert err < bound * values[grid.zero_index].real
 
 
+def test_planar_interpolation_floor():
+    # the 4x4 cubic B-spline at 8-fold refinement against the planar
+    # trigonometric polynomial, summed directly, on 3,000 of the eta- and
+    # eta+ points of the planar operator of scripts/boltzmann_2d.ini, on
+    # its mixture datum: 3.48e-8 mass (the 4x4 Lagrange stencil at 16-fold
+    # refinement read 1.96e-8 on these points; the spline pays this floor
+    # for half the refinement, a 4x smaller lattice)
+    g = GridSpec(dimension=2, mode="full-2d", n=64, eta_max=2.0)
+    datum = InitialDatum(kind="gaussian-mixture", dimension=2,
+                         components=((0.5, (0.75, 0.0), 0.6), (0.5, (-0.75, 0.0), 0.6)))
+    values = init_state(g, datum).values
+    th, _ = AngularQuadrature(theta_min=4e-3, panels=8, nodes_per_panel=5).angles(np.pi / 2)
+    theta = np.concatenate([-th[::-1], th])
+    # the kept nodes: one of each conjugate pair (the operator mirrors the
+    # other) and the unpaired ones
+    mirror = g.mirror()
+    eta = g.nodes()[(mirror >= 0) & (mirror <= np.arange(mirror.size))][:, None, :]
+    r = np.linalg.norm(eta, axis=-1, keepdims=True)
+    ehat = np.divide(eta, r, out=np.zeros_like(eta), where=r > 0)
+    pts = np.concatenate(collision_geometry(eta, sigma_from_angle(ehat, theta))).reshape(-1, 2)
+    pts = pts[np.hypot(pts[:, 0], pts[:, 1]) <= g.eta_max]
+    pts = pts[np.random.default_rng(17).choice(len(pts), 3000, replace=False)]
+    v, c = _planar_poly(g, values)
+    err = np.abs(interpolate_array(g, values, pts) - _planar_sum(v, c, pts)).max()
+    assert err < 4e-8 * values[g.zero_index].real
+
+
 @pytest.mark.parametrize("taps", [4, 6])
-def test_lagrange_weights_reproduce_polynomials(taps):
-    # Lagrange weights on the offsets 1-taps/2..taps/2 sum polynomials of
-    # degree <= taps-1 exactly
-    t = np.random.default_rng(5).uniform(0.0, 1.0, 500)
-    w = spectral._lagrange_weights(t.copy(), taps)
-    for p in range(taps):
-        got = sum(w[k] * float(k + 1 - taps // 2) ** p for k in range(taps))
-        np.testing.assert_allclose(got, t ** p, rtol=0, atol=1e-13)
+def test_bspline_weight_properties(taps):
+    # the cubic (4 taps) and quintic (6 taps) B-spline weights of the
+    # offsets 1-taps/2..taps/2 sum to 1, have first moment t (the spline
+    # reproduces linear functions), mirror as w_k(t) = w_{taps-1-k}(1 - t)
+    # and are nonnegative, on [0, 1] with both ends
+    t = np.concatenate([[0.0, 1.0], np.random.default_rng(5).uniform(0.0, 1.0, 500)])
+    w = spectral._bspline_weights(t, taps)
+    offsets = np.arange(taps) + 1 - taps // 2
+    np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(offsets @ w, t, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(w, spectral._bspline_weights(1.0 - t, taps)[::-1],
+                               rtol=0, atol=1e-15)
+    assert w.min() >= -1e-15
 
 
 def _check_planar_refinement(grid, values):
-    # the stored rows kx <= 0 and the two margin rows kx = h/U, 2h/U are the
-    # trigonometric polynomial of the real parts c_j of the inverse-DFT
-    # samples, at v_j = j/(M h), j = -M/2..M/2-1; the refined lattice point
-    # (i, c) is ((i, c) - Mf/2) h/U
-    M, h = grid.n, grid.spacing
+    # the stored rows and columns are the cubic B-spline coefficients of
+    # the planar trigonometric polynomial: its coefficients c_jk divided by
+    # B3(wj) B3(wk), B3(w) = (2 + cos w)/3 at w = 2 pi j/Mf, summed at the
+    # lattice point ((r, s) - 1 - Mf/2) hf of the stored row r, column s,
+    # so the margins hold the periodic continuation of the lattice; the
+    # spline through them equals the polynomial at every lattice node in
+    # the disk
     x0, hf, Mf = spectral._fine_axis(grid)
     H = Mf // 2
-    k = np.arange(-M // 2, M // 2)
-    v = k / (M * h)
-    phase = np.exp(2j * np.pi * np.outer(v, k * h))
-    c = (phase @ values @ phase.T).real / M ** 2
+    v, c = _planar_poly(grid, values)
+    b3 = (2.0 + np.cos(2.0 * np.pi * v * hf)) / 3.0
     fine = refine_array(grid, values)
-    assert fine.shape == (H + 3, Mf) and fine.dtype == complex
-    ex = np.exp(-2j * np.pi * np.outer(x0 + np.arange(H + 3) * hf, v))
-    ey = np.exp(-2j * np.pi * np.outer(x0 + np.arange(Mf) * hf, v))
-    want = ex @ c @ ey.T
+    assert fine.shape == (H + 3, Mf + 3) and fine.dtype == complex
+    ex = np.exp(-2j * np.pi * np.outer(x0 + np.arange(-1, H + 2) * hf, v))
+    ey = np.exp(-2j * np.pi * np.outer(x0 + np.arange(-1, Mf + 2) * hf, v))
+    want = ex @ (c / np.outer(b3, b3)) @ ey.T
     mass = values[grid.zero_index].real
     assert np.abs(fine - want).max() < 1e-13 * mass
-    # a point in kx > 0 is read at -eta and conjugated, so F(-eta) =
-    # conj F(eta) holds bit for bit off kx = 0, in the clipped strips at
-    # |kx| or |ky| near eta_max too
     e = grid.eta_max
     rng = np.random.default_rng(7)
+    nodes = x0 + np.concatenate([rng.integers(0, Mf + 1, (3000, 2)),
+                                 [[0, H], [H, 0], [H, Mf], [Mf, H], [H, H]]]) * hf
+    nodes = nodes[np.hypot(nodes[:, 0], nodes[:, 1]) <= e]
+    err = np.abs(interpolate_array(grid, values, nodes) - _planar_sum(v, c, nodes)).max()
+    assert err < 1e-13 * mass
+    # a point in kx > 0 is read at -eta and conjugated, so F(-eta) =
+    # conj F(eta) holds bit for bit off kx = 0, in the strips at |kx| or
+    # |ky| near eta_max too
     phi = rng.uniform(0.0, 2.0 * np.pi, 1000)
     strips = np.concatenate([e * np.stack([np.cos(phi), np.sin(phi)], axis=1),
                              [[e - 0.5 * hf, 0.1], [0.2, e - 0.3 * hf],
@@ -445,23 +517,60 @@ def _check_planar_refinement(grid, values):
                                   np.conj(interpolate_array(grid, values, pts)))
 
 
+def test_planar_edge_reads_match_the_trigonometric_sum():
+    # B-spline weights hold for t in [0, 1] only, so a point within two fine
+    # cells of kx = -eta_max or ky = +-eta_max must read the periodic
+    # continuation of the lattice (period 2 eta_max), not extrapolate from
+    # clipped taps. On a broad gaussian, whose transform is far from 0 at
+    # eta_max, such points must match the polynomial as well as the points
+    # 2 to 10 cells in from the same edges do: here 1.16e-6 against
+    # 1.02e-6 mass (the cubic spline's floor grows with |eta| on this
+    # datum). Clipped cells err 2.6e-5 (the 4x4 Lagrange stencil at
+    # 16-fold refinement) or 6.9e-5 (B-spline taps clipped one cell in)
+    g = GridSpec(dimension=2, mode="full-2d", n=32, eta_max=3.0)
+    values = init_state(g, InitialDatum(kind="gaussian", dimension=2, sigma=0.12)).values
+    v, c = _planar_poly(g, values)
+    _, hf, _ = spectral._fine_axis(g)
+    e = g.eta_max
+    rng = np.random.default_rng(19)
+
+    def strips(lo, hi):
+        # points lo..hi cells in from ky = eta_max, ky = -eta_max and
+        # kx = -eta_max, near the axis that crosses each edge
+        d = e - rng.uniform(lo, hi, (3, 1000)) * hf
+        s = rng.uniform(-2.0, 2.0, (3, 1000)) * hf
+        pts = np.concatenate([np.stack([s[0], d[0]], axis=1),
+                              np.stack([s[1], -d[1]], axis=1),
+                              np.stack([-d[2], s[2]], axis=1)])
+        return pts[np.hypot(pts[:, 0], pts[:, 1]) <= e]
+
+    def err(pts):
+        return np.abs(interpolate_array(g, values, pts) - _planar_sum(v, c, pts)).max()
+
+    edge = np.concatenate([strips(0.0, 2.0), [[0.0, e], [0.0, -e], [-e, 0.0]]])
+    assert len(edge) > 1500
+    assert err(edge) < 1.5 * err(strips(2.0, 10.0)) * values[g.zero_index].real
+
+
 def test_planar_plan_matches_direct_16_tap_sum():
     # the planar plan keeps only in-disk points, sorted by refined row; its
-    # sums must equal, bit for bit and in the caller's order, the 16-tap sum
-    # (y-taps first, then x-taps) on the whole lattice that the stored half
-    # defines: at the point's own cell for kx <= 0, and conjugated at -eta
-    # for kx > 0; beyond-disk points read 0
+    # sums must equal, bit for bit and in the caller's order, the 16-tap
+    # cubic B-spline sum (y-taps first, then x-taps) on the periodic
+    # lattice that the stored half defines: at the point's own cell for
+    # kx <= 0, and conjugated at -eta for kx > 0; beyond-disk points read 0
     g = GridSpec(dimension=2, mode="full-2d", n=32, eta_max=3.0)
     datum = InitialDatum(kind="gaussian-mixture", dimension=2,
                          components=((0.6, (0.4, -0.3), 0.5), (0.4, (-0.6, 0.2), 0.7)))
     half = refine_array(g, init_state(g, datum).values)
     x0, hf, cnt = spectral._fine_axis(g)
+    H = cnt // 2
     fine = _full_lattice(half, cnt)
     e = g.eta_max
     rng = np.random.default_rng(11)
-    edge = np.array([[e, 0.0], [-e, 0.0], [0.0, -e], [e - 0.5 * hf, 0.1],
-                     [-0.2, e - 0.3 * hf], [-e + 0.4 * hf, 0.05],
-                     [e * (1 + 1e-13), 0.0], [0.6 * e, -0.8 * e]])
+    edge = np.array([[e, 0.0], [-e, 0.0], [0.0, -e], [0.0, e], [e - 0.5 * hf, 0.1],
+                     [-0.2, e - 0.3 * hf], [-e + 0.4 * hf, 0.05], [-hf, e - 1e-3],
+                     [e * (1 + 1e-13), 0.0], [-e * (1 + 1e-13), 0.0],
+                     [0.0, -e * (1 + 1e-13)], [0.6 * e, -0.8 * e]])
     # blocks straddling row cnt/2 (kx = 0), blocks just above it, and
     # points at ky ~ +-eta_max on either side of kx = 0
     y = rng.uniform(-0.9 * e, 0.9 * e, 40)
@@ -474,42 +583,50 @@ def test_planar_plan_matches_direct_16_tap_sum():
                           edge, straddle, above, rim, beyond])
     pts = pts[rng.permutation(len(pts))]
 
-    def stencil(x):
-        # the clipped cell and the 4-point Lagrange weights, from their
-        # formulas with the products in the order of _lagrange_weights
+    def stencil(x, last):
+        # the clipped cell and the cubic B-spline weights (1-t)^3/6,
+        # (4 - 6t^2 + 3t^3)/6, (1 + 3t + 3t^2 - 3t^3)/6 and t^3/6, each by
+        # Horner's rule from t^3 down, as _bspline_weights sums them
         u = (x - x0) / hf
-        i = np.clip(np.floor(u), 1, cnt - 3)
-        s = u - i + 1
-        return i.astype(np.int64), np.array([((s - 3) * (s - 2)) * (s - 1) / -6.0,
-                                             s * ((s - 3) * (s - 2)) / 2.0,
-                                             (s * (s - 1)) * (s - 3) / -2.0,
-                                             (s * (s - 1)) * (s - 2) / 6.0])
+        i = np.clip(np.floor(u), 0, last)
+        t = u - i
+        w = []
+        for p in ((-1, 3, -3, 1), (3, -6, 0, 4), (-3, 3, 3, 1), (1, 0, 0, 0)):
+            acc = (p[0] / 6.0) * t + p[1] / 6.0
+            for q in p[2:]:
+                acc = acc * t + q / 6.0
+            w.append(acc)
+        return i.astype(np.int64), np.array(w)
 
     # the plan's in-place helpers compute the same bits
     x = x0 + rng.uniform(-1.5, cnt + 1.5, 1000) * hf
-    u, i = spectral._fine_cell(x.copy(), x0, hf, cnt, 4)
+    u, i = spectral._fine_cell(x.copy(), x0, hf, cnt - 1)
     u -= i
-    want_i, want_w = stencil(x)
+    want_i, want_w = stencil(x, cnt - 1)
     np.testing.assert_array_equal(i, want_i)
-    np.testing.assert_array_equal(spectral._lagrange_weights(u, 4), want_w)
+    np.testing.assert_array_equal(spectral._bspline_weights(u, 4), want_w)
 
     mask = np.hypot(pts[:, 0], pts[:, 1]) <= e * (1 + 1e-12)
     flip = pts[:, 0] > 0
     read = np.where(mask[:, None], np.where(flip[:, None], -pts, pts), 0.0)
-    ix, wx = stencil(read[:, 0])
-    iy, wy = stencil(read[:, 1])
-    # the clipped strips at both edges are hit, and so are the rows up to
-    # cnt/2 (kx = 0), whose stencils read the margin rows
-    H = cnt // 2
-    assert ix.min() == iy.min() == 1 and ix.max() == H and iy.max() == cnt - 3
+    ix, wx = stencil(read[:, 0], H - 1)
+    iy, wy = stencil(read[:, 1], cnt - 1)
+    # the cells at both edges are hit, so the taps read the front margin
+    # row and the wrap columns, and so are the rows up to cnt/2 (kx = 0),
+    # whose stencils read the back margin row
+    assert ix.min() == iy.min() == 0 and ix.max() == H - 1 and iy.max() == cnt - 1
     assert {H - 2, H - 1} <= set(ix[mask & flip].tolist())
-    assert {H - 2, H - 1, H} <= set(ix[mask & ~flip].tolist())
-    np.testing.assert_array_equal(half[H + 1:], fine[H + 1:H + 3])
+    assert {H - 2, H - 1} <= set(ix[mask & ~flip].tolist())
+    # the margins are the periodic continuation of the lattice
+    np.testing.assert_array_equal(half[0, 1:cnt + 1], fine[cnt - 1])
+    np.testing.assert_array_equal(half[H + 2, 1:cnt + 1], fine[H + 1])
+    np.testing.assert_array_equal(half[1:H + 2, 0], fine[:H + 1, cnt - 1])
+    np.testing.assert_array_equal(half[1:H + 2, cnt + 1:], fine[:H + 1, :2])
     want = np.zeros(len(pts), dtype=complex)
     for a in range(4):
         partial = np.zeros(len(pts), dtype=complex)
         for b in range(4):
-            partial += wy[b] * fine[ix + a - 1, iy + b - 1]
+            partial += wy[b] * fine[(ix + a - 1) % cnt, (iy + b - 1) % cnt]
         want += wx[a] * partial
     want = np.where(mask, np.where(flip, want.conj(), want), 0.0)
 
