@@ -474,7 +474,8 @@ def build_induction_schedule(states, part: str, m: int, alpha: float, T0: float,
                              cs: CrossSection) -> InductionSchedule:
     """Two-pass schedule for the geometric chain of frequency scales.
 
-    states: snapshots along one run covering [0, T0], first entry at t=0.
+    states: snapshots along one run covering [0, T0], first entry at t=0,
+    all on one grid (states from different grids raise ConfigError).
     The chain starts at the part's base scale and grows by (1 + sqrt 2)/2
     up to the last scale at or below eta_max/sqrt(2), so every hypothesis
     window stays inside the grid.  Pass one prices the weight with the
@@ -487,6 +488,8 @@ def build_induction_schedule(states, part: str, m: int, alpha: float, T0: float,
     if not states:
         raise ConfigError("need at least one snapshot state")
     grid = states[0].grid
+    if any(s.grid != grid for s in states):
+        raise ConfigError("snapshot states come from different grids")
     d = grid.dimension
     _check_chain(part, m, d)
     a_cap = _alpha_cap(part, m, d, cs.nu)
@@ -655,11 +658,14 @@ def check_hypotheses(trajectory, schedule: InductionSchedule,
     the pair is not read.  On full-2d grids the direction sweeps read the
     two axes plus `n_random` random unit directions; part III reads the
     axes and at most the first 16 random ones.  Radial grids sweep one
-    direction.  Returns HypothesisRow records;
+    direction; a negative `n_random` or `seed` raises ConfigError.
+    Returns HypothesisRow records;
     `passed` requires the part's hypothesis supremum to stay at or below
     schedule.M and the weighted L2 norm at sqrt(2)*scale to stay at or
     below schedule.B (small relative slack for quadrature noise).
     """
+    if seed < 0 or n_random < 0:
+        raise ConfigError(f"seed and n_random must be >= 0, got {seed} and {n_random}")
     part = schedule.part
     states = [s for _, s in trajectory.snapshots] or [trajectory.final]
     grid = states[0].grid

@@ -159,7 +159,7 @@ def run(state: SpectralState, cs: CrossSection, quad: AngularQuadrature,
 
     want: dict[int, float] = {}   # step -> the snapshot time asked for
     for ts in snapshot_times:
-        if ts < -1e-12 or ts > t_end * (1 + 1e-12):
+        if not -1e-12 <= ts <= t_end * (1 + 1e-12):
             raise ConfigError(f"snapshot time {ts:g} outside [0, t_end]")
         k = min(int(round(ts / dt)), n_full)
         if t_end - ts < abs(ts - k * dt):

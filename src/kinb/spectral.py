@@ -17,31 +17,30 @@ sums a B-spline interpolant of the refined grid: quintic, 6 taps, on the
 full-1d and radial half-axis (on the laplace datum at n=512, eta_max=32 it
 errs by at most 3.1e-10 mass), cubic, 4x4 taps, on the planar lattice
 (3.5e-8 mass on the planar operator's own points), both weighted by
-_bspline_weights. The spline prefilter costs one division of the physical
-samples by the spline's symbol before the zero-padding, so refine_array
-returns spline coefficients, not samples. The planar lattice is periodic,
-and its stencils read the periodic continuation at kx = -eta_max and
-ky = +-eta_max. The refinement factor and the stencils are constants, not
-knobs.
+_bspline_weights. The refined lattice is periodic, and the planar stencils
+read its periodic continuation at ky = +-eta_max. The refinement factor
+and the stencils are constants, not knobs.
 
 Every sample set must be the transform of a real density: x(-eta) =
 conj x(eta) on the node pairs of GridSpec.mirror (radial values are real).
 SpectralState owns this contract: it checks the residue and stores the
 projection _hermitize, with exact pairs and exact zeros on the unpaired
 -n/2 row and column of the planar lattice, which carry no real-density
-content. Every refinement therefore stores one half, and every mode reads
-the other half by one rule: a point there is evaluated at -eta and its sum
-conjugated. On the line the stored half is eta >= 0: irfft of the eta >= 0
-nodes gives the real physical samples, rfft of their zero-padding the
-refined half-axis (real in radial mode, whose points read |eta| with no
-conjugation). On the plane it is the rows kx <= 0 of the refined lattice,
-from rfft along kx of the real parts of the inverse-DFT samples.
-interpolate_array checks raw samples, whose unpaired nodes enter through
-their Hermitian part.
+content. Every mode therefore refines by one routine, _refine, from the
+real physical samples of _samples (irfft of the last n values, the
+eta >= 0 nodes, on both line modes; Re ifft2 on the plane). It divides
+them by the spline's symbol, which is the spline prefilter, so
+refine_array returns spline coefficients, not samples; it stores the half
+where the first coordinate is >= 0 (rfft along the first axis), with
+mirrored margins at both ends of that axis. Every mode reads the other
+half by one rule: a point whose first coordinate is < 0 is evaluated at
+-eta and its sum conjugated (radial points read |eta|, their data being
+real and even). interpolate_array checks raw samples, whose unpaired nodes
+enter through their Hermitian part.
 
 Moments need no refinement: the refined transform is the trigonometric
 polynomial sum_j c_j e^{-2 pi i v_j . eta} whose coefficients are the
-inverse-DFT samples c_j = f(v_j) dv^d, so int v^k f dv is the exact sum
+physical samples c_j = f(v_j) dv^d, so int v^k f dv is the exact sum
 sum_j c_j v_j^k (radial: over the even extension of the profile).
 """
 
@@ -194,8 +193,8 @@ class SpectralState:
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=complex)
-        if self.t < 0:
-            raise ConfigError("state time must be nonnegative")
+        if not 0 <= self.t < math.inf:
+            raise ConfigError(f"state time must be nonnegative and finite, got {self.t!r}")
         if vals.shape != self.grid.shape:
             raise ConfigError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
         if not np.all(np.isfinite(vals.view(float))):
@@ -289,8 +288,8 @@ class InitialDatum:
                     and getattr(self, f.name) != f.default):
                 raise ConfigError(f"datum kind {self.kind!r} takes no {f.name!r}")
         if self.kind == "gaussian":
-            if self.sigma <= 0 or self.mass <= 0:
-                raise ConfigError("gaussian needs sigma > 0 and mass > 0")
+            if not (0 < self.sigma < math.inf and 0 < self.mass < math.inf):
+                raise ConfigError("gaussian needs positive finite sigma and mass")
             c = self.center or tuple(0.0 for _ in range(d))
             if len(c) != d:
                 raise ConfigError("center dimension mismatch")
@@ -300,15 +299,15 @@ class InitialDatum:
                 raise ConfigError("gaussian-mixture needs at least one component")
             comps = []
             for w, c, s in self.components:
-                if w <= 0 or s <= 0:
-                    raise ConfigError("mixture weights and sigmas must be positive")
+                if not (0 < w < math.inf and 0 < s < math.inf):
+                    raise ConfigError("mixture weights and sigmas must be positive and finite")
                 c = tuple(float(x) for x in (c or tuple(0.0 for _ in range(d))))
                 if len(c) != d:
                     raise ConfigError("mixture center dimension mismatch")
                 comps.append((float(w), c, float(s)))
             object.__setattr__(self, "components", tuple(comps))
-        elif self.a <= 0 or self.mass <= 0:
-            raise ConfigError("laplace needs a > 0 and mass > 0")
+        elif not (0 < self.a < math.inf and 0 < self.mass < math.inf):
+            raise ConfigError("laplace needs positive finite a and mass")
 
     def _triples(self):
         if self.kind == "gaussian":
@@ -394,120 +393,104 @@ def init_state(grid: GridSpec, datum: InitialDatum) -> SpectralState:
 # band-limited refinement + local B-spline interpolation
 # ----------------------------------------------------------------------------
 
-def _refine_half(half: np.ndarray) -> np.ndarray:
-    """Quintic B-spline coefficients of the band-limited refinement on the
-    eta >= 0 half-axis.
+def _samples(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """The real physical samples c_j = f(v_j) dv^d of the node values, the
+    inverse DFT on the dual axis v_j = j dv, dv = 1/(M h), in DFT order
+    along each axis (j = 0, 1, ..., then the negative j). Both line modes
+    read the last n values, the eta >= 0 nodes (radial: the even extension
+    of the profile); the plane reads the Hermitian part of its samples."""
+    if grid.mode == "full-2d":
+        return np.fft.ifft2(np.fft.ifftshift(values)).real
+    return np.fft.irfft(values[-grid.n:], 2 * grid.n - 1)
 
-    `half` holds the node values at k h, k = 0..n-1, of a Hermitian set of
-    M = 2n - 1 samples; their inverse DFT is M real physical samples c_j.
-    Each is divided by the quintic spline's symbol B5(w) = (66 + 52 cos w
-    + 2 cos 2w)/120 at w = 2 pi j/Mf (Mf = U*M, U = _UPSAMPLE), which is the
-    spline prefilter, and the result is zero-padded to Mf and transformed
-    back by rfft. The coefficients a_k at k h/U then make
-    sum_k a_k beta5(eta U/h - k) equal the trigonometric polynomial of the
-    samples at every k h/U. Returns a_k for k = -2..Mf/2: the ones at
-    -2h/U and -h/U are the mirror conj of the ones at +2h/U and +h/U, so
-    the 6-tap stencil also works at eta = 0. Valid when the physical signal
-    is supported inside the window 1/h.
+
+def _refine(c: np.ndarray, taps: int) -> np.ndarray:
+    """B-spline coefficients of the band-limited refinement by U = _UPSAMPLE
+    of the physical samples c (M per axis, overwritten), on the half where
+    the first coordinate is >= 0.
+
+    The refined transform at k hf, hf = h/U, is the DFT of c zero-padded to
+    Mf = U*M per axis. Each c_j is first divided by the spline's symbol
+    along every axis at w = 2 pi j/Mf, which is the spline prefilter:
+    B5(w) = (66 + 52 cos w + 2 cos 2w)/120 for 6 taps (quintic),
+    B3(w) = (2 + cos w)/3 for 4 (cubic). The coefficients a_k then make
+    sum_k a_k beta(eta/hf - k) equal the trigonometric polynomial of c at
+    every k hf. rfft along the first axis gives its entries k = 0..Mf/2;
+    on the plane the ky axis also takes (-1)^j in the same divisor, so that
+    the fft along it gives columns s = 0..Mf-1 at ky = (s - Mf/2) hf.
+
+    Stored entry e along the first axis holds k = e - m, m = taps/2 - 1:
+    the m entries at each end, k < 0 and k > Mf/2, are the mirror conj of
+    k = 1..m and Mf/2 - 1..Mf/2 - m (on the plane with ky -> -ky, a stored
+    row reversed), so the taps of every cell 0..Mf/2 - 1 lie on the array.
+    On the plane, stored column s holds lattice column s - 1: columns -1,
+    Mf and Mf + 1 are the periodic copies of Mf - 1, 0 and 1, the lattice
+    having period Mf (2 eta_max). Valid when the physical signal is
+    supported inside the window 1/h.
     """
-    n = half.shape[0]
-    M = 2 * n - 1
-    Mf = _UPSAMPLE * M
-    c = np.fft.irfft(half, M)
-    x = np.cos((2.0 * np.pi / _UPSAMPLE) * np.fft.fftfreq(M))
-    c /= (16.0 + x * (13.0 + x)) / 30.0   # B5, with cos 2w = 2 x^2 - 1
-    ext = np.zeros(Mf)
-    ext[:n] = c[:n]            # v_j for j = 0..n-1
-    ext[Mf - n + 1:] = c[n:]   # j = -(n-1)..-1, wrapped to the end
-    margin = _HALF_TAPS // 2 - 1
-    fine = np.empty(Mf // 2 + 1 + margin, dtype=complex)
-    np.fft.rfft(ext, out=fine[margin:])
-    np.conjugate(fine[2 * margin:margin:-1], out=fine[:margin])
-    return fine
-
-
-def _refine_2d(values: np.ndarray) -> np.ndarray:
-    """Cubic B-spline coefficients of the 2-D refinement of an even M x M
-    lattice, on the half-plane kx <= 0.
-
-    Lattice row i, column c of the Mf x Mf refined lattice (Mf = U*M) is
-    the point ((i, c) - Mf/2) h/U; the lattice is periodic with period Mf
-    in each index (2 eta_max in each coordinate). The real physical
-    samples c_j = Re ifft2(values) are divided by the cubic spline's symbol
-    B3(wx) B3(wy), B3(w) = (2 + cos w)/3 at w = 2 pi j/Mf, which is the
-    spline prefilter, and zero-padded; rfft along axis 0 of their M nonzero
-    columns gives the lattice rows i = 0..Mf/2 (kx <= 0), and the row
-    transforms run on those rows only. For even M and Mf the ifftshift of
-    the input and the fftshift of the output are sign modulations that
-    cancel, so neither is applied.
-
-    Stored row r, column s hold lattice row r - 1, column s - 1: shape
-    (Mf/2 + 3, Mf + 3), lattice rows -1..Mf/2 + 1 and columns -1..Mf + 1.
-    Columns -1, Mf and Mf + 1 are the periodic copies of Mf - 1, 0 and 1;
-    rows -1 and Mf/2 + 1 are the mirror conj of rows 1 and Mf/2 - 1, a
-    stored row reversed. A 4x4 stencil on the cells 0..Mf/2 - 1 in kx and
-    0..Mf - 1 in ky therefore reads the periodic continuation of the
-    lattice at kx = -eta_max and ky = +-eta_max; a point in kx > 0 is read
-    at -eta (see _InterpPlan), so no other row is needed.
-    """
-    M = values.shape[0]
-    half = M // 2  # indices 0..M/2-1 hold v >= 0
+    M = c.shape[0]
     Mf = _UPSAMPLE * M
     H = Mf // 2
-    c = np.fft.ifft2(values).real
-    b = (2.0 + np.cos((2.0 * np.pi / _UPSAMPLE) * np.fft.fftfreq(M))) / 3.0
-    c /= np.outer(b, b)
-    cols = np.zeros((Mf, M))
-    cols[:half] = c[:half]
-    cols[half - M:] = c[half:]
-    cols = np.fft.rfft(cols, axis=0)
-    fine = np.empty((H + 3, Mf + 3), dtype=complex)
-    body = fine[1:H + 2, 1:Mf + 1]
-    body[:, :half] = cols[:, :half]
-    body[:, half:half - M] = 0.0
-    body[:, half - M:] = cols[:, half:]
-    np.fft.fft(body, axis=1, out=body)
-    fine[1:H + 2, 0] = fine[1:H + 2, Mf]
-    fine[1:H + 2, Mf + 1:] = fine[1:H + 2, 1:3]
-    np.conjugate(fine[2, ::-1], out=fine[0])
-    np.conjugate(fine[H, ::-1], out=fine[H + 2])
+    m = taps // 2 - 1
+    lo = (M + 1) // 2   # DFT-order entries 0..lo-1 hold v >= 0
+    x = np.cos((2.0 * np.pi / _UPSAMPLE) * np.fft.fftfreq(M))
+    # B5 (cos 2w = 2 x^2 - 1) or B3
+    b = (16.0 + x * (13.0 + x)) / 30.0 if taps == 6 else (2.0 + x) / 3.0
+    if c.ndim == 2:
+        c /= np.outer(b, b * (-1.0) ** np.arange(M))
+    else:
+        c /= b
+    ext = np.zeros((Mf,) + c.shape[1:])
+    ext[:lo] = c[:lo]
+    ext[lo - M:] = c[lo:]
+    if c.ndim == 2:
+        rows = np.fft.rfft(ext, axis=0)
+        fine = np.empty((H + 1 + 2 * m, Mf + 3), dtype=complex)
+        body = fine[m:H + m + 1, 1:Mf + 1]
+        body[:, :lo] = rows[:, :lo]
+        body[:, lo:lo - M] = 0.0
+        body[:, lo - M:] = rows[:, lo:]
+        np.fft.fft(body, axis=1, out=body)
+        fine[m:H + m + 1, 0] = fine[m:H + m + 1, Mf]
+        fine[m:H + m + 1, Mf + 1:] = fine[m:H + m + 1, 1:3]
+        mirror = fine[:, ::-1]   # ky -> -ky
+    else:
+        fine = mirror = np.empty(H + 1 + 2 * m, dtype=complex)
+        np.fft.rfft(ext, out=fine[m:H + m + 1])
+    np.conjugate(mirror[2 * m:m:-1], out=fine[:m])
+    np.conjugate(mirror[H + m - 1:H - 1:-1], out=fine[H + m + 1:])
     return fine
 
 
 def refine_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """The B-spline coefficient lattice that _InterpPlan reads: band-limited
-    refinement by U = _UPSAMPLE with the spline prefilter folded in.
+    """The B-spline coefficient lattice that _InterpPlan reads: _refine of
+    the physical samples of _samples, quintic on the line modes, cubic on
+    the plane, on the half where the first coordinate is >= 0.
 
     The samples must be transforms of real densities, as every state is:
-    full-1d and radial read only the eta >= 0 nodes and full-2d only the
+    the line modes read only the eta >= 0 nodes and full-2d only the
     Hermitian part of the samples, so for other input the result is wrong
-    without warning. full-1d and radial return the quintic coefficients at
-    k h/U, k = -2..Mf/2 (see _refine_half; radial ones are real and
-    returned as float64); full-2d returns the cubic coefficients of the
-    kx <= 0 half of the refined lattice with one margin row and column in
-    front and one row and two columns behind, shape (Mf/2 + 3, Mf + 3)
-    (see _refine_2d). The coefficients are not samples of the transform:
+    without warning. full-1d and radial return the coefficients at k hf,
+    k = -2..Mf/2 + 2, shape (Mf/2 + 5,) (radial ones are real and returned
+    as float64); full-2d returns the lattice rows kx = k hf, k = -1..Mf/2 + 1,
+    and columns ky = -eta_max + s hf, s = -1..Mf + 1, shape
+    (Mf/2 + 3, Mf + 3). The coefficients are not samples of the transform:
     only the spline sum of _InterpPlan is.
     """
     values = np.asarray(values, dtype=complex)
-    if grid.mode == "full-2d":
-        return _refine_2d(values)
-    if grid.mode == "full-1d":
-        return _refine_half(values[grid.n - 1:])
-    return np.ascontiguousarray(_refine_half(values).real)
+    fine = _refine(_samples(grid, values), 4 if grid.mode == "full-2d" else _HALF_TAPS)
+    return np.ascontiguousarray(fine.real) if grid.mode == "radial" else fine
 
 
 def _fine_axis(grid: GridSpec) -> tuple:
-    """(x0, hf, cells) of the refined axis the plans read: a point at x lies
-    in the cell floor((x - x0)/hf), clipped to 0..cells-1, and the taps of
-    cell i read the entries i..i+taps-1 of refine_array along the axis.
-    full-2d: x0 = -eta_max and the Mf cells of the periodic ky axis, of
-    which kx uses the first Mf/2 (kx <= 0); full-1d and radial: x0 = 0 and
-    the cells of eta >= 0 whose 6 taps lie on the stored half-axis."""
-    hf = grid.spacing / _UPSAMPLE
-    if grid.mode == "full-2d":
-        return -grid.eta_max, hf, _UPSAMPLE * grid.n
-    return 0.0, hf, _UPSAMPLE * (2 * grid.n - 1) // 2 - _HALF_TAPS // 2 + 1
+    """(x0, hf, cells) of the first axis of refine_array, which every plan
+    reads at |x|: x0 = 0, hf = h/U and the Mf/2 cells in every mode. A
+    point at x lies in the cell floor((x - x0)/hf), clipped to
+    0..cells-1, and the taps of cell i read the entries i..i+taps-1 along
+    the axis. The periodic ky axis of the plane has x0 = -eta_max and
+    twice the cells."""
+    M = grid.n if grid.mode == "full-2d" else 2 * grid.n - 1
+    return 0.0, grid.spacing / _UPSAMPLE, _UPSAMPLE * M // 2
 
 
 def _fine_cell(u: np.ndarray, x0: float, hf: float, last: int) -> tuple:
@@ -552,20 +535,20 @@ def _bspline_weights(t: np.ndarray, taps: int) -> np.ndarray:
 class _InterpPlan:
     """Precomputed stencil for evaluating many fixed points repeatedly.
 
-    refine_array stores one half of the B-spline coefficient lattice, and a
-    point in the other half is read at -eta with its sum conjugated: a
-    full-1d point at eta < 0, a planar one at kx > 0 (radial points read
-    |eta|, the data being even). Each point then sums the taps around its
-    cell on the stored half with B-spline weights: full-1d and radial the
-    6 coefficients i-2..i+3 of the refined half-axis with quintic weights,
-    points beyond eta_max reading 0; full-2d the 4x4 coefficients
-    (i-1..i+2, j-1..j+2) of the refined lattice with cubic weights, for the
-    points inside the eta_max disk only, its cells clipped to kx < 0 and
-    ky < eta_max (a point on the upper edge of a cell reads it at t = 1).
-    Near kx = -eta_max and ky = +-eta_max the planar taps read the margin
-    of refine_array, the periodic continuation of the lattice. Planar
+    refine_array stores the half of the B-spline coefficient lattice where
+    the first coordinate is >= 0, and in every mode a point whose first
+    coordinate is < 0 is read at -eta with its sum conjugated (radial
+    points read |eta| with no conjugation, the data being real and even).
+    Each point then sums the taps around its cell on the stored half with
+    B-spline weights: full-1d and radial the 6 coefficients i-2..i+3 of the
+    refined half-axis with quintic weights, points beyond eta_max reading
+    0; full-2d the 4x4 coefficients (i-1..i+2, j-1..j+2) of the refined
+    lattice with cubic weights, for the points inside the eta_max disk
+    only, its cells clipped to kx < eta_max and ky < eta_max (a point on
+    the upper edge of a cell reads it at t = 1). Near kx = 0, kx = eta_max
+    and ky = +-eta_max the taps read the margins of refine_array. Planar
     points are ordered by the band of lattice rows they read, a band's
-    points in kx > 0 last, and `apply` sums them in blocks of consecutive
+    points in kx < 0 last, and `apply` sums them in blocks of consecutive
     points, so that a block's taps read a few rows that stay in cache; it
     scatters the sums back to the caller's order. `apply` returns the
     caller's point shape (planar: without the coordinate axis).
@@ -578,23 +561,20 @@ class _InterpPlan:
         self.planar = g.mode == "full-2d"
         self.shape = points.shape[:-1] if self.planar else points.shape
         if self.planar:
-            H = cells // 2
             pts = points.reshape(-1, 2)
             self.size = pts.shape[0]
             order = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1])
                                    <= g.eta_max * (1 + 1e-12))
             # u is the one coordinate buffer, so that the permutation below
-            # releases its unsorted copy; every point reads the cell of
-            # -|kx|
+            # releases its unsorted copy; every point reads the cell of |kx|
             u = pts[order, 0]
-            flip = u > 0
-            np.negative(np.abs(u, out=u), out=u)
-            u, row = _fine_cell(u, x0, hf, H - 1)
+            flip = u < 0
+            u, row = _fine_cell(np.abs(u, out=u), x0, hf, cells - 1)
             # sorted by 128 bands of rows, a band's flipped points last, so
             # that the ufuncs masked by `flip` meet at most 256 runs (they
             # pay per run): the stable argsort of an 8-bit key is a
             # one-pass radix sort
-            key = (row * (128 / H)).astype(np.uint8) * 2 + flip
+            key = (row * (128 / cells)).astype(np.uint8) * 2 + flip
             perm = np.argsort(key, kind="stable")
             order, flip, u, row = order[perm], flip[perm], u[perm], row[perm]
             u -= row
@@ -605,21 +585,21 @@ class _InterpPlan:
             # RSS on the 64x64 planar run)
             y = pts[order, 1]
             np.negative(y, out=y, where=flip)
-            u, col = _fine_cell(y, x0, hf, cells - 1)
+            u, col = _fine_cell(y, -g.eta_max, hf, 2 * cells - 1)
             u -= col
             self.wy = _bspline_weights(u, 4)
             # with row stride W = Mf + 3, tap (a, b) of the cell (i, j)
             # reads flat[a*W + b:][base] from the stored (i, j), which is
             # the lattice (i - 1, j - 1)
-            W = cells + 3
+            W = 2 * cells + 3
             row *= W
             row += col
             self.base, self.order, self.stride = row.astype(np.int64), order, W
         else:
-            # the refined axis holds eta >= 0, and radial data are even
             x = points.reshape(-1)
-            neg = x < 0
-            flip = neg if g.mode == "full-1d" and neg.any() else None
+            flip = x < 0
+            if g.mode == "radial" or not flip.any():
+                flip = None
             x = np.abs(x)
             self.mask = x <= g.eta_max * (1 + 1e-12)
             u, i = _fine_cell(np.where(self.mask, x, 0.0), x0, hf, cells - 1)
@@ -688,23 +668,12 @@ def interpolate_array(grid: GridSpec, values: np.ndarray, points) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 def _dual_samples(grid: GridSpec, values: np.ndarray) -> tuple:
-    """(v, c, dv): coefficients of the trigonometric polynomial
-    fhat(eta) = sum_j c_j exp(-2 pi i v_j . eta) through the node samples,
-    on the dual axis v_j = j dv with dv = 1/(M h), both in DFT order
-    (j = 0, 1, ..., then the negative j). c_j = f(v_j) dv^d is the inverse
-    DFT; radial data use the even extension along one axis.
-    """
-    h = grid.spacing
-    if grid.mode == "full-2d":
-        M = grid.n
-        c = np.fft.ifft2(np.fft.ifftshift(values))
-    else:
-        M = 2 * grid.n - 1
-        if grid.mode == "radial":
-            # the even extension of a real profile: real, even samples
-            c = np.fft.irfft(values, M)
-        else:
-            c = np.fft.ifft(np.fft.ifftshift(values))
+    """(v, c, dv): the physical samples c of _samples, coefficients of the
+    trigonometric polynomial fhat(eta) = sum_j c_j exp(-2 pi i v_j . eta)
+    through the node samples, and their dual axis v_j = j dv, dv = 1/(M h),
+    in DFT order."""
+    c = _samples(grid, values)
+    M, h = c.shape[0], grid.spacing
     return np.fft.fftfreq(M, h), c, 1.0 / (M * h)
 
 
@@ -725,7 +694,6 @@ def moments(state: SpectralState, order: int = 4):
     if not 0 <= order <= 4:
         raise ValueError("order must be in 0..4")
     v, c, _ = _dual_samples(g, state.values)
-    c = c.real
     if g.mode == "full-1d":
         return tuple(float((c * v ** k).sum()) for k in range(order + 1))
     if order == 3:
@@ -746,17 +714,16 @@ def moments(state: SpectralState, order: int = 4):
 def to_physical(state: SpectralState) -> tuple:
     """Inverse transform on the dual grid (full modes only).
 
-    Returns (v_axis, samples, dv). The dual spacing dv = 1/(M h) makes the
-    discrete mass identity sum f dv^d = fhat(0) exact. States are exactly
-    Hermitian, so the reconstruction is real up to FFT roundoff and its
-    real part is returned; samples below -1e-8 raise (under-resolution),
-    small negatives are clipped to 0.
+    Returns (v_axis, samples, dv): the real samples of _samples on a
+    centred axis. The dual spacing dv = 1/(M h) makes the discrete mass
+    identity sum f dv^d = fhat(0) exact. Samples below -1e-8 raise
+    (under-resolution), small negatives are clipped to 0.
     """
     g = state.grid
     if g.mode == "radial":
         raise ConfigError("physical reconstruction requires a full grid mode")
     v, c, dv = _dual_samples(g, state.values)
-    f = (np.fft.fftshift(c) / dv ** g.dimension).real.copy()
+    f = np.fft.fftshift(c) / dv ** g.dimension
     if f.min() < -1e-8:
         raise NumericalFailure(
             f"negative physical samples ({f.min():.2e}) signal under-resolution")

@@ -335,9 +335,11 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int = 0, n: int | None = None) -> VerifyResult:
-    """Run one named suite. Unknown names raise KeyError; n < 1 raises
-    ConfigError."""
+    """Run one named suite. Unknown names raise KeyError; a negative seed
+    or n < 1 raises ConfigError."""
     fn = _SUITES[name]
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if n is None:
         return fn(seed=seed)
     if n < 1:

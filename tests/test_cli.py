@@ -13,7 +13,7 @@ import pytest
 from kinb import (AngularQuadrature, CrossSection, GevreyWeight, GridSpec,
                   InitialDatum, RunConfig, build_induction_schedule,
                   commutation_error, fractional_heat_evolve, init_state,
-                  simulate)
+                  simulate, state_with_values)
 from kinb.cli import (_SECTIONS, _parser, _run_config, load_config, main,
                       read_snapshot, write_manifest, write_snapshot)
 from kinb.errors import ConfigError
@@ -394,6 +394,68 @@ def test_snapshot_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert main(["diagnose", str(snap), "--out", str(out)]) == 1
     assert "is not UTF-8 text" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def _induction_run(tmp_path):
+    """A run directory whose hypothesis chain `kinb induction` checks:
+    eta_max = 16 leaves room for the part-I scales."""
+    ini = KAC_INI.replace("n = 129", "n = 161").replace("eta_max = 12.0", "eta_max = 16.0")
+    out = str(tmp_path / "run")
+    assert main(["simulate", _write(tmp_path, "kac.ini", ini), "--out", out]) == 0
+    return out
+
+
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_snapshot_with_a_non_finite_time_is_a_config_error(tmp_path, capsys, t):
+    # `t < 0` is false for nan: induction ended in a traceback and diagnose
+    # printed the whole fit before exiting 2
+    out = _induction_run(tmp_path)
+    assert main(["induction", out]) == 0
+    capsys.readouterr()
+    path = os.path.join(out, sorted(f for f in os.listdir(out)
+                                    if f.startswith("snapshot_"))[-1])
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(re.sub(r"# t=.*", f"# t={t}", text))
+    for argv in (["induction", out], ["diagnose", path, "--out", str(tmp_path)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "kinb: config error: state time must be nonnegative and finite" in captured.err
+        assert "alpha_hat" not in captured.out
+
+
+def test_induction_refuses_snapshots_from_another_grid(tmp_path, capsys):
+    # a stray snapshot of another run's grid would be priced on the scales
+    # and L2 cap of the first snapshot's grid without notice
+    out = _induction_run(tmp_path)
+    capsys.readouterr()
+    g = GridSpec(dimension=1, mode="full-1d", n=129, eta_max=16.0)
+    st = init_state(g, InitialDatum(kind="laplace", dimension=1, a=1.0))
+    write_snapshot(state_with_values(st, st.values, t=0.005),
+                   os.path.join(out, "snapshot_0009_t0.005000.csv"))
+    assert main(["induction", out]) == 1
+    assert "kinb: config error: snapshot states come from different grids" \
+        in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "induction.csv"))
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed and n_random must be >= 0, got -1 and 64"),
+    (["--n-random", "-3"], "seed and n_random must be >= 0, got 0 and -3"),
+], ids=["seed", "n-random"])
+def test_induction_refuses_negative_seed_and_n_random(tmp_path, capsys, flags, message):
+    out = _induction_run(tmp_path)
+    capsys.readouterr()
+    assert main(["induction", out, *flags]) == 1
+    assert f"kinb: config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["epsilon", "kl", "expdiff", "ddlemma", "geometry"])
+def test_verify_refuses_a_negative_seed(suite, capsys):
+    for n in ([], ["--n", "10"]):
+        assert main(["verify", suite, "--seed", "-1", *n]) == 1
+        assert "kinb: config error: seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", ["commutator", "conservation"])

@@ -193,7 +193,7 @@ def test_commutator_values_are_pinned():
                         0.012265082271249634, 0.00733406955679659),
         ("radial", 3): (-0.0013081882575562936, 0.016840658442121303,
                         0.02392987385026964, 0.01566327865507684),
-        ("full-2d", 2): (-0.0005915185567505791, 0.009690924879223786,
+        ("full-2d", 2): (-0.0005915185567503888, 0.009690924879223786,
                          0.01431785314805448, 0.008548554915248913),
     }
     grids = (

@@ -143,6 +143,14 @@ def test_run_validation():
             run(st, CS, QUAD, dt=dt, t_end=t_end)
 
 
+@pytest.mark.parametrize("ts", [np.nan, np.inf, -np.inf])
+def test_run_refuses_non_finite_snapshot_times(ts):
+    # nan fails both bounds of a `ts < lo or ts > hi` test and reached
+    # int(round(nan)) as a bare ValueError
+    with pytest.raises(ConfigError, match="outside"):
+        run(_kac_state(), CS, QUAD, dt=0.01, t_end=0.1, snapshot_times=(ts,))
+
+
 def test_non_finite_sizes_are_config_errors():
     g = GridSpec(dimension=1, mode="full-1d", n=129, eta_max=12.0)
     datum = InitialDatum(kind="laplace", dimension=1, a=1.0)

@@ -227,6 +227,31 @@ def test_radial_requires_symmetry():
         init_state(g, datum)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind, field", [
+    ("gaussian", "sigma"), ("gaussian", "mass"), ("laplace", "a"),
+    ("laplace", "mass"), ("gaussian-mixture", "weight"),
+    ("gaussian-mixture", "sigma")])
+def test_datum_refuses_non_finite_parameters(kind, field, bad):
+    # nan passes a `<= 0` test, and a nan or inf datum would reach
+    # init_state as NumericalFailure("non-finite values in state"), a
+    # configuration error reported as a numerical failure
+    if kind == "gaussian-mixture":
+        w, s = (bad, 0.5) if field == "weight" else (0.5, bad)
+        kw = {"components": ((w, (0.0,), s), (0.5, (0.3,), 0.4))}
+    else:
+        kw = {field: bad}
+    with pytest.raises(ConfigError, match="finite"):
+        InitialDatum(kind=kind, dimension=1, **kw)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_state_refuses_a_non_finite_time(t):
+    g = GridSpec(dimension=1, mode="full-1d", n=33, eta_max=4.0)
+    with pytest.raises(ConfigError, match="finite"):
+        SpectralState(grid=g, t=t, values=np.ones(g.shape, dtype=complex))
+
+
 def test_datum_validation():
     with pytest.raises(ConfigError):
         InitialDatum(kind="gaussian", dimension=1, sigma=-1.0)
@@ -380,9 +405,10 @@ def test_refine_array_matches_direct_trigonometric_sum(case):
     # refine_array holds the quintic B-spline coefficients of the
     # trigonometric polynomial of _trig_poly: its coefficients c_j divided
     # by the spline's symbol B5(w) = (66 + 52 cos w + 2 cos 2w)/120 at
-    # w = 2 pi j/Mf, summed at eta = (k - 2) hf, k = 0..Mf/2 + 2, hf = h/U;
-    # the spline through them equals the polynomial at every refined node.
-    # Both sums are evaluated directly here, without an FFT
+    # w = 2 pi j/Mf, summed at eta = (k - 2) hf, k = 0..Mf/2 + 4, hf = h/U,
+    # so both margins hold the mirror conj of the half-axis; the spline
+    # through them equals the polynomial at every refined node. Both sums
+    # are evaluated directly here, without an FFT
     grid, datum = _REFINE_CASES[case]
     values = init_state(grid, datum).values
     if grid.mode == "full-2d":
@@ -393,12 +419,12 @@ def test_refine_array_matches_direct_trigonometric_sum(case):
     fine = refine_array(grid, values)
     _, hf, _ = spectral._fine_axis(grid)
     Mf = spectral._UPSAMPLE * (2 * grid.n - 1)
-    assert fine.shape == (Mf // 2 + 3,)
+    assert fine.shape == (Mf // 2 + 5,)
     assert fine.dtype == (complex if grid.mode == "full-1d" else float)
     w = 2.0 * np.pi * v * hf
     b5 = (66.0 + 52.0 * np.cos(w) + 2.0 * np.cos(2.0 * w)) / 120.0
     rng = np.random.default_rng(7)
-    idx = np.concatenate([[0, 1, 2, fine.size - 1],
+    idx = np.concatenate([[0, 1, 2, fine.size - 3, fine.size - 2, fine.size - 1],
                           rng.choice(fine.size, size=196, replace=False)])
     eta = (idx - 2) * hf
     coef = np.exp(-2j * np.pi * np.outer(eta, v)) @ (c / b5)
@@ -481,29 +507,29 @@ def _check_planar_refinement(grid, values):
     # the stored rows and columns are the cubic B-spline coefficients of
     # the planar trigonometric polynomial: its coefficients c_jk divided by
     # B3(wj) B3(wk), B3(w) = (2 + cos w)/3 at w = 2 pi j/Mf, summed at the
-    # lattice point ((r, s) - 1 - Mf/2) hf of the stored row r, column s,
-    # so the margins hold the periodic continuation of the lattice; the
-    # spline through them equals the polynomial at every lattice node in
-    # the disk
-    x0, hf, Mf = spectral._fine_axis(grid)
-    H = Mf // 2
+    # lattice point kx = (r - 1) hf, ky = -eta_max + (s - 1) hf of the
+    # stored row r, column s, so both margin rows and the margin columns
+    # hold the periodic continuation of the lattice; the spline through
+    # them equals the polynomial at every lattice node in the disk
+    _, hf, H = spectral._fine_axis(grid)
+    Mf = 2 * H
+    e = grid.eta_max
     v, c = _planar_poly(grid, values)
     b3 = (2.0 + np.cos(2.0 * np.pi * v * hf)) / 3.0
     fine = refine_array(grid, values)
     assert fine.shape == (H + 3, Mf + 3) and fine.dtype == complex
-    ex = np.exp(-2j * np.pi * np.outer(x0 + np.arange(-1, H + 2) * hf, v))
-    ey = np.exp(-2j * np.pi * np.outer(x0 + np.arange(-1, Mf + 2) * hf, v))
+    ex = np.exp(-2j * np.pi * np.outer(np.arange(-1, H + 2) * hf, v))
+    ey = np.exp(-2j * np.pi * np.outer(-e + np.arange(-1, Mf + 2) * hf, v))
     want = ex @ (c / np.outer(b3, b3)) @ ey.T
     mass = values[grid.zero_index].real
     assert np.abs(fine - want).max() < 1e-13 * mass
-    e = grid.eta_max
     rng = np.random.default_rng(7)
-    nodes = x0 + np.concatenate([rng.integers(0, Mf + 1, (3000, 2)),
+    nodes = -e + np.concatenate([rng.integers(0, Mf + 1, (3000, 2)),
                                  [[0, H], [H, 0], [H, Mf], [Mf, H], [H, H]]]) * hf
     nodes = nodes[np.hypot(nodes[:, 0], nodes[:, 1]) <= e]
     err = np.abs(interpolate_array(grid, values, nodes) - _planar_sum(v, c, nodes)).max()
     assert err < 1e-13 * mass
-    # a point in kx > 0 is read at -eta and conjugated, so F(-eta) =
+    # a point in kx < 0 is read at -eta and conjugated, so F(-eta) =
     # conj F(eta) holds bit for bit off kx = 0, in the strips at |kx| or
     # |ky| near eta_max too
     phi = rng.uniform(0.0, 2.0 * np.pi, 1000)
@@ -557,13 +583,13 @@ def test_planar_plan_matches_direct_16_tap_sum():
     # sums must equal, bit for bit and in the caller's order, the 16-tap
     # cubic B-spline sum (y-taps first, then x-taps) on the periodic
     # lattice that the stored half defines: at the point's own cell for
-    # kx <= 0, and conjugated at -eta for kx > 0; beyond-disk points read 0
+    # kx >= 0, and conjugated at -eta for kx < 0; beyond-disk points read 0
     g = GridSpec(dimension=2, mode="full-2d", n=32, eta_max=3.0)
     datum = InitialDatum(kind="gaussian-mixture", dimension=2,
                          components=((0.6, (0.4, -0.3), 0.5), (0.4, (-0.6, 0.2), 0.7)))
     half = refine_array(g, init_state(g, datum).values)
-    x0, hf, cnt = spectral._fine_axis(g)
-    H = cnt // 2
+    _, hf, H = spectral._fine_axis(g)
+    cnt = 2 * H
     fine = _full_lattice(half, cnt)
     e = g.eta_max
     rng = np.random.default_rng(11)
@@ -571,7 +597,7 @@ def test_planar_plan_matches_direct_16_tap_sum():
                      [-0.2, e - 0.3 * hf], [-e + 0.4 * hf, 0.05], [-hf, e - 1e-3],
                      [e * (1 + 1e-13), 0.0], [-e * (1 + 1e-13), 0.0],
                      [0.0, -e * (1 + 1e-13)], [0.6 * e, -0.8 * e]])
-    # blocks straddling row cnt/2 (kx = 0), blocks just above it, and
+    # blocks straddling row 0 (kx = 0), blocks just beyond it, and
     # points at ky ~ +-eta_max on either side of kx = 0
     y = rng.uniform(-0.9 * e, 0.9 * e, 40)
     straddle = np.stack([np.linspace(-2.0 * hf, 1.99 * hf, 40), y], axis=1)
@@ -583,7 +609,7 @@ def test_planar_plan_matches_direct_16_tap_sum():
                           edge, straddle, above, rim, beyond])
     pts = pts[rng.permutation(len(pts))]
 
-    def stencil(x, last):
+    def stencil(x, x0, last):
         # the clipped cell and the cubic B-spline weights (1-t)^3/6,
         # (4 - 6t^2 + 3t^3)/6, (1 + 3t + 3t^2 - 3t^3)/6 and t^3/6, each by
         # Horner's rule from t^3 down, as _bspline_weights sums them
@@ -598,25 +624,25 @@ def test_planar_plan_matches_direct_16_tap_sum():
             w.append(acc)
         return i.astype(np.int64), np.array(w)
 
-    # the plan's in-place helpers compute the same bits
-    x = x0 + rng.uniform(-1.5, cnt + 1.5, 1000) * hf
-    u, i = spectral._fine_cell(x.copy(), x0, hf, cnt - 1)
+    # the plan's in-place helpers compute the same bits, here on the ky axis
+    x = -e + rng.uniform(-1.5, cnt + 1.5, 1000) * hf
+    u, i = spectral._fine_cell(x.copy(), -e, hf, cnt - 1)
     u -= i
-    want_i, want_w = stencil(x, cnt - 1)
+    want_i, want_w = stencil(x, -e, cnt - 1)
     np.testing.assert_array_equal(i, want_i)
     np.testing.assert_array_equal(spectral._bspline_weights(u, 4), want_w)
 
     mask = np.hypot(pts[:, 0], pts[:, 1]) <= e * (1 + 1e-12)
-    flip = pts[:, 0] > 0
+    flip = pts[:, 0] < 0
     read = np.where(mask[:, None], np.where(flip[:, None], -pts, pts), 0.0)
-    ix, wx = stencil(read[:, 0], H - 1)
-    iy, wy = stencil(read[:, 1], cnt - 1)
-    # the cells at both edges are hit, so the taps read the front margin
-    # row and the wrap columns, and so are the rows up to cnt/2 (kx = 0),
-    # whose stencils read the back margin row
+    ix, wx = stencil(read[:, 0], 0.0, H - 1)
+    iy, wy = stencil(read[:, 1], -e, cnt - 1)
+    # the cells at both edges are hit, so the taps read the wrap columns,
+    # the front margin row (the rows from kx = 0) and the back margin row
+    # (the rows up to |kx| = eta_max), on both sides of kx = 0
     assert ix.min() == iy.min() == 0 and ix.max() == H - 1 and iy.max() == cnt - 1
-    assert {H - 2, H - 1} <= set(ix[mask & flip].tolist())
-    assert {H - 2, H - 1} <= set(ix[mask & ~flip].tolist())
+    for side in (flip, ~flip):
+        assert {0, 1, H - 2, H - 1} <= set(ix[mask & side].tolist())
     # the margins are the periodic continuation of the lattice
     np.testing.assert_array_equal(half[0, 1:cnt + 1], fine[cnt - 1])
     np.testing.assert_array_equal(half[H + 2, 1:cnt + 1], fine[H + 1])
