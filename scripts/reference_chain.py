@@ -8,7 +8,6 @@ output directory.
 """
 
 import argparse
-import csv
 import math
 import os
 import time
@@ -24,7 +23,7 @@ from kinb import (
     init_state,
     run,
 )
-from kinb.cli import _write_induction_csv, _write_run_csv
+from kinb.cli import _write_csv, _write_induction_csv, _write_run_csv
 
 SNAPSHOT_TIMES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -72,16 +71,15 @@ def main():
     t1 = time.time()
     fine, _ = reference_run(args.n_fine)
     print(f"resolution twin n={args.n_fine}: {time.time() - t1:.1f}s")
-    path = os.path.join(args.out, "hinf.csv")
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["t", f"hinf_n{args.n}", f"hinf_n{args.n_fine}", "rel_gap"])
-        for (t, s1), (_, s2) in zip(traj.snapshots, fine.snapshots):
-            v1 = hinf_weighted_norm(s1, beta=args.beta_weight)
-            v2 = hinf_weighted_norm(s2, beta=args.beta_weight)
-            gap = abs(v1 - v2) / v1
-            wr.writerow([repr(t), repr(v1), repr(v2), f"{gap:.3e}"])
-            print(f"  t={t:.2f}: hinf {v1:.6f} vs {v2:.6f} (rel {gap:.2e})")
+    hinf_rows = []
+    for (t, s1), (_, s2) in zip(traj.snapshots, fine.snapshots):
+        v1 = hinf_weighted_norm(s1, beta=args.beta_weight)
+        v2 = hinf_weighted_norm(s2, beta=args.beta_weight)
+        gap = abs(v1 - v2) / v1
+        hinf_rows.append([repr(t), repr(v1), repr(v2), f"{gap:.3e}"])
+        print(f"  t={t:.2f}: hinf {v1:.6f} vs {v2:.6f} (rel {gap:.2e})")
+    _write_csv(os.path.join(args.out, "hinf.csv"),
+               (f"t,hinf_n{args.n},hinf_n{args.n_fine},rel_gap",), hinf_rows)
     lam_cap = 32.0 / math.sqrt(2)
     print(f"largest scale checked: {sched.scales[-1]:.4f} (cap {lam_cap:.4f})")
     print(f"wrote {args.out}/run.csv, induction.csv, hinf.csv")

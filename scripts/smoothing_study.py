@@ -9,7 +9,6 @@ floor.  Writes alpha_fit.csv with one row per snapshot.
 """
 
 import argparse
-import csv
 import os
 import time
 
@@ -22,6 +21,7 @@ from kinb import (
     init_state,
     run,
 )
+from kinb.cli import _write_csv
 
 
 def main():
@@ -45,18 +45,15 @@ def main():
                snapshot_times=times, monitor_every=100)
     print(f"run: {time.time() - t0:.1f}s ({int(args.t_end / args.dt)} steps)")
 
+    rows = []
+    for t, s in traj.snapshots:
+        rep = fit_gevrey_order(s, fit_window=tuple(args.window))
+        rows.append([repr(t), repr(rep.alpha_hat), repr(rep.beta_t_hat),
+                     repr(rep.beta_hat(t)), repr(rep.residual), rep.n_points])
+        print(f"  t={t:.3f}: alpha_hat={rep.alpha_hat:.4f} "
+              f"beta_hat={rep.beta_hat(t):.4f} resid={rep.residual:.4f}")
     path = os.path.join(args.out, "alpha_fit.csv")
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["t", "alpha_hat", "beta_t_hat", "beta_hat", "residual",
-                     "n_points"])
-        for t, s in traj.snapshots:
-            rep = fit_gevrey_order(s, fit_window=tuple(args.window))
-            wr.writerow([repr(t), repr(rep.alpha_hat), repr(rep.beta_t_hat),
-                         repr(rep.beta_hat(t)), repr(rep.residual),
-                         rep.n_points])
-            print(f"  t={t:.3f}: alpha_hat={rep.alpha_hat:.4f} "
-                  f"beta_hat={rep.beta_hat(t):.4f} resid={rep.residual:.4f}")
+    _write_csv(path, ("t,alpha_hat,beta_t_hat,beta_hat,residual,n_points",), rows)
     print(f"kernel exponent nu={args.nu}; wrote {path}")
 
 

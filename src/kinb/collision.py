@@ -205,9 +205,7 @@ class _Evaluator:
         flat = np.arange(mirror.size)
         self.keep = np.flatnonzero((mirror >= 0) & (mirror <= flat))
         self.drop = np.flatnonzero(mirror > flat)
-        pos = np.empty(mirror.size, dtype=np.int64)
-        pos[self.keep] = np.arange(self.keep.size)
-        self.drop_src = pos[mirror[self.drop]]
+        self.partner = mirror[self.drop]
         self.pts = grid.nodes()[self.keep]
         if grid.mode != "full-2d":
             # the Kac line folds theta < 0 onto theta > 0; radial data
@@ -238,7 +236,7 @@ class _Evaluator:
         out = np.zeros(self.grid.shape, dtype=kept.dtype)
         flat = out.reshape(-1)
         flat[self.keep] = kept
-        flat[self.drop] = np.conj(kept[self.drop_src])
+        flat[self.drop] = np.conj(flat[self.partner])
         return out
 
 

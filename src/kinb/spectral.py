@@ -287,27 +287,26 @@ class InitialDatum:
             if (f.default is not MISSING and f.name not in _DATUM_PARAMS[self.kind]
                     and getattr(self, f.name) != f.default):
                 raise ConfigError(f"datum kind {self.kind!r} takes no {f.name!r}")
+        if self.kind == "laplace":
+            if not (0 < self.a < math.inf and 0 < self.mass < math.inf):
+                raise ConfigError("laplace needs positive finite a and mass")
+            return
+        # a gaussian is the one component (mass, center, sigma); every
+        # center is stored as d finite floats, an empty one as the origin
+        if not self._triples():
+            raise ConfigError("gaussian-mixture needs at least one component")
+        comps = []
+        for w, c, s in self._triples():
+            if not (0 < w < math.inf and 0 < s < math.inf):
+                raise ConfigError("masses, weights and sigmas must be positive and finite")
+            c = tuple(float(x) for x in c) or (0.0,) * d
+            if len(c) != d or not all(map(math.isfinite, c)):
+                raise ConfigError(f"{self.kind} center {c} needs {d} finite coordinates")
+            comps.append((float(w), c, float(s)))
         if self.kind == "gaussian":
-            if not (0 < self.sigma < math.inf and 0 < self.mass < math.inf):
-                raise ConfigError("gaussian needs positive finite sigma and mass")
-            c = self.center or tuple(0.0 for _ in range(d))
-            if len(c) != d:
-                raise ConfigError("center dimension mismatch")
-            object.__setattr__(self, "center", tuple(float(x) for x in c))
-        elif self.kind == "gaussian-mixture":
-            if not self.components:
-                raise ConfigError("gaussian-mixture needs at least one component")
-            comps = []
-            for w, c, s in self.components:
-                if not (0 < w < math.inf and 0 < s < math.inf):
-                    raise ConfigError("mixture weights and sigmas must be positive and finite")
-                c = tuple(float(x) for x in (c or tuple(0.0 for _ in range(d))))
-                if len(c) != d:
-                    raise ConfigError("mixture center dimension mismatch")
-                comps.append((float(w), c, float(s)))
+            object.__setattr__(self, "center", comps[0][1])
+        else:
             object.__setattr__(self, "components", tuple(comps))
-        elif not (0 < self.a < math.inf and 0 < self.mass < math.inf):
-            raise ConfigError("laplace needs positive finite a and mass")
 
     def _triples(self):
         if self.kind == "gaussian":
@@ -330,7 +329,7 @@ class InitialDatum:
             dot = lambda c: eta @ np.asarray(c)
         else:
             r2 = eta ** 2
-            dot = lambda c: eta * (c[0] if c else 0.0)
+            dot = lambda c: eta * c[0]
         if self.kind == "laplace":
             return self.mass * (1.0 + 4.0 * np.pi ** 2 * self.a ** 2 * r2) ** (-(d + 1) / 2.0)
         out = np.zeros(np.shape(r2), dtype=complex)
@@ -353,7 +352,7 @@ class InitialDatum:
             if points:
                 q = ((v - np.asarray(c)) ** 2).sum(-1)
             else:
-                q = (v - (c[0] if c else 0.0)) ** 2
+                q = (v - c[0]) ** 2
             out = out + w * np.exp(-q / (2 * s * s)) / (2 * np.pi * s * s) ** (d / 2.0)
         return out
 
@@ -483,14 +482,14 @@ def refine_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 
 def _fine_axis(grid: GridSpec) -> tuple:
-    """(x0, hf, cells) of the first axis of refine_array, which every plan
-    reads at |x|: x0 = 0, hf = h/U and the Mf/2 cells in every mode. A
-    point at x lies in the cell floor((x - x0)/hf), clipped to
+    """(hf, cells) of the first axis of refine_array, which every plan
+    reads at |x|: hf = h/U and the Mf/2 cells in every mode, from the
+    origin. A point at x lies in the cell floor(x/hf), clipped to
     0..cells-1, and the taps of cell i read the entries i..i+taps-1 along
-    the axis. The periodic ky axis of the plane has x0 = -eta_max and
+    the axis. The periodic ky axis of the plane starts at -eta_max and has
     twice the cells."""
     M = grid.n if grid.mode == "full-2d" else 2 * grid.n - 1
-    return 0.0, grid.spacing / _UPSAMPLE, _UPSAMPLE * M // 2
+    return grid.spacing / _UPSAMPLE, _UPSAMPLE * M // 2
 
 
 def _fine_cell(u: np.ndarray, x0: float, hf: float, last: int) -> tuple:
@@ -556,7 +555,7 @@ class _InterpPlan:
 
     def __init__(self, grid: GridSpec, points: np.ndarray):
         g = grid
-        x0, hf, cells = _fine_axis(g)
+        hf, cells = _fine_axis(g)
         points = np.asarray(points, dtype=float)
         self.planar = g.mode == "full-2d"
         self.shape = points.shape[:-1] if self.planar else points.shape
@@ -569,7 +568,7 @@ class _InterpPlan:
             # releases its unsorted copy; every point reads the cell of |kx|
             u = pts[order, 0]
             flip = u < 0
-            u, row = _fine_cell(np.abs(u, out=u), x0, hf, cells - 1)
+            u, row = _fine_cell(np.abs(u, out=u), 0.0, hf, cells - 1)
             # sorted by 128 bands of rows, a band's flipped points last, so
             # that the ufuncs masked by `flip` meet at most 256 runs (they
             # pay per run): the stable argsort of an 8-bit key is a
@@ -602,7 +601,7 @@ class _InterpPlan:
                 flip = None
             x = np.abs(x)
             self.mask = x <= g.eta_max * (1 + 1e-12)
-            u, i = _fine_cell(np.where(self.mask, x, 0.0), x0, hf, cells - 1)
+            u, i = _fine_cell(np.where(self.mask, x, 0.0), 0.0, hf, cells - 1)
             u -= i
             self.wx = _bspline_weights(u, _HALF_TAPS)
             # tap a of the cell i reads fine[a:][first], the coefficient at

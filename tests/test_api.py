@@ -73,3 +73,12 @@ def test_every_private_name_is_used():
             if not any(read == name and id(n) not in own for n, read in reads):
                 dead.append(f"{mod}.{name}")
     assert dead == []
+
+
+def test_readme_layout_names_every_module():
+    # the Layout block of the README describes each module of src/kinb
+    path = pathlib.Path(__file__).parent.parent / "README.md"
+    block = path.read_text(encoding="utf-8").split("## Layout", 1)[1].split("```")[1]
+    listed = {line.split()[0] for line in block.splitlines()
+              if line.startswith("  ") and line.split()[0].endswith(".py")}
+    assert listed == {name.split(".")[1] + ".py" for name in MODULES}

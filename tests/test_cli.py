@@ -589,9 +589,24 @@ def test_init_params_follow_the_config_number_rule(tmp_path, capsys, kind,
     assert not os.path.exists(tmp_path / "run")
 
 
+_SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+_SCRIPT_INIS = sorted(name for name in os.listdir(_SCRIPTS) if name.endswith(".ini"))
+
+
+def test_every_script_config_is_collected():
+    assert {"boltzmann_2d.ini", "kac_reference.ini"} <= set(_SCRIPT_INIS)
+
+
+@pytest.mark.parametrize("name", _SCRIPT_INIS)
+def test_script_config_loads(name):
+    # the shipped configs, the README's reference run among them, build a
+    # run without error
+    rc = _run_config(load_config(os.path.join(_SCRIPTS, name)))
+    assert isinstance(rc, RunConfig)
+
+
 def test_planar_script_config_is_the_bench_mixture():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
-                        "boltzmann_2d.ini")
+    path = os.path.join(_SCRIPTS, "boltzmann_2d.ini")
     rc = _run_config(load_config(path))
     assert rc.grid == GridSpec(dimension=2, mode="full-2d", n=64, eta_max=2.0)
     assert rc.quadrature == AngularQuadrature(theta_min=4e-3, panels=8,

@@ -245,6 +245,24 @@ def test_datum_refuses_non_finite_parameters(kind, field, bad):
         InitialDatum(kind=kind, dimension=1, **kw)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind, dimension, coord", [
+    ("gaussian", 1, 0), ("gaussian", 2, 0), ("gaussian", 2, 1),
+    ("gaussian-mixture", 2, 0), ("gaussian-mixture", 2, 1)])
+def test_datum_refuses_non_finite_centers(kind, dimension, coord, bad):
+    # a non-finite center would reach init_state as
+    # NumericalFailure("non-finite values in state"); the mixture's bad
+    # component is its second, after a valid one
+    center = [0.25] * dimension
+    center[coord] = bad
+    if kind == "gaussian":
+        kw = {"center": tuple(center)}
+    else:
+        kw = {"components": ((0.5, (0.0,) * dimension, 0.4), (0.5, tuple(center), 0.6))}
+    with pytest.raises(ConfigError, match="finite"):
+        InitialDatum(kind=kind, dimension=dimension, **kw)
+
+
 @pytest.mark.parametrize("t", [np.nan, np.inf])
 def test_state_refuses_a_non_finite_time(t):
     g = GridSpec(dimension=1, mode="full-1d", n=33, eta_max=4.0)
@@ -417,7 +435,7 @@ def test_refine_array_matches_direct_trigonometric_sum(case):
     mass = values[grid.zero_index].real
     v, c = _trig_poly(grid, values)
     fine = refine_array(grid, values)
-    _, hf, _ = spectral._fine_axis(grid)
+    hf, _ = spectral._fine_axis(grid)
     Mf = spectral._UPSAMPLE * (2 * grid.n - 1)
     assert fine.shape == (Mf // 2 + 5,)
     assert fine.dtype == (complex if grid.mode == "full-1d" else float)
@@ -511,7 +529,7 @@ def _check_planar_refinement(grid, values):
     # stored row r, column s, so both margin rows and the margin columns
     # hold the periodic continuation of the lattice; the spline through
     # them equals the polynomial at every lattice node in the disk
-    _, hf, H = spectral._fine_axis(grid)
+    hf, H = spectral._fine_axis(grid)
     Mf = 2 * H
     e = grid.eta_max
     v, c = _planar_poly(grid, values)
@@ -556,7 +574,7 @@ def test_planar_edge_reads_match_the_trigonometric_sum():
     g = GridSpec(dimension=2, mode="full-2d", n=32, eta_max=3.0)
     values = init_state(g, InitialDatum(kind="gaussian", dimension=2, sigma=0.12)).values
     v, c = _planar_poly(g, values)
-    _, hf, _ = spectral._fine_axis(g)
+    hf, _ = spectral._fine_axis(g)
     e = g.eta_max
     rng = np.random.default_rng(19)
 
@@ -588,7 +606,7 @@ def test_planar_plan_matches_direct_16_tap_sum():
     datum = InitialDatum(kind="gaussian-mixture", dimension=2,
                          components=((0.6, (0.4, -0.3), 0.5), (0.4, (-0.6, 0.2), 0.7)))
     half = refine_array(g, init_state(g, datum).values)
-    _, hf, H = spectral._fine_axis(g)
+    hf, H = spectral._fine_axis(g)
     cnt = 2 * H
     fine = _full_lattice(half, cnt)
     e = g.eta_max
@@ -675,7 +693,7 @@ def test_plan_reads_stay_on_the_refined_array(case):
     # ky = +-eta_max), must lie in [0, fine.size)
     grid, datum = _REFINE_CASES[case]
     fine = refine_array(grid, init_state(grid, datum).values)
-    x0, hf, cnt = spectral._fine_axis(grid)
+    hf, _ = spectral._fine_axis(grid)
     e = grid.eta_max
     rng = np.random.default_rng(13)
     if grid.mode == "full-2d":
