@@ -8,7 +8,7 @@ from .spectral import (GridSpec, SpectralState, InitialDatum, init_state,
 from .collision import (CrossSection, AngularQuadrature, from_inverse_power,
                         collision_geometry, transform_jacobian, kac_pair,
                         rhs, rhs_bilinear, stability_limit, total_weight,
-                        truncation_error_bound, coercivity_probe)
+                        truncation_error_bound)
 from .evolution import (MonitorRow, RunConfig, Trajectory, entropy, run,
                         simulate)
 from .inequalities import (epsilon, alpha_md, required_moment, LambdaPoints,
@@ -35,7 +35,7 @@ __all__ = [
     "CrossSection", "AngularQuadrature", "from_inverse_power",
     "collision_geometry", "transform_jacobian", "kac_pair",
     "rhs", "rhs_bilinear", "stability_limit", "total_weight",
-    "truncation_error_bound", "coercivity_probe",
+    "truncation_error_bound",
     "MonitorRow", "RunConfig", "Trajectory", "run", "entropy", "simulate",
     "epsilon", "alpha_md", "required_moment",
     "LambdaPoints", "kl_constant", "optimize_lambdas", "kl_check",

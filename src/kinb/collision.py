@@ -29,18 +29,29 @@ d = 1 the mirror theta -> -theta maps eta- to -eta- and keeps eta+, so
 the two angles fold into one with doubled weight:
 
     gain(eta) = sum_{theta > 0} 2 w Re ghat(eta sin theta) hhat(eta cos theta).
+
+The gain is a sum over (kept node, angle) pairs: gather ghat at eta- and
+hhat at eta+ of every pair, form ghat hhat w, and sum each node's pairs.
+On the line modes every pair is kept, node-major. On the plane a pair
+whose eta+ lies beyond eta_max contributes 0, since hhat reads 0 there,
+so only the live pairs, |eta+| <= eta_max, are gathered; |eta-| <= |eta+|
+for |theta| <= pi/2 puts their eta- inside too, and |eta+| <= |eta|
+leaves every node inside the eta_max disk all its pairs. The live pairs
+are ordered once by the band of lattice rows eta+ reads, both gathers
+return their sums in that order, and one bincount sums them by node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import (GridSpec, SpectralState, _InterpPlan, _SPHERE_AREA, moments,
-                       refine_array)
+from .spectral import (GridSpec, SpectralState, _InterpPlan, _SPHERE_AREA, _band_order,
+                       _planar_gather, _planar_stencil, moments, refine_array)
 
 __all__ = [
     "CrossSection",
@@ -56,7 +67,6 @@ __all__ = [
     "total_weight",
     "stability_limit",
     "truncation_error_bound",
-    "coercivity_probe",
 ]
 
 
@@ -187,8 +197,8 @@ def kac_pair(eta, theta) -> tuple:
 # ----------------------------------------------------------------------------
 
 class _Evaluator:
-    """Precomputed angular nodes, sample coordinates, and interpolation plans
-    for one (grid, cross-section, quadrature) triple.
+    """Precomputed angular nodes, sample coordinates, and gathers for one
+    (grid, cross-section, quadrature) triple.
 
     Everything is built on the kept nodes, one node of each conjugate pair
     (eta, -eta); `expand` restores the full array, with 0 on the unpaired
@@ -196,6 +206,15 @@ class _Evaluator:
     For d = 1 only theta > 0 is stored, with doubled weights. `phi` is the
     split angle of each angular node, |eta-| = |eta| |sin phi| and
     |eta+| = |eta| cos phi: theta for d = 1, theta/2 for d >= 2.
+
+    The gain sums over the (kept node, angle) pairs of the module
+    docstring. `gather_minus` and `gather_plus` return a refinement's
+    values at eta- and eta+ of every pair, `node` and `angle` index node
+    and angle arrays by pair, and `node_sum` sums each kept node's pairs.
+    On the line modes the pairs are the node-major (kept, angles) array.
+    On the plane they are the live pairs in the _band_order of eta+, both
+    stencils built in that order, and `node_sum` is one bincount over the
+    interleaved real and imaginary parts (`sum_index`).
     """
 
     def __init__(self, grid: GridSpec, cs: CrossSection, quad: AngularQuadrature):
@@ -215,6 +234,10 @@ class _Evaluator:
             weights = (2.0 if kac else _SPHERE_AREA[d - 1]) * w * cs.collapsed(theta)
             phi = theta if kac else theta / 2.0
             minus, plus = kac_pair(self.pts[:, None], phi[None, :])
+            self.gather_minus = _InterpPlan(grid, minus).apply
+            self.gather_plus = _InterpPlan(grid, plus).apply
+            self.node, self.angle = np.arange(self.keep.size)[:, None], np.arange(theta.size)
+            self.sum_index = None
         else:
             th, w = quad.angles(math.pi / 2)
             theta = np.concatenate([-th[::-1], th])
@@ -224,11 +247,32 @@ class _Evaluator:
             r = np.linalg.norm(pts, axis=-1, keepdims=True)
             ehat = np.divide(pts, r, out=np.zeros_like(pts), where=r > 0)
             minus, plus = collision_geometry(pts, sigma_from_angle(ehat, theta))
+            plus = plus.reshape(-1, 2)
+            live = np.flatnonzero(np.hypot(plus[:, 0], plus[:, 1])
+                                  <= grid.eta_max * (1 + 1e-12))
+            live = live[_band_order(grid, plus[live, 0])]
+            # the live pairs' coordinates, in pair order, replace the dense
+            # arrays before the stencils are built
+            minus = minus.reshape(-1, 2)
+            minus, plus = (minus[live, 0], minus[live, 1]), (plus[live, 0], plus[live, 1])
+            self.gather_minus = partial(_planar_gather, *_planar_stencil(grid, *minus))
+            self.gather_plus = partial(_planar_gather, *_planar_stencil(grid, *plus))
+            node, angle = np.divmod(live, theta.size)
+            self.node, self.angle = node.astype(np.int32), angle.astype(np.int32)
+            self.sum_index = (2 * node[:, None] + np.arange(2)).ravel()
         self.theta, self.phi = theta, phi
         self.weights = weights
+        self.pair_weights = weights[self.angle]
         self.total_weight = float(weights.sum())
-        self.plan_minus = _InterpPlan(grid, minus)
-        self.plan_plus = _InterpPlan(grid, plus)
+
+    def node_sum(self, pairs: np.ndarray) -> np.ndarray:
+        """The sum of each kept node's pair values."""
+        if self.sum_index is None:
+            return pairs.sum(axis=1)
+        k = self.keep.size
+        if pairs.dtype == complex:
+            return np.bincount(self.sum_index, pairs.view(float), 2 * k).view(complex)
+        return np.bincount(self.node, pairs, k)
 
     def expand(self, kept: np.ndarray) -> np.ndarray:
         """Full node array from kept-node values by x(-eta) = conj x(eta),
@@ -262,8 +306,8 @@ def _evaluator(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature) -> _Ev
 
 def _bilinear(ev: _Evaluator, gm: np.ndarray, hp: np.ndarray,
               g_values: np.ndarray, h_values: np.ndarray) -> np.ndarray:
-    """Qhat(g, h) on the grid nodes from the kept-node gathers gm of ghat at
-    eta- (its real part for d = 1) and hp of hhat at eta+; hp is overwritten.
+    """Qhat(g, h) on the grid nodes from the pair gathers gm of ghat at eta-
+    (its real part for d = 1) and hp of hhat at eta+; hp is overwritten.
 
     The products are formed in place: no point-sized temporary beyond the
     two gathers, so the allocator does not trim the heap and fault it in
@@ -271,8 +315,8 @@ def _bilinear(ev: _Evaluator, gm: np.ndarray, hp: np.ndarray,
     """
     grid = ev.grid
     np.multiply(gm, hp, out=hp)
-    hp *= ev.weights
-    gain = ev.expand(hp.sum(axis=1))
+    hp *= ev.pair_weights
+    gain = ev.expand(ev.node_sum(hp))
     out = gain - ev.total_weight * g_values[grid.zero_index] * h_values
     out[grid.zero_index] = 0.0
     return out
@@ -301,9 +345,9 @@ def rhs_bilinear(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature,
     # d = 1: ghat(-x) = conj ghat(x) pairs theta with -theta, so only
     # Re ghat enters, gathered from one contiguous copy (np.take copies a
     # strided source on every tap); radial refinements are real
-    gm = ev.plan_minus.apply(np.ascontiguousarray(fine_g.real)
-                             if grid.dimension == 1 else fine_g)
-    return _bilinear(ev, gm, ev.plan_plus.apply(fine_h), g_values, h_values)
+    gm = ev.gather_minus(np.ascontiguousarray(fine_g.real)
+                         if grid.dimension == 1 else fine_g)
+    return _bilinear(ev, gm, ev.gather_plus(fine_h), g_values, h_values)
 
 
 def rhs(state: SpectralState, cs: CrossSection, quad: AngularQuadrature) -> np.ndarray:
@@ -360,16 +404,3 @@ def truncation_error_bound(state_g: SpectralState, state_h: SpectralState,
         mult = _SPHERE_AREA[d - 1]
     tail = cs.kappa * quad.theta_min ** (2.0 - 2.0 * cs.nu) / (2.0 - 2.0 * cs.nu)
     return mult * tail * c
-
-
-def coercivity_probe(state: SpectralState, cs: CrossSection,
-                     quad: AngularQuadrature) -> np.ndarray:
-    """Per-node dissipativity margin W * fhat(0) - int b |fhat(eta-)| dsigma.
-
-    Nonnegative because |fhat| <= fhat(0) for a nonnegative density; its size
-    away from eta = 0 is what drives regularization at that frequency. It is
-    0 on the unpaired nodes: no margin where the state carries no value.
-    """
-    ev = _evaluator(state.grid, cs, quad)
-    gm = np.abs(ev.plan_minus.apply(refine_array(state.grid, state.values)))
-    return ev.expand(ev.total_weight * state.mass - (gm * ev.weights).sum(axis=1))

@@ -241,15 +241,15 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     f = state.values
     gf = g_nodes * f
     # Q(f, Gf) and Q(f, f) as rhs_bilinear forms them, from one refinement
-    # of f and of Gf and one gather of each on each plan; the bounds below
+    # of f and of Gf and one gather of each on each side; the bounds below
     # read the same gathers of f
     ev = _evaluator(grid, cs, quad)
     fine = refine_array(grid, f)
-    f_minus = ev.plan_minus.apply(fine)
-    f_plus = ev.plan_plus.apply(fine)
+    f_minus = ev.gather_minus(fine)
+    f_plus = ev.gather_plus(fine)
     fm, fp = np.abs(f_minus), np.abs(f_plus)
     gm = f_minus.real if d == 1 else f_minus
-    q1 = _bilinear(ev, gm, ev.plan_plus.apply(refine_array(grid, gf)), f, gf)
+    q1 = _bilinear(ev, gm, ev.gather_plus(refine_array(grid, gf)), f, gf)
     q2 = g_nodes * _bilinear(ev, gm, f_plus, f, f)
     # the complex gathers are spent; the bounds need only their moduli
     del f_minus, f_plus, gm
@@ -257,13 +257,17 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     lhs = float(np.sum(cells * ((q1 - q2) * np.conj(gf)).reshape(-1)).real)
 
     # |fhat| and every weight below are even in eta, so the angular sums run
-    # on the operator's kept nodes and are mirrored onto the rest
+    # over the operator's pairs of a kept node and an angle (ev.node and
+    # ev.angle index node and angle arrays by pair) and are mirrored onto
+    # the rest. The plane has no pair where |eta+| > eta_max, which happens
+    # only at nodes beyond eta_max > lam, where G_Lam fhat is 0
     theta, phi = ev.theta, ev.phi
+    node, angle = ev.node, ev.angle
 
-    r_kept = grid.abs_nodes().reshape(-1)[ev.keep][:, None]
+    r_pair = grid.abs_nodes().reshape(-1)[ev.keep][node]
     sin_sq = np.sin(phi) ** 2          # = 1 - |eta+|^2/|eta|^2
     ratio_pm = 1.0 / np.tan(phi) ** 2   # |eta+|^2 / |eta-|^2
-    abs_minus, abs_plus = np.abs(kac_pair(r_kept, phi))   # planar phi is signed
+    abs_minus, abs_plus = np.abs(kac_pair(r_pair, phi[angle]))   # planar phi is signed
     eps_prop = epsilon(alpha, ratio_pm)
     eps_lem = epsilon(alpha, 1.0 / np.tan(theta / 2.0) ** 2)
 
@@ -273,39 +277,39 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     bt = beta * t
 
     # product bound over the collision sphere
-    g_minus_eps = _grow(bt, abs_minus ** 2, power=eps_prop[None, :], alpha=alpha)
+    g_minus_eps = _grow(bt, abs_minus ** 2, power=eps_prop[angle], alpha=alpha)
     glam_plus = _grow(bt, abs_plus ** 2, alpha=alpha)
     glam_plus = np.where(abs_plus <= lam * (1.0 + 1e-12), glam_plus, 0.0)
     bracket_plus = (1.0 + abs_plus ** 2) ** alpha
-    inner = ev.expand(((g_minus_eps * fm * glam_plus * fp * bracket_plus)
-                       * (ev.weights * sin_sq)).sum(axis=1)).reshape(-1)
+    inner = ev.expand(ev.node_sum((g_minus_eps * fm * glam_plus * fp * bracket_plus)
+                                  * (ev.weights * sin_sq)[angle])).reshape(-1)
     rhs_bound = 2.0 * ab_t * float(np.sum(cells * g_mag * inner))
 
     # square-weighted bound, outer variable eta; the evaluator weights carry
     # b(cos t)*sin^{d-2}t, so sin^2 of the full angle completes sin^d t * b
     ind_minus = abs_minus <= lam / math.sqrt(2.0) * (1.0 + 1e-12)
-    g_minus_lem = _grow(bt, abs_minus ** 2, power=eps_lem[None, :], alpha=alpha)
-    inner_i = ev.expand((g_minus_lem * fm * ind_minus
-                         * (ev.weights * np.sin(theta) ** 2)).sum(axis=1)).reshape(-1)
+    g_minus_lem = _grow(bt, abs_minus ** 2, power=eps_lem[angle], alpha=alpha)
+    inner_i = ev.expand(ev.node_sum(g_minus_lem * fm * ind_minus
+                                    * (ev.weights * np.sin(theta) ** 2)[angle])).reshape(-1)
     bracket_nodes = (1.0 + r_nodes ** 2) ** alpha
     i_term = ab_t * float(np.sum(cells * g_mag ** 2 * bracket_nodes * inner_i))
 
     # square-weighted bound, outer variable eta+ (see the docstring)
-    tan_phi = np.tan(phi)
-    abs_pts = np.abs(r_kept * tan_phi)
+    tan_phi = np.tan(phi)[angle]
+    abs_pts = np.abs(r_pair * tan_phi)
     if grid.mode == "full-2d":
-        pts = tan_phi[None, :, None] * perp_unit(ev.pts)[:, None, :]
+        pts = tan_phi[:, None] * perp_unit(ev.pts)[node]
     else:
-        pts = r_kept * tan_phi
+        pts = r_pair * tan_phi
     if d == 1:
         kernel_plus, pref = ev.weights * sin_sq, math.sqrt(2.0) * ab_t
     else:
         kernel_plus, pref = ev.weights * sin_sq / np.cos(phi) ** (d - 2), 2.0 * ab_t
     fmp = np.abs(_InterpPlan(grid, pts).apply(fine))
     ind_plus = abs_pts <= lam / math.sqrt(2.0) * (1.0 + 1e-12)
-    g_minus_plus = _grow(bt, abs_pts ** 2, power=eps_lem[None, :], alpha=alpha)
-    inner_p = ev.expand((g_minus_plus * fmp * ind_plus
-                         * kernel_plus).sum(axis=1)).reshape(-1)
+    g_minus_plus = _grow(bt, abs_pts ** 2, power=eps_lem[angle], alpha=alpha)
+    inner_p = ev.expand(ev.node_sum(g_minus_plus * fmp * ind_plus
+                                    * kernel_plus[angle])).reshape(-1)
     i_plus_term = pref * float(np.sum(cells * g_mag ** 2 * bracket_nodes * inner_p))
 
     return CommutatorReport(lhs=lhs, rhs_bound=rhs_bound, i_term=i_term,

@@ -38,6 +38,14 @@ half by one rule: a point whose first coordinate is < 0 is evaluated at
 real and even). interpolate_array checks raw samples, whose unpaired nodes
 enter through their Hermitian part.
 
+_planar_gather, the one planar tap loop, sums _planar_stencil's stencils
+in the order of their points, best _band_order (by the rows they read).
+_InterpPlan puts a caller's points inside the eta_max disk in that order
+and scatters the sums back. The collision operator gathers only its live
+(node, angle) pairs, |eta+| <= eta_max (hhat(eta+) reads 0 beyond, and
+|eta-| <= |eta+| puts eta- inside too), ordered once by the band of
+eta+, so both of its gathers return their sums in that pair order.
+
 Moments need no refinement: the refined transform is the trigonometric
 polynomial sum_j c_j e^{-2 pi i v_j . eta} whose coefficients are the
 physical samples c_j = f(v_j) dv^d, so int v^k f dv is the exact sum
@@ -275,9 +283,11 @@ class InitialDatum:
     def __post_init__(self):
         # array-valued centers and components are read as the tuples the
         # checks below compare and test for emptiness
-        object.__setattr__(self, "center", tuple(self.center))
-        object.__setattr__(self, "components",
-                           tuple((w, tuple(c), s) for w, c, s in self.components))
+        try:
+            object.__setattr__(self, "center", tuple(self.center))
+            object.__setattr__(self, "components", tuple(self.components))
+        except TypeError:
+            raise ConfigError("center and components must be sequences") from None
         d = self.dimension
         if d not in (1, 2, 3):
             raise ConfigError("dimension must be 1, 2 or 3")
@@ -296,13 +306,18 @@ class InitialDatum:
         if not self._triples():
             raise ConfigError("gaussian-mixture needs at least one component")
         comps = []
-        for w, c, s in self._triples():
+        for comp in self._triples():
+            try:
+                w, c, s = comp
+                w, c, s = float(w), tuple(float(x) for x in c) or (0.0,) * d, float(s)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{self.kind} component {comp} is not "
+                                  "(weight, center, sigma) in numbers") from None
             if not (0 < w < math.inf and 0 < s < math.inf):
                 raise ConfigError("masses, weights and sigmas must be positive and finite")
-            c = tuple(float(x) for x in c) or (0.0,) * d
             if len(c) != d or not all(map(math.isfinite, c)):
                 raise ConfigError(f"{self.kind} center {c} needs {d} finite coordinates")
-            comps.append((float(w), c, float(s)))
+            comps.append((w, c, s))
         if self.kind == "gaussian":
             object.__setattr__(self, "center", comps[0][1])
         else:
@@ -316,8 +331,15 @@ class InitialDatum:
     def _points(self, x: np.ndarray) -> bool:
         """Whether the last axis of x holds d-vectors (d >= 2 and length d).
         Otherwise every entry is one coordinate: the point itself for
-        d = 1, a radius |x| for d >= 2 (radially symmetric data only)."""
-        return self.dimension > 1 and x.ndim >= 1 and x.shape[-1] == self.dimension
+        d = 1, a radius |x| for d >= 2, which only radially symmetric data
+        can read (others raise ConfigError)."""
+        d = self.dimension
+        if d > 1 and x.ndim >= 1 and x.shape[-1] == d:
+            return True
+        if d > 1 and not self.radially_symmetric():
+            raise ConfigError(f"a {self.kind} datum that is not radially symmetric "
+                              f"reads ({d},)-points, not radii")
+        return False
 
     def hat(self, eta: np.ndarray) -> np.ndarray:
         """Analytic transform at eta, points or radii as `_points` reads
@@ -531,6 +553,70 @@ def _bspline_weights(t: np.ndarray, taps: int) -> np.ndarray:
     return w
 
 
+def _band_order(grid: GridSpec, x: np.ndarray) -> np.ndarray:
+    """The stable permutation ordering planar points (first coordinates x)
+    by 128 bands of the rows of |kx| their stencils read, a band's points
+    in kx < 0 last, so that the ufuncs masked by the flip meet at most 256
+    runs (they pay per run). The stable argsort of an 8-bit key is a
+    one-pass radix sort."""
+    hf, cells = _fine_axis(grid)
+    _, row = _fine_cell(np.abs(x), 0.0, hf, cells - 1)
+    key = (row * (128 / cells)).astype(np.uint8) * 2 + (x < 0)
+    return np.argsort(key, kind="stable")
+
+
+def _planar_stencil(grid: GridSpec, x: np.ndarray, y: np.ndarray) -> tuple:
+    """Cubic stencils (base, wx, wy, flip, W) of the planar points (x, y),
+    which must lie inside the eta_max disk, in their given order; the
+    coordinate arrays are overwritten.
+
+    A point with kx < 0 (flip) is read at -eta. Its cells are clipped to
+    kx < eta_max and ky < eta_max (a point on the upper edge of a cell
+    reads it at t = 1). With row stride W = Mf + 3 of refine_array, tap
+    (a, b) of the cell (i, j) reads flat[a*W + b:][base] from the stored
+    (i, j), which is the lattice (i - 1, j - 1).
+    """
+    hf, cells = _fine_axis(grid)
+    flip = x < 0
+    u, row = _fine_cell(np.abs(x, out=x), 0.0, hf, cells - 1)
+    u -= row
+    wx = _bspline_weights(u, 4)
+    np.negative(y, out=y, where=flip)
+    u, col = _fine_cell(y, -grid.eta_max, hf, 2 * cells - 1)
+    u -= col
+    wy = _bspline_weights(u, 4)
+    W = 2 * cells + 3
+    row *= W
+    row += col
+    return row.astype(np.int64), wx, wy, flip, W
+
+
+def _planar_gather(base, wx, wy, flip, W, fine: np.ndarray) -> np.ndarray:
+    """The sums of the _planar_stencil (base, wx, wy, flip, W) on a full-2d
+    refine_array, in the stencil's point order, conjugated where flip.
+
+    The points are summed in blocks of consecutive points, so that a
+    block's taps read a few rows that stay in cache when the points come
+    in _band_order.
+    """
+    flat = fine.ravel()
+    out = np.empty(base.size, dtype=complex)
+    for s in range(0, base.size, _GATHER_BLOCK):
+        blk = slice(s, s + _GATHER_BLOCK)
+        b0, x, y, acc = base[blk], wx[:, blk], wy[:, blk], out[blk]
+        for a in range(4):
+            row = flat[a * W:]
+            partial = y[0] * row[b0]
+            for b in range(1, 4):
+                partial += y[b] * row[b:][b0]
+            if a == 0:
+                np.multiply(x[0], partial, out=acc)
+            else:
+                acc += x[a] * partial
+        np.conjugate(acc, out=acc, where=flip[blk])
+    return out
+
+
 class _InterpPlan:
     """Precomputed stencil for evaluating many fixed points repeatedly.
 
@@ -542,15 +628,16 @@ class _InterpPlan:
     B-spline weights: full-1d and radial the 6 coefficients i-2..i+3 of the
     refined half-axis with quintic weights, points beyond eta_max reading
     0; full-2d the 4x4 coefficients (i-1..i+2, j-1..j+2) of the refined
-    lattice with cubic weights, for the points inside the eta_max disk
-    only, its cells clipped to kx < eta_max and ky < eta_max (a point on
-    the upper edge of a cell reads it at t = 1). Near kx = 0, kx = eta_max
-    and ky = +-eta_max the taps read the margins of refine_array. Planar
-    points are ordered by the band of lattice rows they read, a band's
-    points in kx < 0 last, and `apply` sums them in blocks of consecutive
-    points, so that a block's taps read a few rows that stay in cache; it
-    scatters the sums back to the caller's order. `apply` returns the
-    caller's point shape (planar: without the coordinate axis).
+    lattice with cubic weights (_planar_stencil), for the points inside the
+    eta_max disk only. Near kx = 0, kx = eta_max and ky = +-eta_max the
+    taps read the margins of refine_array. The planar points inside the
+    disk are put in _band_order and summed by _planar_gather, and `apply`
+    scatters the sums back to the caller's order, 0 beyond the disk. The
+    collision operator does without this plan on the plane: it calls
+    _planar_stencil and _planar_gather itself on its live pairs
+    (|eta+| <= eta_max), ordered once by the band of eta+, so that both
+    gathers return their sums in that pair order with no scatter. `apply`
+    returns the caller's point shape (planar: without the coordinate axis).
     """
 
     def __init__(self, grid: GridSpec, points: np.ndarray):
@@ -564,36 +651,9 @@ class _InterpPlan:
             self.size = pts.shape[0]
             order = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1])
                                    <= g.eta_max * (1 + 1e-12))
-            # u is the one coordinate buffer, so that the permutation below
-            # releases its unsorted copy; every point reads the cell of |kx|
-            u = pts[order, 0]
-            flip = u < 0
-            u, row = _fine_cell(np.abs(u, out=u), 0.0, hf, cells - 1)
-            # sorted by 128 bands of rows, a band's flipped points last, so
-            # that the ufuncs masked by `flip` meet at most 256 runs (they
-            # pay per run): the stable argsort of an 8-bit key is a
-            # one-pass radix sort
-            key = (row * (128 / cells)).astype(np.uint8) * 2 + flip
-            perm = np.argsort(key, kind="stable")
-            order, flip, u, row = order[perm], flip[perm], u[perm], row[perm]
-            u -= row
-            self.wx = _bspline_weights(u, 4)
-            # y has its own name so that u is released only after col is
-            # allocated; released first, its place goes to col and splits
-            # the heap hole that later refined lattices reuse (+0.3 MB peak
-            # RSS on the 64x64 planar run)
-            y = pts[order, 1]
-            np.negative(y, out=y, where=flip)
-            u, col = _fine_cell(y, -g.eta_max, hf, 2 * cells - 1)
-            u -= col
-            self.wy = _bspline_weights(u, 4)
-            # with row stride W = Mf + 3, tap (a, b) of the cell (i, j)
-            # reads flat[a*W + b:][base] from the stored (i, j), which is
-            # the lattice (i - 1, j - 1)
-            W = 2 * cells + 3
-            row *= W
-            row += col
-            self.base, self.order, self.stride = row.astype(np.int64), order, W
+            self.order = order = order[_band_order(g, pts[order, 0])]
+            self.base, self.wx, self.wy, flip, self.stride = _planar_stencil(
+                g, pts[order, 0], pts[order, 1])
         else:
             x = points.reshape(-1)
             flip = x < 0
@@ -612,22 +672,9 @@ class _InterpPlan:
     def apply(self, fine: np.ndarray) -> np.ndarray:
         """Stencil sums on a refine_array result, in its dtype."""
         if self.planar:
-            flat, W = fine.ravel(), self.stride
             out = np.zeros(self.size, dtype=complex)
-            for s in range(0, self.base.size, _GATHER_BLOCK):
-                blk = slice(s, s + _GATHER_BLOCK)
-                base, wx, wy = self.base[blk], self.wx[:, blk], self.wy[:, blk]
-                for a in range(4):
-                    row = flat[a * W:]
-                    partial = wy[0] * row[base]
-                    for b in range(1, 4):
-                        partial += wy[b] * row[b:][base]
-                    if a == 0:
-                        acc = wx[0] * partial
-                    else:
-                        acc += wx[a] * partial
-                np.conjugate(acc, out=acc, where=self.flip[blk])
-                out[self.order[blk]] = acc
+            out[self.order] = _planar_gather(self.base, self.wx, self.wy, self.flip,
+                                             self.stride, fine)
             return out.reshape(self.shape)
         # two point-sized arrays per call, each tap taken into the same
         # buffer; mode="clip" clips nothing (every first + a is on the

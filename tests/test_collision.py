@@ -19,6 +19,7 @@ from kinb import (
     transform_jacobian,
 )
 from kinb import collision as col
+from kinb import spectral
 from kinb.spectral import _hermitize
 
 
@@ -316,25 +317,34 @@ def test_truncation_bound_dominates_cutoff_change_for_d_ge_2(g, datum):
     assert np.all(diff <= bound + 1e-12)
 
 
-def test_coercivity_probe_nonnegative():
-    cs = CrossSection(nu=0.25, kappa=1.0)
-    quad = AngularQuadrature(theta_min=1e-2, panels=10, nodes_per_panel=6)
-    g = GridSpec(dimension=1, mode="full-1d", n=257, eta_max=16.0)
-    st = init_state(g, InitialDatum(kind="laplace", dimension=1, a=1.0))
-    p = col.coercivity_probe(st, cs, quad)
-    c = g.shape[0] // 2
-    assert p.min() >= -1e-12
-    assert abs(p[c]) < 1e-12
-    assert p[c + 40] > 1.0  # strictly dissipative away from eta = 0
-
-    g2 = GridSpec(dimension=2, mode="full-2d", n=48, eta_max=4.0)
-    s2 = init_state(g2, InitialDatum(kind="gaussian", dimension=2, sigma=0.5))
-    q2 = AngularQuadrature(theta_min=1e-2, panels=8, nodes_per_panel=5,
-                           azimuthal_nodes=8)
-    p2 = col.coercivity_probe(s2, cs, q2)
-    assert p2.min() >= -1e-10
-    # no margin on the unpaired -n/2 row and column, where the state is 0
-    assert np.all(p2[0, :] == 0.0) and np.all(p2[:, 0] == 0.0)
+def test_planar_operator_keeps_exactly_the_live_pairs():
+    # the planar-2d bench grid: 1,985 kept nodes x 80 angles. A pair whose
+    # eta+ lies beyond eta_max reads hhat(eta+) = 0 and is not gathered;
+    # |eta+| <= |eta| makes that happen only at nodes beyond eta_max
+    grid = GridSpec(dimension=2, mode="full-2d", n=64, eta_max=2.0)
+    quad = AngularQuadrature(theta_min=4e-3, panels=8, nodes_per_panel=5)
+    ev = col._Evaluator(grid, CrossSection(nu=0.25), quad)
+    K, A = ev.keep.size, ev.theta.size
+    assert K * A == 158_800 and ev.node.size == ev.angle.size == 132_256
+    r = np.linalg.norm(ev.pts, axis=-1, keepdims=True)
+    ehat = np.divide(ev.pts, r, out=np.zeros_like(ev.pts), where=r > 0)
+    minus, plus = collision_geometry(ev.pts[:, None, :],
+                                     col.sigma_from_angle(ehat[:, None, :], ev.theta))
+    live = np.linalg.norm(plus, axis=-1) <= grid.eta_max * (1 + 1e-12)
+    kept = np.zeros((K, A), dtype=int)
+    np.add.at(kept, (ev.node, ev.angle), 1)
+    assert np.array_equal(kept, live.astype(int))   # each live pair once
+    assert np.all(r[:, 0][~live.all(axis=1)] > grid.eta_max)
+    # the pairs come in the band order of their eta+, and both gathers
+    # return a plan's values at the pairs' points in that order
+    pair_plus, pair_minus = plus[ev.node, ev.angle], minus[ev.node, ev.angle]
+    assert np.array_equal(spectral._band_order(grid, pair_plus[:, 0]),
+                          np.arange(ev.node.size))
+    datum = InitialDatum(kind="gaussian-mixture", dimension=2,
+                         components=((0.5, (0.75, 0.0), 0.6), (0.5, (-0.75, 0.0), 0.6)))
+    fine = spectral.refine_array(grid, init_state(grid, datum).values)
+    for gather, pts in ((ev.gather_plus, pair_plus), (ev.gather_minus, pair_minus)):
+        assert np.array_equal(gather(fine), spectral._InterpPlan(grid, pts).apply(fine))
 
 
 # ---------------------------------------------------------------------------

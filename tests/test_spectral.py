@@ -263,6 +263,39 @@ def test_datum_refuses_non_finite_centers(kind, dimension, coord, bad):
         InitialDatum(kind=kind, dimension=dimension, **kw)
 
 
+@pytest.mark.parametrize("kind, kw", [
+    ("gaussian", {"center": 0.5}),
+    ("gaussian", {"center": ("a",)}),
+    ("gaussian-mixture", {"components": ((1.0, 0.5),)}),
+], ids=["scalar-center", "text-center", "two-field-component"])
+def test_datum_refuses_malformed_gaussian_input(kind, kw):
+    # a center that is not a sequence of numbers, or a component that is
+    # not a (weight, center, sigma) triple, is a configuration error, not
+    # the TypeError or ValueError of the conversion that meets it
+    with pytest.raises(ConfigError):
+        InitialDatum(kind=kind, dimension=1, **kw)
+
+
+def test_only_radially_symmetric_data_read_radii():
+    # at d >= 2 an input whose last axis is not d is read as radii, which
+    # carry no direction: an off-centre datum refuses them rather than
+    # evaluate its phase with one coordinate of its center
+    off = InitialDatum(kind="gaussian", dimension=2, center=(0.3, 0.4))
+    r = np.array([1.0, 2.0, 3.0])
+    for fn in (off.hat, off.density):
+        with pytest.raises(ConfigError, match="radially symmetric"):
+            fn(r)
+        assert fn(np.stack([r, r], axis=-1)).shape == (3,)
+    # centred data read radii as the points (r, 0), and radial grids
+    # still initialize
+    centred = InitialDatum(kind="gaussian", dimension=2, sigma=0.7)
+    for fn in (centred.hat, centred.density):
+        np.testing.assert_allclose(fn(r), fn(np.stack([r, 0.0 * r], axis=-1)),
+                                   rtol=1e-15, atol=0.0)
+    grid = GridSpec(dimension=2, mode="radial", n=33, eta_max=4.0)
+    assert init_state(grid, centred).values.shape == (33,)
+
+
 @pytest.mark.parametrize("t", [np.nan, np.inf])
 def test_state_refuses_a_non_finite_time(t):
     g = GridSpec(dimension=1, mode="full-1d", n=33, eta_max=4.0)
