@@ -37,8 +37,10 @@ whose eta+ lies beyond eta_max contributes 0, since hhat reads 0 there,
 so only the live pairs, |eta+| <= eta_max, are gathered; |eta-| <= |eta+|
 for |theta| <= pi/2 puts their eta- inside too, and |eta+| <= |eta|
 leaves every node inside the eta_max disk all its pairs. The live pairs
-are ordered once by the band of lattice rows eta+ reads, both gathers
-return their sums in that order, and one bincount sums them by node.
+are ordered once by the band of lattice rows eta+ reads, and both
+gathers return their sums in that order. The products are summed by node
+in angle order, the dead pairs entering as exact zeros, so every node's
+gain is the same sum on any pair order.
 """
 
 from __future__ import annotations
@@ -210,11 +212,11 @@ class _Evaluator:
     The gain sums over the (kept node, angle) pairs of the module
     docstring. `gather_minus` and `gather_plus` return a refinement's
     values at eta- and eta+ of every pair, `node` and `angle` index node
-    and angle arrays by pair, and `node_sum` sums each kept node's pairs.
-    On the line modes the pairs are the node-major (kept, angles) array.
-    On the plane they are the live pairs in the _band_order of eta+, both
-    stencils built in that order, and `node_sum` is one bincount over the
-    interleaved real and imaginary parts (`sum_index`).
+    and angle arrays by pair, and `rows` lays pair values out as the
+    (kept, angles) array whose row sums are the node sums. On the line
+    modes the pairs are that array, node-major. On the plane they are the
+    live pairs in the _band_order of eta+, both stencils built in that
+    order, and `slot` holds each pair's flat position in the array.
     """
 
     def __init__(self, grid: GridSpec, cs: CrossSection, quad: AngularQuadrature):
@@ -237,7 +239,7 @@ class _Evaluator:
             self.gather_minus = _InterpPlan(grid, minus).apply
             self.gather_plus = _InterpPlan(grid, plus).apply
             self.node, self.angle = np.arange(self.keep.size)[:, None], np.arange(theta.size)
-            self.sum_index = None
+            self.slot = None
         else:
             th, w = quad.angles(math.pi / 2)
             theta = np.concatenate([-th[::-1], th])
@@ -259,20 +261,21 @@ class _Evaluator:
             self.gather_plus = partial(_planar_gather, *_planar_stencil(grid, *plus))
             node, angle = np.divmod(live, theta.size)
             self.node, self.angle = node.astype(np.int32), angle.astype(np.int32)
-            self.sum_index = (2 * node[:, None] + np.arange(2)).ravel()
+            self.slot = live
         self.theta, self.phi = theta, phi
         self.weights = weights
-        self.pair_weights = weights[self.angle]
         self.total_weight = float(weights.sum())
 
-    def node_sum(self, pairs: np.ndarray) -> np.ndarray:
-        """The sum of each kept node's pair values."""
-        if self.sum_index is None:
-            return pairs.sum(axis=1)
-        k = self.keep.size
-        if pairs.dtype == complex:
-            return np.bincount(self.sum_index, pairs.view(float), 2 * k).view(complex)
-        return np.bincount(self.node, pairs, k)
+    def rows(self, pairs: np.ndarray) -> np.ndarray:
+        """The (kept, angles) array of pair values: `pairs` itself on the
+        line modes; on the plane each live pair at its slot and 0 at the
+        dead ones, so that a row sum adds a node's pairs in angle order,
+        whatever order they come in."""
+        if self.slot is None:
+            return pairs
+        out = np.zeros((self.keep.size, self.theta.size), dtype=pairs.dtype)
+        out.reshape(-1)[self.slot] = pairs
+        return out
 
     def expand(self, kept: np.ndarray) -> np.ndarray:
         """Full node array from kept-node values by x(-eta) = conj x(eta),
@@ -310,13 +313,14 @@ def _bilinear(ev: _Evaluator, gm: np.ndarray, hp: np.ndarray,
     (its real part for d = 1) and hp of hhat at eta+; hp is overwritten.
 
     The products are formed in place: no point-sized temporary beyond the
-    two gathers, so the allocator does not trim the heap and fault it in
-    on every call.
+    two gathers and, on the plane, their (kept, angles) rows, so the
+    allocator does not trim the heap and fault it in on every call.
     """
     grid = ev.grid
     np.multiply(gm, hp, out=hp)
-    hp *= ev.pair_weights
-    gain = ev.expand(ev.node_sum(hp))
+    rows = ev.rows(hp)
+    rows *= ev.weights
+    gain = ev.expand(rows.sum(axis=1))
     out = gain - ev.total_weight * g_values[grid.zero_index] * h_values
     out[grid.zero_index] = 0.0
     return out
@@ -347,7 +351,10 @@ def rhs_bilinear(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature,
     # strided source on every tap); radial refinements are real
     gm = ev.gather_minus(np.ascontiguousarray(fine_g.real)
                          if grid.dimension == 1 else fine_g)
-    return _bilinear(ev, gm, ev.gather_plus(fine_h), g_values, h_values)
+    hp = ev.gather_plus(fine_h)
+    # the refinements are spent; free them before the rows are allocated
+    del fine_g, fine_h
+    return _bilinear(ev, gm, hp, g_values, h_values)
 
 
 def rhs(state: SpectralState, cs: CrossSection, quad: AngularQuadrature) -> np.ndarray:

@@ -258,9 +258,10 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
 
     # |fhat| and every weight below are even in eta, so the angular sums run
     # over the operator's pairs of a kept node and an angle (ev.node and
-    # ev.angle index node and angle arrays by pair) and are mirrored onto
-    # the rest. The plane has no pair where |eta+| > eta_max, which happens
-    # only at nodes beyond eta_max > lam, where G_Lam fhat is 0
+    # ev.angle index node and angle arrays by pair, ev.rows lays the pair
+    # values out by node and angle) and are mirrored onto the rest. The
+    # plane has no pair where |eta+| > eta_max, which happens only at
+    # nodes beyond eta_max > lam, where G_Lam fhat is 0
     theta, phi = ev.theta, ev.phi
     node, angle = ev.node, ev.angle
 
@@ -281,16 +282,16 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     glam_plus = _grow(bt, abs_plus ** 2, alpha=alpha)
     glam_plus = np.where(abs_plus <= lam * (1.0 + 1e-12), glam_plus, 0.0)
     bracket_plus = (1.0 + abs_plus ** 2) ** alpha
-    inner = ev.expand(ev.node_sum((g_minus_eps * fm * glam_plus * fp * bracket_plus)
-                                  * (ev.weights * sin_sq)[angle])).reshape(-1)
+    inner = ev.expand((ev.rows(g_minus_eps * fm * glam_plus * fp * bracket_plus)
+                       * (ev.weights * sin_sq)).sum(axis=1)).reshape(-1)
     rhs_bound = 2.0 * ab_t * float(np.sum(cells * g_mag * inner))
 
     # square-weighted bound, outer variable eta; the evaluator weights carry
     # b(cos t)*sin^{d-2}t, so sin^2 of the full angle completes sin^d t * b
     ind_minus = abs_minus <= lam / math.sqrt(2.0) * (1.0 + 1e-12)
     g_minus_lem = _grow(bt, abs_minus ** 2, power=eps_lem[angle], alpha=alpha)
-    inner_i = ev.expand(ev.node_sum(g_minus_lem * fm * ind_minus
-                                    * (ev.weights * np.sin(theta) ** 2)[angle])).reshape(-1)
+    inner_i = ev.expand((ev.rows(g_minus_lem * fm * ind_minus)
+                         * (ev.weights * np.sin(theta) ** 2)).sum(axis=1)).reshape(-1)
     bracket_nodes = (1.0 + r_nodes ** 2) ** alpha
     i_term = ab_t * float(np.sum(cells * g_mag ** 2 * bracket_nodes * inner_i))
 
@@ -308,8 +309,8 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     fmp = np.abs(_InterpPlan(grid, pts).apply(fine))
     ind_plus = abs_pts <= lam / math.sqrt(2.0) * (1.0 + 1e-12)
     g_minus_plus = _grow(bt, abs_pts ** 2, power=eps_lem[angle], alpha=alpha)
-    inner_p = ev.expand(ev.node_sum(g_minus_plus * fmp * ind_plus
-                                    * kernel_plus[angle])).reshape(-1)
+    inner_p = ev.expand((ev.rows(g_minus_plus * fmp * ind_plus)
+                         * kernel_plus).sum(axis=1)).reshape(-1)
     i_plus_term = pref * float(np.sum(cells * g_mag ** 2 * bracket_nodes * inner_p))
 
     return CommutatorReport(lhs=lhs, rhs_bound=rhs_bound, i_term=i_term,

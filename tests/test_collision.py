@@ -345,6 +345,12 @@ def test_planar_operator_keeps_exactly_the_live_pairs():
     fine = spectral.refine_array(grid, init_state(grid, datum).values)
     for gather, pts in ((ev.gather_plus, pair_plus), (ev.gather_minus, pair_minus)):
         assert np.array_equal(gather(fine), spectral._InterpPlan(grid, pts).apply(fine))
+    # the node sums run over (kept, angles) rows: each live pair at its
+    # node and angle, 0 at every dropped pair
+    values = ev.gather_plus(fine)
+    dense = np.zeros((K, A), dtype=complex)
+    dense[ev.node, ev.angle] = values
+    assert np.array_equal(ev.rows(values), dense)
 
 
 # ---------------------------------------------------------------------------
