@@ -5,10 +5,9 @@ from .errors import KinbError, ConfigError, NumericalFailure
 from .spectral import (GridSpec, SpectralState, InitialDatum, init_state,
                        state_with_values, moments, to_physical,
                        refine_array, interpolate_array)
-from .collision import (CrossSection, AngularQuadrature, from_inverse_power,
-                        collision_geometry, transform_jacobian, kac_pair,
-                        rhs, rhs_bilinear, stability_limit, total_weight,
-                        truncation_error_bound)
+from .collision import (CrossSection, AngularQuadrature, collision_geometry,
+                        transform_jacobian, kac_pair, rhs, rhs_bilinear,
+                        stability_limit, total_weight, truncation_error_bound)
 from .evolution import (MonitorRow, RunConfig, Trajectory, entropy, run,
                         simulate)
 from .inequalities import (epsilon, alpha_md, required_moment, LambdaPoints,
@@ -32,7 +31,7 @@ __all__ = [
     "GridSpec", "SpectralState", "InitialDatum", "init_state",
     "state_with_values", "moments", "to_physical", "refine_array",
     "interpolate_array",
-    "CrossSection", "AngularQuadrature", "from_inverse_power",
+    "CrossSection", "AngularQuadrature",
     "collision_geometry", "transform_jacobian", "kac_pair",
     "rhs", "rhs_bilinear", "stability_limit", "total_weight",
     "truncation_error_bound",

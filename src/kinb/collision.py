@@ -58,7 +58,6 @@ from .spectral import (GridSpec, SpectralState, _InterpPlan, _SPHERE_AREA, _band
 __all__ = [
     "CrossSection",
     "AngularQuadrature",
-    "from_inverse_power",
     "collision_geometry",
     "sigma_from_angle",
     "perp_unit",
@@ -72,14 +71,6 @@ __all__ = [
 ]
 
 
-def from_inverse_power(s: float) -> tuple:
-    """Momentum-transfer exponents (gamma, nu) of an inverse-power-law force
-    with exponent s > 2; s = 5 gives the Maxwellian case gamma = 0."""
-    if not s > 2:
-        raise ConfigError("inverse-power exponent must exceed 2")
-    return (s - 5.0) / (s - 1.0), 1.0 / (s - 1.0)
-
-
 @dataclass(frozen=True)
 class CrossSection:
     """Angular collision kernel with singularity exponent nu in (0, 1)."""
@@ -91,11 +82,6 @@ class CrossSection:
             raise ConfigError(f"nu must lie in (0, 1), got {self.nu}")
         if not 0 < self.kappa < math.inf:
             raise ConfigError(f"kappa must be positive and finite, got {self.kappa!r}")
-
-    @classmethod
-    def maxwellian(cls, kappa: float = 1.0) -> "CrossSection":
-        """Kernel of the s = 5 inverse-power force (nu = 1/4)."""
-        return cls(nu=from_inverse_power(5.0)[1], kappa=kappa)
 
     def collapsed(self, theta) -> np.ndarray:
         """sin^{d-2}(theta) b(cos theta) = kappa |theta|^(-1-2 nu); also the

@@ -40,6 +40,10 @@ enter through their Hermitian part.
 
 _planar_gather, the one planar tap loop, sums _planar_stencil's stencils
 in the order of their points, best _band_order (by the rows they read).
+Where the process may run on more than one CPU it sums the lower half of
+the points on a helper thread and the upper half on the calling thread;
+numpy releases the GIL inside its gathers and ufuncs, and every point's
+arithmetic is the same on either path, so the sums are bit-identical.
 _InterpPlan puts a caller's points inside the eta_max disk in that order
 and scatters the sums back. The collision operator gathers only its live
 (node, angle) pairs, |eta+| <= eta_max (hhat(eta+) reads 0 beyond, and
@@ -55,6 +59,8 @@ sum_j c_j v_j^k (radial: over the even extension of the profile).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -78,7 +84,10 @@ _UPSAMPLE = 8    # band-limited refinement factor of every mode
 _HALF_TAPS = 6   # quintic B-spline stencil width on the full-1d and radial half-axis
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}  # |S^{d-1}|
-_GATHER_BLOCK = 8192  # points per block of a planar gather (see _InterpPlan)
+_GATHER_BLOCK = 16384  # points per block of a planar gather (see _InterpPlan)
+# whether a planar gather sums its two halves on two threads: only where
+# this process may run on more than one CPU
+_TWO_CORES = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
 @dataclass(frozen=True)
@@ -264,6 +273,14 @@ _DATUM_PARAMS = {
 }
 
 
+def _real(x) -> float:
+    """A datum parameter as a float. Text raises TypeError although float
+    reads numerals: a datum takes numbers, not strings."""
+    if isinstance(x, (str, bytes)):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class InitialDatum:
     """Catalog datum. Kinds:
@@ -298,8 +315,14 @@ class InitialDatum:
                     and getattr(self, f.name) != f.default):
                 raise ConfigError(f"datum kind {self.kind!r} takes no {f.name!r}")
         if self.kind == "laplace":
-            if not (0 < self.a < math.inf and 0 < self.mass < math.inf):
+            try:
+                a, mass = _real(self.a), _real(self.mass)
+            except (TypeError, ValueError):
+                raise ConfigError("laplace a and mass must be numbers") from None
+            if not (0 < a < math.inf and 0 < mass < math.inf):
                 raise ConfigError("laplace needs positive finite a and mass")
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "mass", mass)
             return
         # a gaussian is the one component (mass, center, sigma); every
         # center is stored as d finite floats, an empty one as the origin
@@ -309,7 +332,7 @@ class InitialDatum:
         for comp in self._triples():
             try:
                 w, c, s = comp
-                w, c, s = float(w), tuple(float(x) for x in c) or (0.0,) * d, float(s)
+                w, c, s = _real(w), tuple(_real(x) for x in c) or (0.0,) * d, _real(s)
             except (TypeError, ValueError):
                 raise ConfigError(f"{self.kind} component {comp} is not "
                                   "(weight, center, sigma) in numbers") from None
@@ -319,7 +342,8 @@ class InitialDatum:
                 raise ConfigError(f"{self.kind} center {c} needs {d} finite coordinates")
             comps.append((w, c, s))
         if self.kind == "gaussian":
-            object.__setattr__(self, "center", comps[0][1])
+            for name, x in zip(("mass", "center", "sigma"), comps[0]):
+                object.__setattr__(self, name, x)
         else:
             object.__setattr__(self, "components", tuple(comps))
 
@@ -597,23 +621,50 @@ def _planar_gather(base, wx, wy, flip, W, fine: np.ndarray) -> np.ndarray:
 
     The points are summed in blocks of consecutive points, so that a
     block's taps read a few rows that stay in cache when the points come
-    in _band_order.
+    in _band_order. With _TWO_CORES and at least one block in each half,
+    a helper thread sums the first size // (2 _GATHER_BLOCK) blocks while
+    the calling thread sums the rest, each into its own slice of the
+    result; an exception on either thread is raised here, after both have
+    stopped. Every point is summed by the same operations on either path.
     """
     flat = fine.ravel()
     out = np.empty(base.size, dtype=complex)
-    for s in range(0, base.size, _GATHER_BLOCK):
-        blk = slice(s, s + _GATHER_BLOCK)
-        b0, x, y, acc = base[blk], wx[:, blk], wy[:, blk], out[blk]
-        for a in range(4):
-            row = flat[a * W:]
-            partial = y[0] * row[b0]
-            for b in range(1, 4):
-                partial += y[b] * row[b:][b0]
-            if a == 0:
-                np.multiply(x[0], partial, out=acc)
-            else:
-                acc += x[a] * partial
-        np.conjugate(acc, out=acc, where=flip[blk])
+
+    def blocks(start, stop):
+        for s in range(start, stop, _GATHER_BLOCK):
+            blk = slice(s, s + _GATHER_BLOCK)
+            b0, x, y, acc = base[blk], wx[:, blk], wy[:, blk], out[blk]
+            for a in range(4):
+                row = flat[a * W:]
+                partial = y[0] * row[b0]
+                for b in range(1, 4):
+                    partial += y[b] * row[b:][b0]
+                if a == 0:
+                    np.multiply(x[0], partial, out=acc)
+                else:
+                    acc += x[a] * partial
+            np.conjugate(acc, out=acc, where=flip[blk])
+
+    mid = base.size // (2 * _GATHER_BLOCK) * _GATHER_BLOCK
+    if not (_TWO_CORES and mid):
+        blocks(0, base.size)
+        return out
+    failed = []
+
+    def lower():
+        try:
+            blocks(0, mid)
+        except BaseException as exc:
+            failed.append(exc)
+
+    helper = threading.Thread(target=lower)
+    helper.start()
+    try:
+        blocks(mid, base.size)
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
     return out
 
 
@@ -631,13 +682,14 @@ class _InterpPlan:
     lattice with cubic weights (_planar_stencil), for the points inside the
     eta_max disk only. Near kx = 0, kx = eta_max and ky = +-eta_max the
     taps read the margins of refine_array. The planar points inside the
-    disk are put in _band_order and summed by _planar_gather, and `apply`
-    scatters the sums back to the caller's order, 0 beyond the disk. The
-    collision operator does without this plan on the plane: it calls
-    _planar_stencil and _planar_gather itself on its live pairs
-    (|eta+| <= eta_max), ordered once by the band of eta+, so that both
-    gathers return their sums in that pair order with no scatter. `apply`
-    returns the caller's point shape (planar: without the coordinate axis).
+    disk are put in _band_order and summed by _planar_gather, on two
+    threads where it splits, and `apply` scatters the sums back to the
+    caller's order, 0 beyond the disk. The collision operator does
+    without this plan on the plane: it calls _planar_stencil and
+    _planar_gather itself on its live pairs (|eta+| <= eta_max), ordered
+    once by the band of eta+, so that both gathers return their sums in
+    that pair order with no scatter. `apply` returns the caller's point
+    shape (planar: without the coordinate axis).
     """
 
     def __init__(self, grid: GridSpec, points: np.ndarray):

@@ -12,7 +12,6 @@ from kinb import (
     GridSpec,
     InitialDatum,
     collision_geometry,
-    from_inverse_power,
     init_state,
     interpolate_array,
     kac_pair,
@@ -27,29 +26,12 @@ from kinb.spectral import _hermitize
 # kernel parameters
 # ---------------------------------------------------------------------------
 
-def test_from_inverse_power():
-    gamma, nu = from_inverse_power(5.0)
-    assert gamma == 0.0
-    assert nu == 0.25
-    gamma3, nu3 = from_inverse_power(3.0)
-    assert gamma3 == -1.0
-    assert nu3 == 0.5
-    # hard-sphere limit: gamma -> 1, nu -> 0
-    gbig, nbig = from_inverse_power(1e9)
-    assert abs(gbig - 1.0) < 1e-8
-    assert nbig < 1e-8
-    for bad in (2.0, 1.0, -3.0):
-        with pytest.raises(ConfigError):
-            from_inverse_power(bad)
-
-
 def test_cross_section_validation():
     for bad_nu in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ConfigError):
             CrossSection(nu=bad_nu)
     with pytest.raises(ConfigError):
         CrossSection(nu=0.5, kappa=0.0)
-    assert CrossSection.maxwellian().nu == 0.25
 
 
 def test_collapsed_kernel_power_law():

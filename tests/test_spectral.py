@@ -267,13 +267,28 @@ def test_datum_refuses_non_finite_centers(kind, dimension, coord, bad):
     ("gaussian", {"center": 0.5}),
     ("gaussian", {"center": ("a",)}),
     ("gaussian-mixture", {"components": ((1.0, 0.5),)}),
-], ids=["scalar-center", "text-center", "two-field-component"])
+    ("gaussian", {"mass": "2"}),
+], ids=["scalar-center", "text-center", "two-field-component", "text-mass"])
 def test_datum_refuses_malformed_gaussian_input(kind, kw):
-    # a center that is not a sequence of numbers, or a component that is
-    # not a (weight, center, sigma) triple, is a configuration error, not
-    # the TypeError or ValueError of the conversion that meets it
+    # a center that is not a sequence of numbers, a component that is not
+    # a (weight, center, sigma) triple, or text where a number belongs, is
+    # a configuration error, not the TypeError or ValueError of the
+    # conversion that meets it
     with pytest.raises(ConfigError):
         InitialDatum(kind=kind, dimension=1, **kw)
+
+
+@pytest.mark.parametrize("kw", [{"a": "x"}, {"mass": "2"}, {"a": None}],
+                         ids=["text-a", "numeral-mass", "none-a"])
+def test_datum_refuses_laplace_parameters_that_are_not_numbers(kw):
+    # the laplace checks compare a and mass with numbers, which raised
+    # the comparison's TypeError on text or None
+    with pytest.raises(ConfigError, match="laplace a and mass must be numbers"):
+        InitialDatum(kind="laplace", dimension=1, **kw)
+    # numbers of any numeric type are stored as floats
+    datum = InitialDatum(kind="laplace", dimension=1, a=np.float32(0.5), mass=2)
+    assert type(datum.a) is float and type(datum.mass) is float
+    assert datum == InitialDatum(kind="laplace", dimension=1, a=0.5, mass=2.0)
 
 
 def test_only_radially_symmetric_data_read_radii():
