@@ -583,21 +583,19 @@ def _omega_frames(dirs: np.ndarray) -> np.ndarray:
     return np.stack([perp, -perp], axis=1)
 
 
-def _hyp2_sup(state, fine, alpha, beta, lam, dirs) -> float:
-    grid = state.grid
-    eps1 = epsilon(alpha, 1.0)
-    bt = beta * state.t
+def _hyp2_sups(grid, states, fines, alpha, beta, lam, dirs) -> list:
     # (z, rho) on a 32 x 32 polar lattice of the sector pi/4 < phi < pi/2
-    # of the disk of radius lam; one plan for every direction, with axes
-    # (direction, lattice point, omega node, coordinate)
+    # of the disk of radius lam; one plan for every direction and snapshot,
+    # with axes (direction, lattice point, omega node, coordinate)
     idx = np.arange(32)
     rad = (lam * (idx + 1) / 32.0)[:, None]
     phi = math.pi / 4.0 + math.pi / 4.0 * (idx + 0.5) / 32.0
     z, rho = (rad * np.cos(phi)).reshape(-1), (rad * np.sin(phi)).reshape(-1)
-    pts = (z[:, None, None] * dirs[:, None, None, :]
-           - rho[:, None, None] * _omega_frames(dirs)[:, None])
-    g = _grow(bt, z ** 2 + rho ** 2, power=eps1, alpha=alpha)
-    return float((g * np.abs(_InterpPlan(grid, pts).apply(fine)).sum(axis=-1)).max())
+    plan = _InterpPlan(grid, z[:, None, None] * dirs[:, None, None, :]
+                       - rho[:, None, None] * _omega_frames(dirs)[:, None])
+    return [float((_grow(beta * s.t, z ** 2 + rho ** 2, power=epsilon(alpha, 1.0),
+                         alpha=alpha) * np.abs(plan.apply(fine)).sum(axis=-1)).max())
+            for s, fine in zip(states, fines)]
 
 
 def _gl_rule(lo, hi, n):
@@ -605,40 +603,37 @@ def _gl_rule(lo, hi, n):
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * wq
 
 
-def _hyp3_sup(state, fine, alpha, beta, lam, m, theta0, vartheta0, dirs) -> float:
-    """Part-III supremum over the planar directions `dirs`.  A radial grid
-    sweeps one direction: its plan reads the radius |point|, and the two
-    omega nodes stand for the sphere S^{d-2}, so their sum is scaled by
-    |S^{d-2}|/2."""
-    grid = state.grid
+def _hyp3_sups(grid, states, fines, alpha, beta, lam, m, rules, dirs) -> list:
+    """Part-III suprema of the snapshots over the planar directions `dirs`.
+    A radial grid sweeps one direction: its plan reads the radius |point|,
+    and the two omega nodes stand for the sphere S^{d-2}, so their sum is
+    scaled by |S^{d-2}|/2."""
     p = _decay_exponent("III", m, grid.dimension)
-    bt = beta * state.t
     sq2lam = math.sqrt(2.0) * lam
     if sq2lam > grid.eta_max * (1.0 + 1e-9):
         raise ConfigError("hypothesis window sqrt(2)*lam exceeds the grid")
     radial = grid.mode == "radial"
     omega_scale = _SPHERE_AREA[grid.dimension - 1] / 2.0 if radial else 1.0
+    (th_a, w_a), (th_b, w_b) = rules
 
-    radii = np.linspace(sq2lam / 24, sq2lam, 24)
-    th_a, w_a = _gl_rule(theta0, math.pi / 2.0, 48)
-    th_b, w_b = _gl_rule(vartheta0, math.pi / 4.0, 48)
-
-    # one plan per angle branch for every direction and radius; axes are
-    # (direction, radius, angle, omega node, coordinate)
+    # one plan per angle branch, one at a time, for every direction, radius
+    # and snapshot; axes are (direction, radius, angle, omega node, coordinate)
     om = _omega_frames(dirs)[:, None, None]
-    r = radii[:, None, None, None]
+    r = np.linspace(sq2lam / 24, sq2lam, 24)[:, None, None, None]
     sa, ca = np.sin(th_a / 2.0)[:, None, None], np.cos(th_a / 2.0)[:, None, None]
     branches = ((r * sa ** 2 * dirs[:, None, None, None, :] - r * sa * ca * om, w_a),
                 (-(r * np.tan(th_b)[:, None, None]) * om, w_b))
-    sup = 0.0
+    sups = [0.0] * len(fines)
     for pts, wq in branches:
         rad = np.linalg.norm(pts, axis=-1)
-        g = _grow(bt, rad ** 2, power=p, alpha=alpha)
         ind = rad <= lam * (1.0 + 1e-12)
-        vals = np.abs(_InterpPlan(grid, rad if radial else pts).apply(fine))
-        omega_avg = omega_scale * (g * vals * ind).sum(axis=-1)
-        sup = max(sup, float(np.sum(wq * omega_avg, axis=-1).max()))
-    return sup
+        plan = _InterpPlan(grid, rad if radial else pts)
+        for i, (s, fine) in enumerate(zip(states, fines)):
+            g = _grow(beta * s.t, rad ** 2, power=p, alpha=alpha)
+            omega_avg = omega_scale * (g * np.abs(plan.apply(fine)) * ind).sum(axis=-1)
+            sups[i] = max(sups[i], float(np.sum(wq * omega_avg, axis=-1).max()))
+        del plan
+    return sups
 
 
 @dataclass(frozen=True)
@@ -664,7 +659,9 @@ def check_hypotheses(trajectory, schedule: InductionSchedule,
     two axes plus `n_random` random unit directions; part III reads the
     axes and at most the first 16 random ones.  Radial grids sweep one
     direction; a negative `n_random` or `seed` raises ConfigError.
-    Returns HypothesisRow records;
+    Each scale builds its sweep plans once for all snapshots, whose
+    refinements are held together (2.1 MB each on a 64 x 64 planar grid).
+    Returns HypothesisRow records sorted by (scale, t);
     `passed` requires the part's hypothesis supremum to stay at or below
     schedule.M and the weighted L2 norm at sqrt(2)*scale to stay at or
     below schedule.B (small relative slack for quadrature noise).
@@ -684,23 +681,26 @@ def check_hypotheses(trajectory, schedule: InductionSchedule,
             _unit_directions(d, n_random, np.random.default_rng(seed))
         dirs3 = dirs[: d + min(n_random, 16)]
     alpha, beta = schedule.alpha, schedule.beta
+    need_fine = part == "III" or (part == "II" and not radial)
+    fines = [refine_array(grid, s.values) if need_fine else None for s in states]
+    if part == "III":
+        rules = (_gl_rule(schedule.theta0, math.pi / 2.0, 48),
+                 _gl_rule(schedule.vartheta0, math.pi / 4.0, 48))
 
     rows = []
     slack = 1.0 + 1e-9
-    for s in states:
-        need_fine = part == "III" or (part == "II" and not radial)
-        fine = refine_array(grid, s.values) if need_fine else None
-        for lam in schedule.scales:
-            h1 = _weighted_sup(s, beta * s.t, lam, epsilon(alpha, 1.0), alpha)
-            h2 = h3 = None
-            if part == "II":
-                # radial data: the direction average is |S^{d-2}| times the
-                # profile at radius sqrt(z^2 + rho^2), which h1 maximizes
-                h2 = (_SPHERE_AREA[d - 1] * h1 if radial
-                      else _hyp2_sup(s, fine, alpha, beta, lam, dirs))
-            if part == "III":
-                h3 = _hyp3_sup(s, fine, alpha, beta, lam, schedule.m,
-                               schedule.theta0, schedule.vartheta0, dirs3)
+    for lam in schedule.scales:
+        h1s = [_weighted_sup(s, beta * s.t, lam, epsilon(alpha, 1.0), alpha)
+               for s in states]
+        h2s = h3s = [None] * len(states)
+        if part == "II":
+            # radial data: the direction average is |S^{d-2}| times the
+            # profile at radius sqrt(z^2 + rho^2), which h1 maximizes
+            h2s = ([_SPHERE_AREA[d - 1] * h1 for h1 in h1s] if radial
+                   else _hyp2_sups(grid, states, fines, alpha, beta, lam, dirs))
+        if part == "III":
+            h3s = _hyp3_sups(grid, states, fines, alpha, beta, lam, schedule.m, rules, dirs3)
+        for s, h1, h2, h3 in zip(states, h1s, h2s, h3s):
             wn = weighted_norms(s, GevreyWeight(alpha, beta, t=s.t,
                                                 lam=math.sqrt(2.0) * lam))
             relevant = {"I": h1, "II": h2, "III": h3}[part]

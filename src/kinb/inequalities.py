@@ -23,7 +23,6 @@ __all__ = [
     "required_moment",
     "LambdaPoints",
     "kl_constant",
-    "kl_vandermonde_norm_matrix",
     "optimize_lambdas",
     "kl_check",
     "KLCheckResult",
@@ -145,14 +144,6 @@ def kl_constant(m: int, lambdas: Sequence[float]) -> float:
     return float(_kl_constants(m, lam[None, :])[0])
 
 
-def kl_vandermonde_norm_matrix(m: int, lambdas: Sequence[float]) -> float:
-    """||V^{-1}|| by direct matrix inversion (cross-check for kl_constant)."""
-    lam = _validate_lambdas(m, lambdas)
-    V = np.vander(lam, N=m, increasing=True)[:, 1:]  # rows (l, l^2, .., l^{m-1})
-    Vi = np.linalg.inv(V)
-    return float(np.abs(Vi).sum(axis=0).max())
-
-
 def optimize_lambdas(m: int) -> LambdaPoints:
     """Coordinate-descent minimization of C_m over (0,1]^{m-1}.
 
@@ -225,27 +216,29 @@ class KLCheckResult:
         return self.ok_additive and self.ok_multiplicative
 
 
-def _poly_sup_01(p: np.polynomial.Polynomial) -> float:
-    """Sup norm on [0,1]: dense sampling (2048 points) refined with the real
-    critical points of the polynomial."""
-    xs = np.linspace(0.0, 1.0, 2048)
-    vals = np.abs(p(xs))
-    best = float(vals.max())
-    dp = p.deriv()
-    scale = float(np.abs(dp.coef).max()) if dp.coef.size else 0.0
+_SUP_GRID = np.linspace(0.0, 1.0, 2048)
+
+
+def _poly_sup_01(c: np.ndarray) -> float:
+    """Sup norm on [0,1] of the polynomial with ascending coefficients c:
+    dense sampling (_SUP_GRID) refined with its real critical points."""
+    poly = np.polynomial.polynomial   # numpy loads it on first use
+    best = float(np.abs(poly.polyval(_SUP_GRID, c)).max())
+    dc = poly.polyder(c)
+    scale = float(np.abs(dc).max())
     if scale > 0.0:
         # drop leading coefficients too small to matter; a subnormal leader
         # overflows the companion-matrix eigenproblem
-        dp = dp.trim(tol=1e-250 + 1e-14 * scale)
-    if dp.degree() >= 1:
+        dc = poly.polytrim(dc, tol=1e-250 + 1e-14 * scale)
+    if dc.size >= 2:
         try:
-            roots = dp.roots()
+            roots = poly.polyroots(dc)
         except np.linalg.LinAlgError:
             return best
         real = roots[np.abs(roots.imag) < 1e-9].real
         inside = real[(real >= 0.0) & (real <= 1.0)]
         if inside.size:
-            best = max(best, float(np.abs(p(inside)).max()))
+            best = max(best, float(np.abs(poly.polyval(inside, c)).max()))
     return best
 
 
@@ -265,10 +258,12 @@ def kl_check(coeffs: Sequence[float], m: int, k: int, u: float,
         raise ConfigError("u must lie in (0, 1]")
     if cm is None:
         cm = _default_cm(m)
-    p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-    nw = _poly_sup_01(p)
-    nk = _poly_sup_01(p.deriv(k))
-    nm = _poly_sup_01(p.deriv(m))
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim != 1 or not c.size:
+        raise ConfigError("coeffs must be a nonempty 1-d sequence")
+    nw = _poly_sup_01(c)
+    nk = _poly_sup_01(np.polynomial.polynomial.polyder(c, k))
+    nm = _poly_sup_01(np.polynomial.polynomial.polyder(c, m))
     add = cm * (nw / u ** k + u ** (m - k) * nm)
     mult = 2.0 * cm * nw ** (1.0 - k / m) * max(nw, nm) ** (k / m)
     tol = 1e-9 * max(1.0, nk)

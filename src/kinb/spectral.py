@@ -626,6 +626,10 @@ def _planar_gather(base, wx, wy, flip, W, fine: np.ndarray) -> np.ndarray:
     the calling thread sums the rest, each into its own slice of the
     result; an exception on either thread is raised here, after both have
     stopped. Every point is summed by the same operations on either path.
+    The split is uneven when the blocks are few (16,384 of 45,292 points
+    on the helper for a 48 x 48 operator), but the helper starts late, so
+    its smaller share evens the two out: a split at the middle point was
+    no faster (2-core host, eta+ gather, 2.10 against 2.05 ms median).
     """
     flat = fine.ravel()
     out = np.empty(base.size, dtype=complex)

@@ -1,6 +1,7 @@
 """Weights, norms, decay-order fitting, commutator bounds, induction pieces."""
 
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -668,6 +669,65 @@ def test_hypotheses_of_a_run_without_snapshots_and_the_window_guard():
     s = init_state(g, InitialDatum(kind="laplace", dimension=2, a=0.5))
     with pytest.raises(ConfigError, match="exceeds the grid"):
         check_hypotheses(SimpleNamespace(snapshots=[(0.0, s)], final=s), sched)
+
+
+def _sweep_case(case):
+    """A three-snapshot flow and its schedule: planar 32 x 32 parts II and
+    III (off-center data, a flat transform at t > 0) and radial part III."""
+    if case == "radial-III":
+        flow, states = _radial_flow(2)
+        return flow, build_induction_schedule(states, part="III", m=2,
+                                              alpha=alpha_md(2, 1), T0=0.5,
+                                              cs=CrossSection(nu=0.9))
+    part = case.split("-")[1]
+    g = GridSpec(dimension=2, mode="full-2d", n=32,
+                 eta_max=24.0 if part == "II" else 8.0)
+    comps = ((0.6, (0.8, -0.3), 0.12), (0.4, (-0.5, 0.6), 0.08))
+    s0 = init_state(g, InitialDatum(kind="gaussian-mixture", dimension=2,
+                                    components=comps))
+    # alpha = 0.8 opens the part-III theta_b window; part II stops at 0.737
+    alpha = 0.5 if part == "II" else 0.8
+    s1 = fractional_heat_evolve(s0, alpha, 0.5)
+    flat = state_with_values(s0, np.ones(g.shape, dtype=complex), t=0.25)
+    sched = build_induction_schedule([s0, s1], part=part, m=2, alpha=alpha,
+                                     T0=0.5, cs=CrossSection(nu=alpha))
+    return SimpleNamespace(snapshots=[(0.0, s0), (0.25, flat), (0.5, s1)],
+                           final=s1), sched
+
+
+@pytest.mark.parametrize("case", ["planar-II", "planar-III", "radial-III"])
+def test_hypotheses_of_a_flow_are_those_of_its_snapshots(case):
+    flow, sched = _sweep_case(case)
+    alone = [r for t, s in flow.snapshots
+             for r in check_hypotheses(SimpleNamespace(snapshots=[(t, s)], final=s),
+                                       sched, n_random=8, seed=3)]
+    rows = check_hypotheses(flow, sched, n_random=8, seed=3)
+    assert len(rows) == 3 * len(sched.scales) >= 6
+    assert rows == sorted(alone, key=lambda r: (r.scale, r.t))
+
+
+@pytest.mark.parametrize("case, per_scale", [("planar-II", 1), ("planar-III", 2),
+                                             ("radial-III", 2)])
+def test_hypothesis_sweeps_build_each_plan_once_per_scale(case, per_scale,
+                                                          monkeypatch):
+    flow, sched = _sweep_case(case)
+    live, alive_at_build = weakref.WeakSet(), []
+
+    class CountedPlan(_InterpPlan):
+        def __init__(self, grid, points):
+            alive_at_build.append(len(live))
+            live.add(self)
+            super().__init__(grid, points)
+
+    monkeypatch.setattr(diag, "_InterpPlan", CountedPlan)
+    for k in (1, 2, 3):
+        alive_at_build.clear()
+        part = SimpleNamespace(snapshots=flow.snapshots[:k], final=flow.final)
+        assert len(check_hypotheses(part, sched, n_random=8, seed=3)) == \
+            k * len(sched.scales)
+        assert len(alive_at_build) == per_scale * len(sched.scales)
+        # each plan is dropped before the next one is built
+        assert max(alive_at_build) == 0
 
 
 # ---------------------------------------------------------------------------

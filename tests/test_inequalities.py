@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kinb.inequalities as ineq
+from kinb.errors import ConfigError
 from kinb.inequalities import (LambdaPoints, TrigPoly, alpha_md, epsilon,
                                expdiff_check, kl_check, kl_constant,
-                               kl_vandermonde_norm_matrix, optimize_lambdas,
-                               pointwise_from_l2_check, required_moment)
+                               optimize_lambdas, pointwise_from_l2_check,
+                               required_moment)
 
 # ---------------------------------------------------------------------------
 # epsilon
@@ -102,6 +103,12 @@ def test_kl_constant_m2_hand_value():
     assert abs(kl_constant(2, [1.0]) - 8.0) < 1e-12
 
 
+def _kl_vandermonde_norm_matrix(m, lam):
+    """||V^{-1}|| by direct matrix inversion, V with rows (l, l^2, .., l^{m-1})."""
+    V = np.vander(np.asarray(lam, dtype=float), N=m, increasing=True)[:, 1:]
+    return float(np.abs(np.linalg.inv(V)).sum(axis=0).max())
+
+
 def test_kl_constant_matches_matrix_inverse():
     rng = np.random.default_rng(7)
     for m in range(2, 7):
@@ -111,7 +118,7 @@ def test_kl_constant_matches_matrix_inverse():
                 continue
             formula = kl_constant(m, lam)
             direct = (2.0 ** m * math.factorial(m) * (m - 1)
-                      * kl_vandermonde_norm_matrix(m, lam))
+                      * _kl_vandermonde_norm_matrix(m, lam))
             assert abs(formula - direct) < 1e-10 * max(1.0, direct)
 
 
@@ -196,6 +203,54 @@ def test_kl_check_random_polynomials(data):
     k = data.draw(st.integers(1, m - 1))
     u = data.draw(st.floats(0.05, 1.0))
     assert kl_check(coeffs, m=m, k=k, u=u).ok
+
+
+def _poly_sup_01_oracle(p):
+    """Sup norm on [0, 1] as _poly_sup_01 computes it, through
+    np.polynomial.Polynomial objects."""
+    best = float(np.abs(p(np.linspace(0.0, 1.0, 2048))).max())
+    dp = p.deriv()
+    scale = float(np.abs(dp.coef).max())
+    if scale > 0.0:
+        dp = dp.trim(tol=1e-250 + 1e-14 * scale)
+    if dp.degree() >= 1:
+        try:
+            roots = dp.roots()
+        except np.linalg.LinAlgError:
+            return best
+        real = roots[np.abs(roots.imag) < 1e-9].real
+        inside = real[(real >= 0.0) & (real <= 1.0)]
+        if inside.size:
+            best = max(best, float(np.abs(p(inside)).max()))
+    return best
+
+
+@pytest.mark.parametrize("coeffs, order", [
+    ([3.7], 0), ([0.0], 0), ([-2.5, 1.0], 1),        # constants
+    ([1.0, -2.0, 0.5, 4.0], 4),                      # order above the degree
+    ([1.0, -2.0, 0.5, 4.0], 9),
+    ([0.0, 0.0, 1.0, -2.0, 1.0], 0),                 # x^2 (1 - x)^2: p' = 0 at 0, 1/2, 1
+    ([0.0, 1.0, -1.5, 0.5], 0),                      # x (x - 1)(x - 2) / 2
+    ([8.0 / 9.0, 2.0 / 3.0, -1.0], 0),               # peak 1 at 1/3, off the grid
+    # a subnormal leader, trimmed: untrimmed, the companion matrix overflows
+    # and the peak at 1/3 is missed
+    ([8.0 / 9.0, 2.0 / 3.0, -1.0, 0.0, 1e-310], 0),
+    ([0.3, -1.0, 2.0, -0.7, 5e-324], 1),
+] + [(np.random.default_rng(deg).normal(size=deg + 1) * 3.0, order)
+     for deg in range(1, 7) for order in range(4)])
+def test_poly_sup_matches_polynomial_objects(coeffs, order):
+    c = np.asarray(coeffs, dtype=float)
+    want = _poly_sup_01_oracle(np.polynomial.Polynomial(c).deriv(order))
+    assert ineq._poly_sup_01(np.polynomial.polynomial.polyder(c, order)) == want
+    if coeffs[0] == 8.0 / 9.0:
+        assert want == pytest.approx(1.0, rel=1e-15) and want > 1.0 - 1e-9
+
+
+def test_kl_check_refuses_empty_coefficients():
+    with pytest.raises(ConfigError, match="nonempty"):
+        kl_check([], m=2, k=1, u=0.5)
+    with pytest.raises(ConfigError, match="nonempty"):
+        kl_check([[1.0, 2.0]], m=2, k=1, u=0.5)
 
 
 # ---------------------------------------------------------------------------
