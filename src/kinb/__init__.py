@@ -6,7 +6,7 @@ from .spectral import (GridSpec, SpectralState, InitialDatum, init_state,
                        state_with_values, moments, to_physical,
                        refine_array, interpolate_array)
 from .collision import (CrossSection, AngularQuadrature, collision_geometry,
-                        transform_jacobian, kac_pair, rhs, rhs_bilinear,
+                        transform_jacobian, kac_pair, rhs_bilinear,
                         stability_limit, total_weight, truncation_error_bound)
 from .evolution import (MonitorRow, RunConfig, Trajectory, entropy, run,
                         simulate)
@@ -33,7 +33,7 @@ __all__ = [
     "interpolate_array",
     "CrossSection", "AngularQuadrature",
     "collision_geometry", "transform_jacobian", "kac_pair",
-    "rhs", "rhs_bilinear", "stability_limit", "total_weight",
+    "rhs_bilinear", "stability_limit", "total_weight",
     "truncation_error_bound",
     "MonitorRow", "RunConfig", "Trajectory", "run", "entropy", "simulate",
     "epsilon", "alpha_md", "required_moment",

@@ -63,7 +63,6 @@ __all__ = [
     "perp_unit",
     "transform_jacobian",
     "kac_pair",
-    "rhs",
     "rhs_bilinear",
     "total_weight",
     "stability_limit",
@@ -121,20 +120,22 @@ class AngularQuadrature:
     def angles(self, theta_max: float) -> tuple:
         """Positive nodes and plain quadrature weights on [theta_min, theta_max].
 
-        This is the one angular rule: the operator, its commutator bounds and
-        the kernel-moment constants all read their angles from it.
+        This is the one angular rule: the operator and its commutator bounds
+        read their angles from it.
         """
         if not self.theta_min < theta_max:
             raise ConfigError("theta_min must be below the upper angle limit")
-        x, w = np.polynomial.legendre.leggauss(self.nodes_per_panel)
         rho = (self.theta_min / theta_max) ** (1.0 / self.panels)
         edges = theta_max * rho ** np.arange(self.panels, -1, -1)
-        nodes, weights = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            nodes.append(mid + rad * x)
-            weights.append(rad * w)
+        nodes, weights = zip(*(_gl_rule(lo, hi, self.nodes_per_panel)
+                               for lo, hi in zip(edges[:-1], edges[1:])))
         return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _gl_rule(lo, hi, n):
+    """n-point Gauss-Legendre nodes and weights on [lo, hi]."""
+    x, wq = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * wq
 
 
 # ----------------------------------------------------------------------------
@@ -197,12 +198,12 @@ class _Evaluator:
 
     The gain sums over the (kept node, angle) pairs of the module
     docstring. `gather_minus` and `gather_plus` return a refinement's
-    values at eta- and eta+ of every pair, `node` and `angle` index node
-    and angle arrays by pair, and `rows` lays pair values out as the
-    (kept, angles) array whose row sums are the node sums. On the line
-    modes the pairs are that array, node-major. On the plane they are the
-    live pairs in the _band_order of eta+, both stencils built in that
-    order, and `slot` holds each pair's flat position in the array.
+    values at eta- and eta+ of every pair, `pairs()` gives each pair's node
+    and angle index, and `node_sum` sums pair values by node. On the line
+    modes the pairs are the (kept, angles) array, node-major, and `slot`
+    is None. On the plane they are the live pairs in the _band_order of
+    eta+, both stencils built in that order, and `slot` holds each pair's
+    flat position in that array.
     """
 
     def __init__(self, grid: GridSpec, cs: CrossSection, quad: AngularQuadrature):
@@ -214,54 +215,61 @@ class _Evaluator:
         self.drop = np.flatnonzero(mirror > flat)
         self.partner = mirror[self.drop]
         self.pts = grid.nodes()[self.keep]
-        if grid.mode != "full-2d":
-            # the Kac line folds theta < 0 onto theta > 0; radial data
-            # integrate the sphere of directions in closed form
-            kac = d == 1
-            theta, w = quad.angles(math.pi / 4 if kac else math.pi / 2)
-            weights = (2.0 if kac else _SPHERE_AREA[d - 1]) * w * cs.collapsed(theta)
-            phi = theta if kac else theta / 2.0
-            minus, plus = kac_pair(self.pts[:, None], phi[None, :])
+        # the Kac line folds theta < 0 onto theta > 0, radial data integrate
+        # the sphere of directions in closed form; the plane keeps both signs
+        planar = grid.mode == "full-2d"
+        theta, w = quad.angles(math.pi / 4 if d == 1 else math.pi / 2)
+        if planar:
+            theta, w = np.concatenate([-theta[::-1], theta]), np.concatenate([w[::-1], w])
+        mult = 1.0 if planar else 2.0 if d == 1 else _SPHERE_AREA[d - 1]
+        self.theta, self.phi = theta, theta if d == 1 else theta / 2.0
+        self.weights = mult * w * cs.collapsed(theta)
+        self.total_weight = float(self.weights.sum())
+        if not planar:
+            minus, plus = kac_pair(self.pts[:, None], self.phi[None, :])
             self.gather_minus = _InterpPlan(grid, minus).apply
             self.gather_plus = _InterpPlan(grid, plus).apply
-            self.node, self.angle = np.arange(self.keep.size)[:, None], np.arange(theta.size)
             self.slot = None
-        else:
-            th, w = quad.angles(math.pi / 2)
-            theta = np.concatenate([-th[::-1], th])
-            phi = theta / 2.0
-            weights = np.concatenate([w[::-1], w]) * cs.collapsed(theta)
-            pts = self.pts[:, None, :]
-            r = np.linalg.norm(pts, axis=-1, keepdims=True)
-            ehat = np.divide(pts, r, out=np.zeros_like(pts), where=r > 0)
-            minus, plus = collision_geometry(pts, sigma_from_angle(ehat, theta))
-            plus = plus.reshape(-1, 2)
-            live = np.flatnonzero(np.hypot(plus[:, 0], plus[:, 1])
-                                  <= grid.eta_max * (1 + 1e-12))
-            live = live[_band_order(grid, plus[live, 0])]
-            # the live pairs' coordinates, in pair order, replace the dense
-            # arrays before the stencils are built
-            minus = minus.reshape(-1, 2)
-            minus, plus = (minus[live, 0], minus[live, 1]), (plus[live, 0], plus[live, 1])
-            self.gather_minus = partial(_planar_gather, *_planar_stencil(grid, *minus))
-            self.gather_plus = partial(_planar_gather, *_planar_stencil(grid, *plus))
-            node, angle = np.divmod(live, theta.size)
-            self.node, self.angle = node.astype(np.int32), angle.astype(np.int32)
-            self.slot = live
-        self.theta, self.phi = theta, phi
-        self.weights = weights
-        self.total_weight = float(weights.sum())
+            return
+        pts = self.pts[:, None, :]
+        r = np.linalg.norm(pts, axis=-1, keepdims=True)
+        ehat = np.divide(pts, r, out=np.zeros_like(pts), where=r > 0)
+        minus, plus = collision_geometry(pts, sigma_from_angle(ehat, theta))
+        plus = plus.reshape(-1, 2)
+        live = np.flatnonzero(np.hypot(plus[:, 0], plus[:, 1])
+                              <= grid.eta_max * (1 + 1e-12))
+        live = live[_band_order(grid, plus[live, 0])]
+        # the live pairs' coordinates, in pair order, replace the dense
+        # arrays before the stencils are built
+        minus = minus.reshape(-1, 2)
+        minus, plus = (minus[live, 0], minus[live, 1]), (plus[live, 0], plus[live, 1])
+        self.gather_minus = partial(_planar_gather, *_planar_stencil(grid, *minus))
+        self.gather_plus = partial(_planar_gather, *_planar_stencil(grid, *plus))
+        self.slot = live
 
-    def rows(self, pairs: np.ndarray) -> np.ndarray:
-        """The (kept, angles) array of pair values: `pairs` itself on the
-        line modes; on the plane each live pair at its slot and 0 at the
-        dead ones, so that a row sum adds a node's pairs in angle order,
-        whatever order they come in."""
+    def pairs(self) -> tuple:
+        """(node, angle): each pair's kept-node and angle index, as arrays that
+        broadcast to the pairs' shape; int32 on the plane, with no int64 copy."""
         if self.slot is None:
-            return pairs
-        out = np.zeros((self.keep.size, self.theta.size), dtype=pairs.dtype)
-        out.reshape(-1)[self.slot] = pairs
-        return out
+            return np.arange(self.keep.size)[:, None], np.arange(self.theta.size)
+        node, angle = np.empty((2, self.slot.size), dtype=np.int32)
+        return np.divmod(self.slot, self.theta.size, out=(node, angle), casting="unsafe")
+
+    def node_sum(self, pairs: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+        """Each kept node's sum of pairs * kernel over its pairs (the kernel
+        indexed by angle), mirrored by `expand`; on the line modes `pairs`
+        is overwritten.
+
+        On the plane each live pair is scattered to its slot of a zero-filled
+        (kept, angles) array, so that a row adds a node's pairs in angle
+        order, the dead ones as exact zeros, whatever order they come in.
+        """
+        rows = pairs
+        if self.slot is not None:
+            rows = np.zeros((self.keep.size, self.theta.size), dtype=pairs.dtype)
+            rows.reshape(-1)[self.slot] = pairs
+        rows *= kernel
+        return self.expand(rows.sum(axis=1))
 
     def expand(self, kept: np.ndarray) -> np.ndarray:
         """Full node array from kept-node values by x(-eta) = conj x(eta),
@@ -304,9 +312,7 @@ def _bilinear(ev: _Evaluator, gm: np.ndarray, hp: np.ndarray,
     """
     grid = ev.grid
     np.multiply(gm, hp, out=hp)
-    rows = ev.rows(hp)
-    rows *= ev.weights
-    gain = ev.expand(rows.sum(axis=1))
+    gain = ev.node_sum(hp, ev.weights)
     out = gain - ev.total_weight * g_values[grid.zero_index] * h_values
     out[grid.zero_index] = 0.0
     return out
@@ -341,11 +347,6 @@ def rhs_bilinear(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature,
     # the refinements are spent; free them before the rows are allocated
     del fine_g, fine_h
     return _bilinear(ev, gm, hp, g_values, h_values)
-
-
-def rhs(state: SpectralState, cs: CrossSection, quad: AngularQuadrature) -> np.ndarray:
-    """Qhat(f, f) for a state."""
-    return rhs_bilinear(state.grid, cs, quad, state.values, state.values)
 
 
 def total_weight(grid: GridSpec, cs: CrossSection, quad: AngularQuadrature) -> float:

@@ -25,7 +25,7 @@ from .inequalities import alpha_md, epsilon
 from .spectral import (GridSpec, SpectralState, moments, refine_array,
                        state_with_values, to_physical, _InterpPlan, _SPHERE_AREA)
 from .collision import (AngularQuadrature, CrossSection, _bilinear, _evaluator,
-                        kac_pair, perp_unit)
+                        _gl_rule, kac_pair, perp_unit)
 from .evolution import entropy
 
 __all__ = [
@@ -257,13 +257,12 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     lhs = float(np.sum(cells * ((q1 - q2) * np.conj(gf)).reshape(-1)).real)
 
     # |fhat| and every weight below are even in eta, so the angular sums run
-    # over the operator's pairs of a kept node and an angle (ev.node and
-    # ev.angle index node and angle arrays by pair, ev.rows lays the pair
-    # values out by node and angle) and are mirrored onto the rest. The
-    # plane has no pair where |eta+| > eta_max, which happens only at
-    # nodes beyond eta_max > lam, where G_Lam fhat is 0
+    # over the operator's pairs of a kept node and an angle, indexed by
+    # ev.pairs(), and ev.node_sum mirrors them onto the rest. The plane has
+    # no pair where |eta+| > eta_max, which happens only at nodes beyond
+    # eta_max > lam, where G_Lam fhat is 0
     theta, phi = ev.theta, ev.phi
-    node, angle = ev.node, ev.angle
+    node, angle = ev.pairs()
 
     r_pair = grid.abs_nodes().reshape(-1)[ev.keep][node]
     sin_sq = np.sin(phi) ** 2          # = 1 - |eta+|^2/|eta|^2
@@ -282,16 +281,16 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     glam_plus = _grow(bt, abs_plus ** 2, alpha=alpha)
     glam_plus = np.where(abs_plus <= lam * (1.0 + 1e-12), glam_plus, 0.0)
     bracket_plus = (1.0 + abs_plus ** 2) ** alpha
-    inner = ev.expand((ev.rows(g_minus_eps * fm * glam_plus * fp * bracket_plus)
-                       * (ev.weights * sin_sq)).sum(axis=1)).reshape(-1)
+    inner = ev.node_sum(g_minus_eps * fm * glam_plus * fp * bracket_plus,
+                        ev.weights * sin_sq).reshape(-1)
     rhs_bound = 2.0 * ab_t * float(np.sum(cells * g_mag * inner))
 
     # square-weighted bound, outer variable eta; the evaluator weights carry
     # b(cos t)*sin^{d-2}t, so sin^2 of the full angle completes sin^d t * b
     ind_minus = abs_minus <= lam / math.sqrt(2.0) * (1.0 + 1e-12)
     g_minus_lem = _grow(bt, abs_minus ** 2, power=eps_lem[angle], alpha=alpha)
-    inner_i = ev.expand((ev.rows(g_minus_lem * fm * ind_minus)
-                         * (ev.weights * np.sin(theta) ** 2)).sum(axis=1)).reshape(-1)
+    inner_i = ev.node_sum(g_minus_lem * fm * ind_minus,
+                          ev.weights * np.sin(theta) ** 2).reshape(-1)
     bracket_nodes = (1.0 + r_nodes ** 2) ** alpha
     i_term = ab_t * float(np.sum(cells * g_mag ** 2 * bracket_nodes * inner_i))
 
@@ -309,8 +308,7 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     fmp = np.abs(_InterpPlan(grid, pts).apply(fine))
     ind_plus = abs_pts <= lam / math.sqrt(2.0) * (1.0 + 1e-12)
     g_minus_plus = _grow(bt, abs_pts ** 2, power=eps_lem[angle], alpha=alpha)
-    inner_p = ev.expand((ev.rows(g_minus_plus * fmp * ind_plus)
-                         * kernel_plus).sum(axis=1)).reshape(-1)
+    inner_p = ev.node_sum(g_minus_plus * fmp * ind_plus, kernel_plus).reshape(-1)
     i_plus_term = pref * float(np.sum(cells * g_mag ** 2 * bracket_nodes * inner_p))
 
     return CommutatorReport(lhs=lhs, rhs_bound=rhs_bound, i_term=i_term,
@@ -321,11 +319,17 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
 # kernel moment constants and the rate budget
 # ----------------------------------------------------------------------------
 
-_CB_QUAD = AngularQuadrature(theta_min=1e-12, panels=160, nodes_per_panel=10)
+def _sin2_moment(nu: float, a: float) -> float:
+    """int_0^a theta^(-1-2 nu) sin^2(theta) dtheta for a <= pi/2, by the series
+    of sin^2 = (1 - cos 2 theta)/2: sum_k (-1)^(k+1) 2^(2k-1) a^(2k-2 nu) /
+    ((2k)! (2k - 2 nu)), whose terms beyond k = 15 are below 1e-20 of it."""
+    return math.fsum((-1) ** (k + 1) * 2.0 ** (2 * k - 1) * a ** (2 * k - 2 * nu)
+                     / (math.factorial(2 * k) * (2 * k - 2 * nu)) for k in range(1, 16))
 
 
 def cb_constant(cs: CrossSection, d: int, variant: str = "scaled") -> float:
-    """Angular moment of the kernel against sin^2 (the grazing-safe weight).
+    """Angular moment of the kernel against sin^2 (the grazing-safe weight),
+    from theta = 0 with no cutoff: kappa times the exact `_sin2_moment`.
 
     variant "scaled": includes the sphere factor |S^{d-2}| for d >= 3 and
     uses the symmetric quarter-range for d = 1.  variant "plain": the bare
@@ -339,10 +343,8 @@ def cb_constant(cs: CrossSection, d: int, variant: str = "scaled") -> float:
     if d == 1:
         if variant == "plain":
             raise ConfigError("the plain variant needs d >= 2")
-        th, wq = _CB_QUAD.angles(math.pi / 4.0)
-        return 2.0 * float(np.sum(wq * np.sin(th) ** 2 * cs.collapsed(th)))
-    th, wq = _CB_QUAD.angles(math.pi / 2.0)
-    base = float(np.sum(wq * np.sin(th) ** 2 * cs.collapsed(th)))
+        return 2.0 * cs.kappa * _sin2_moment(cs.nu, math.pi / 4.0)
+    base = cs.kappa * _sin2_moment(cs.nu, math.pi / 2.0)
     if variant == "plain" or d == 2:
         return base
     return _SPHERE_AREA[d - 1] * base
@@ -596,11 +598,6 @@ def _hyp2_sups(grid, states, fines, alpha, beta, lam, dirs) -> list:
     return [float((_grow(beta * s.t, z ** 2 + rho ** 2, power=epsilon(alpha, 1.0),
                          alpha=alpha) * np.abs(plan.apply(fine)).sum(axis=-1)).max())
             for s, fine in zip(states, fines)]
-
-
-def _gl_rule(lo, hi, n):
-    x, wq = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * wq
 
 
 def _hyp3_sups(grid, states, fines, alpha, beta, lam, m, rules, dirs) -> list:

@@ -174,7 +174,7 @@ def test_kac_rhs_matches_reference():
     st = init_state(g, InitialDatum(kind="laplace", dimension=1, a=1.0, mass=1.0))
     cs = CrossSection(nu=0.25, kappa=1.0)
     quad = AngularQuadrature(theta_min=1e-6, panels=40, nodes_per_panel=8)
-    r = col.rhs(st, cs, quad)
+    r = col.rhs_bilinear(g, cs, quad, st.values, st.values)
     nodes = g.axis_nodes()
     frozen = {0.5: -2.820703452665e-01, 1.0: -1.590762400331e-01,
               2.5: -5.260283608478e-02}
@@ -190,17 +190,17 @@ def test_gaussian_is_a_fixed_point():
     quad = AngularQuadrature(theta_min=1e-4, panels=12, nodes_per_panel=6)
     g1 = GridSpec(dimension=1, mode="full-1d", n=257, eta_max=16.0)
     s1 = init_state(g1, InitialDatum(kind="gaussian", dimension=1, sigma=1.0))
-    assert np.abs(col.rhs(s1, cs, quad)).max() < 1e-5
+    assert np.abs(col.rhs_bilinear(g1, cs, quad, s1.values, s1.values)).max() < 1e-5
 
     q2 = AngularQuadrature(theta_min=1e-3, panels=8, nodes_per_panel=5,
                            azimuthal_nodes=8)
     g2 = GridSpec(dimension=2, mode="full-2d", n=64, eta_max=4.0)
     s2 = init_state(g2, InitialDatum(kind="gaussian", dimension=2, sigma=0.4))
-    assert np.abs(col.rhs(s2, cs, q2)).max() < 1e-5
+    assert np.abs(col.rhs_bilinear(g2, cs, q2, s2.values, s2.values)).max() < 1e-5
 
     g3 = GridSpec(dimension=3, mode="radial", n=128, eta_max=8.0)
     s3 = init_state(g3, InitialDatum(kind="gaussian", dimension=3, sigma=0.7))
-    assert np.abs(col.rhs(s3, cs, q2)).max() < 1e-5
+    assert np.abs(col.rhs_bilinear(g3, cs, q2, s3.values, s3.values)).max() < 1e-5
 
 
 @pytest.mark.parametrize("grid,sigma,theta_min,sign,bound", [
@@ -234,13 +234,13 @@ def test_rhs_vanishes_at_zero_frequency():
     datum = InitialDatum(kind="gaussian-mixture", dimension=1,
                          components=((0.6, (0.8,), 0.5), (0.4, (-0.5,), 0.7)))
     st = init_state(g, datum)
-    r = col.rhs(st, cs, quad)
+    r = col.rhs_bilinear(g, cs, quad, st.values, st.values)
     assert abs(r[g.shape[0] // 2]) < 1e-12 * st.mass
 
     g2 = GridSpec(dimension=2, mode="full-2d", n=32, eta_max=4.0)
     d2 = InitialDatum(kind="gaussian", dimension=2, sigma=0.5, center=(0.2, -0.1))
     s2 = init_state(g2, d2)
-    r2 = col.rhs(s2, cs, quad)
+    r2 = col.rhs_bilinear(g2, cs, quad, s2.values, s2.values)
     assert abs(r2[g2.shape[0] // 2, g2.shape[1] // 2]) < 1e-12 * s2.mass
 
 
@@ -267,7 +267,8 @@ def test_truncation_bound_dominates_cutoff_change():
     cs = CrossSection(nu=0.25, kappa=1.0)
     qa = AngularQuadrature(theta_min=1e-5, panels=30, nodes_per_panel=8)
     qb = AngularQuadrature(theta_min=1e-2, panels=18, nodes_per_panel=8)
-    diff = np.abs(col.rhs(st, cs, qa) - col.rhs(st, cs, qb))
+    diff = np.abs(col.rhs_bilinear(g, cs, qa, st.values, st.values)
+                  - col.rhs_bilinear(g, cs, qb, st.values, st.values))
     bound = col.truncation_error_bound(st, st, cs, qb)
     assert np.all(bound >= 0)
     assert np.all(diff <= bound + 1e-12)
@@ -293,7 +294,8 @@ def test_truncation_bound_dominates_cutoff_change_for_d_ge_2(g, datum):
     cs = CrossSection(nu=0.25, kappa=1.0)
     qa = AngularQuadrature(theta_min=1e-5, panels=30, nodes_per_panel=8)
     qb = AngularQuadrature(theta_min=1e-2, panels=18, nodes_per_panel=8)
-    diff = np.abs(col.rhs(st, cs, qa) - col.rhs(st, cs, qb))
+    diff = np.abs(col.rhs_bilinear(g, cs, qa, st.values, st.values)
+                  - col.rhs_bilinear(g, cs, qb, st.values, st.values))
     bound = col.truncation_error_bound(st, st, cs, qb)
     assert np.all(bound >= 0)
     assert np.all(diff <= bound + 1e-12)
@@ -307,21 +309,23 @@ def test_planar_operator_keeps_exactly_the_live_pairs():
     quad = AngularQuadrature(theta_min=4e-3, panels=8, nodes_per_panel=5)
     ev = col._Evaluator(grid, CrossSection(nu=0.25), quad)
     K, A = ev.keep.size, ev.theta.size
-    assert K * A == 158_800 and ev.node.size == ev.angle.size == 132_256
+    node, angle = ev.pairs()
+    assert K * A == 158_800 and node.size == angle.size == ev.slot.size == 132_256
+    assert node.dtype == angle.dtype == np.int32
     r = np.linalg.norm(ev.pts, axis=-1, keepdims=True)
     ehat = np.divide(ev.pts, r, out=np.zeros_like(ev.pts), where=r > 0)
     minus, plus = collision_geometry(ev.pts[:, None, :],
                                      col.sigma_from_angle(ehat[:, None, :], ev.theta))
     live = np.linalg.norm(plus, axis=-1) <= grid.eta_max * (1 + 1e-12)
     kept = np.zeros((K, A), dtype=int)
-    np.add.at(kept, (ev.node, ev.angle), 1)
+    np.add.at(kept, (node, angle), 1)
     assert np.array_equal(kept, live.astype(int))   # each live pair once
     assert np.all(r[:, 0][~live.all(axis=1)] > grid.eta_max)
     # the pairs come in the band order of their eta+, and both gathers
     # return a plan's values at the pairs' points in that order
-    pair_plus, pair_minus = plus[ev.node, ev.angle], minus[ev.node, ev.angle]
+    pair_plus, pair_minus = plus[node, angle], minus[node, angle]
     assert np.array_equal(spectral._band_order(grid, pair_plus[:, 0]),
-                          np.arange(ev.node.size))
+                          np.arange(node.size))
     datum = InitialDatum(kind="gaussian-mixture", dimension=2,
                          components=((0.5, (0.75, 0.0), 0.6), (0.5, (-0.75, 0.0), 0.6)))
     fine = spectral.refine_array(grid, init_state(grid, datum).values)
@@ -331,8 +335,34 @@ def test_planar_operator_keeps_exactly_the_live_pairs():
     # node and angle, 0 at every dropped pair
     values = ev.gather_plus(fine)
     dense = np.zeros((K, A), dtype=complex)
-    dense[ev.node, ev.angle] = values
-    assert np.array_equal(ev.rows(values), dense)
+    dense[node, angle] = values
+    assert np.array_equal(ev.node_sum(values, ev.weights),
+                          ev.expand((dense * ev.weights).sum(axis=1)))
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec(dimension=1, mode="full-1d", n=64, eta_max=8.0),
+    GridSpec(dimension=3, mode="radial", n=64, eta_max=8.0),
+], ids=["kac-line", "radial-3d"])
+def test_line_operator_pairs_are_the_dense_rows(grid):
+    # on the line modes every (kept node, angle) pair is gathered, node-major,
+    # and a node sum is the row sum of pairs * kernel, mirrored
+    quad = AngularQuadrature(theta_min=1e-2, panels=4, nodes_per_panel=4)
+    ev = col._Evaluator(grid, CrossSection(nu=0.3), quad)
+    assert ev.slot is None
+    node, angle = ev.pairs()
+    K, A = ev.keep.size, ev.theta.size
+    assert np.broadcast_shapes(node.shape, angle.shape) == (K, A)
+    datum = InitialDatum(kind="gaussian", dimension=grid.dimension, sigma=0.4)
+    fine = spectral.refine_array(grid, init_state(grid, datum).values)
+    pairs = ev.gather_plus(fine)
+    assert pairs.shape == (K, A)
+    eta = ev.pts.reshape(-1)
+    np.testing.assert_array_equal(
+        spectral._InterpPlan(grid, eta[node] * np.cos(ev.phi[angle])).apply(fine), pairs)
+    kernel = ev.weights * np.sin(ev.theta) ** 2
+    want = ev.expand((pairs * kernel).sum(axis=1))
+    assert np.array_equal(ev.node_sum(pairs.copy(), kernel), want)
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +385,13 @@ def test_one_operator_stays_live(monkeypatch):
     quad = AngularQuadrature(theta_min=1e-2, panels=4, nodes_per_panel=4)
     g = GridSpec(dimension=1, mode="full-1d", n=64, eta_max=8.0)
     st = init_state(g, InitialDatum(kind="gaussian", dimension=1))
-    q = col.rhs(st, cs, quad)
+    q = col.rhs_bilinear(g, cs, quad, st.values, st.values)
     # an equal key, of new objects, reuses the operator without a rebuild
     same = (GridSpec(dimension=1, mode="full-1d", n=64, eta_max=8.0),
             CrossSection(nu=0.3, kappa=1.0),
             AngularQuadrature(theta_min=1e-2, panels=4, nodes_per_panel=4))
     assert col._evaluator(*same) is refs[0]()
-    assert np.array_equal(col.rhs(st, *same[1:]), q)
+    assert np.array_equal(col.rhs_bilinear(*same, st.values, st.values), q)
     assert len(refs) == 1
     # another kernel builds a second operator and the first one dies
     col.total_weight(g, CrossSection(nu=0.4, kappa=1.0), quad)
@@ -445,8 +475,8 @@ def test_radial_rhs_matches_full2d_on_axis():
     gf = GridSpec(dimension=2, mode="full-2d", n=64, eta_max=4.0)
     radial = init_state(gr, datum)
     planar = init_state(gf, datum)
-    qr = col.rhs(radial, cs, quad)
-    qf = col.rhs(planar, cs, quad)
+    qr = col.rhs_bilinear(gr, cs, quad, radial.values, radial.values)
+    qf = col.rhs_bilinear(gf, cs, quad, planar.values, planar.values)
     i0 = gf.zero_index[0]
     axis = qf[i0:, i0]   # eta_x = k h, k = 0..31
     np.testing.assert_allclose(gf.axis_nodes()[i0:], gr.axis_nodes()[:axis.size],

@@ -293,6 +293,19 @@ def test_cb_constants_frozen():
     assert abs(cb_constant(CrossSection(nu=0.25), 2, "plain") - 9.351964787591e-01) < 1e-10
     assert abs(cb_constant(CrossSection(nu=0.5), 1) - 1.468284791574e+00) < 1e-10
     assert abs(cb_constant(CrossSection(nu=0.5), 2, "plain") - 1.215317279615e+00) < 1e-10
+    # 50-digit references (tools/make_oracles.py: a Taylor head on [0, 0.05]
+    # plus mp.quad), c_b1 over [-pi/4, pi/4] and c_bd2 over (0, pi/2]; the
+    # series is exact from theta = 0, where a graded rule cut at 1e-12 read
+    # -1.2e-6, -4.2e-3 and -58% at nu = 0.75, 0.9 and 0.99
+    frozen = {0.25: (0.850418119755384612490053775251, 0.935196478759717559213836737523),
+              0.5: (1.46828479157381427398828646978, 1.21531727961488482728551831667),
+              0.75: (3.40559122731079573257370113215, 2.16119646026135487408480167685),
+              0.9: (9.35769671231178363004246268612, 5.12617105763557949237082543779),
+              0.99: (99.3235681478288181854267808769, 50.1033184163692116216482268252)}
+    for nu, (cb1, cbd2) in frozen.items():
+        cs = CrossSection(nu=nu)
+        for d, want in ((1, cb1), (2, cbd2), (3, 2 * math.pi * cbd2)):
+            assert abs(cb_constant(cs, d) / want - 1.0) < 1e-13, (nu, d)
     cs = CrossSection(nu=0.4)
     assert cb_constant(cs, 2, "scaled") == cb_constant(cs, 2, "plain")
     assert np.isclose(cb_constant(cs, 3, "scaled"),
@@ -301,6 +314,22 @@ def test_cb_constants_frozen():
         cb_constant(cs, 1, "plain")
     with pytest.raises(ConfigError):
         cb_constant(cs, 4)
+
+
+@pytest.mark.parametrize("nu, bound", [(0.25, 2e-9), (0.75, 3e-8)])
+def test_planar_rule_prices_the_sin2_moment(nu, bound):
+    # the planar operator's S = sum over +-theta of w b sin^2(theta), read
+    # from its own weights and angles, is 2 c_b less the cone below theta_min
+    # that the rule leaves out. The difference is the graded rule's own
+    # error: 8.3e-10 relative at nu = 1/4 and 1.4e-8 at 3/4 on the
+    # planar-2d bench grid; each bound is about twice that
+    grid = GridSpec(dimension=2, mode="full-2d", n=64, eta_max=2.0)
+    quad = AngularQuadrature(theta_min=4e-3, panels=8, nodes_per_panel=5)
+    cs = CrossSection(nu=nu)
+    ev = col._Evaluator(grid, cs, quad)
+    s = float(np.sum(ev.weights * np.sin(ev.theta) ** 2))
+    want = 2.0 * cb_constant(cs, 2) - 2.0 * diag._sin2_moment(nu, quad.theta_min)
+    assert abs(s / want - 1.0) < bound
 
 
 def test_beta_recommendation_formulas():

@@ -153,6 +153,7 @@ def misc_constants() -> None:
         v2, _ = integrate.quad(lambda t: np.sin(t) ** 2 * t ** (-1 - 2 * nu), 0, np.pi / 2,
                                limit=400, points=[1e-10, 1e-6, 1e-3])
         print(f"FREEZE c_bd2(nu={nu}, kappa=1) = {v2:.12e}   (= c_b2; x|S^{{d-2}}| for d>=3)")
+    kernel_constants_50_digits()
     print(f"FREEZE gaussian entropy d=1 sigma=1: {-0.5 * np.log(2 * np.pi * np.e):.12f}")
     print(f"FREEZE laplace entropy a=1 m=1: {-(1 + np.log(2)):.12f}")
     print(f"FREEZE eps(0.5, 3) = 2 - sqrt(3) = {2 - np.sqrt(3):.12f}")
@@ -176,6 +177,35 @@ def misc_constants() -> None:
     print(f"FREEZE KL C_2 (lambda=[1]) = 2^2*2!*1*1 = 8")
     print(f"FREEZE ddlemma const example 98^0.4 = {98 ** 0.4:.12f}")
     # Kac energy functional J used in the m4 ODE is above; nothing else.
+
+
+def kernel_constants_50_digits() -> None:
+    """int_0^a theta^(-1-2 nu) sin^2(theta) dtheta at 50 digits, for the d = 1
+    range a = pi/4 (printed doubled, as c_b1) and the d >= 2 range a = pi/2.
+
+    The head [0, s] is integrated term by term from the Taylor series of
+    sin^2 and `mp.quad` does [s, a]: a plain `mp.quad` from 0 loses digits
+    to the theta^(-1-2 nu) singularity as nu nears 1. Each value is also
+    checked against a second split point."""
+    print("# kernel constants, 50 digits (Taylor head + mp.quad)")
+
+    def head(nu, s):
+        # sin^2 t = sum_k (-1)^(k+1) 2^(2k-1) t^(2k) / (2k)!
+        return mp.nsum(lambda k: (-1) ** (k + 1) * mp.mpf(2) ** (2 * k - 1)
+                       * s ** (2 * k - 2 * nu) / (mp.factorial(2 * k) * (2 * k - 2 * nu)),
+                       [1, mp.inf])
+
+    def moment(nu, a, s):
+        f = lambda t: t ** (-1 - 2 * nu) * mp.sin(t) ** 2
+        return head(nu, s) + mp.quad(f, mp.linspace(s, a, 5))
+
+    for nu_s in ("0.25", "0.5", "0.75", "0.9", "0.99"):
+        nu = mp.mpf(nu_s)
+        for a, label, factor in ((mp.pi / 4, "c_b1", 2), (mp.pi / 2, "c_bd2", 1)):
+            v = factor * moment(nu, a, mp.mpf("0.05"))
+            check = factor * moment(nu, a, mp.mpf("0.2"))
+            print(f"FREEZE {label}(nu={nu_s}, kappa=1) = {mp.nstr(v, 30)}"
+                  f"   (split 0.2 differs by {mp.nstr(abs(v - check) / v, 3)})")
 
 
 def fractional_heat() -> None:
