@@ -36,24 +36,26 @@ On the line modes every pair is kept, node-major. On the plane a pair
 whose eta+ lies beyond eta_max contributes 0, since hhat reads 0 there,
 so only the live pairs, |eta+| <= eta_max, are gathered; |eta-| <= |eta+|
 for |theta| <= pi/2 puts their eta- inside too, and |eta+| <= |eta|
-leaves every node inside the eta_max disk all its pairs. The live pairs
-are ordered once by the band of lattice rows eta+ reads, and both
-gathers return their sums in that order. The products are summed by node
-in angle order, the dead pairs entering as exact zeros, so every node's
-gain is the same sum on any pair order.
+leaves every node inside the eta_max disk all its pairs. Both gathers
+are spectral._InterpPlan gathers: the eta+ plan keeps exactly the live
+pairs, its points inside the disk, in its band order of the lattice rows
+eta+ reads, and the eta- plan reads the same pairs in that order, so both
+return their sums in one pair order. The eta+ plan's scatter puts the
+products back in (kept node, angle) rows, the dead pairs as exact zeros,
+and each node sums its row in angle order, so every node's gain is the
+same sum on any pair order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import (GridSpec, SpectralState, _InterpPlan, _SPHERE_AREA, _band_order,
-                       _planar_gather, _planar_stencil, moments, refine_array)
+from .spectral import (GridSpec, SpectralState, _InterpPlan, _SPHERE_AREA, moments,
+                       refine_array)
 
 __all__ = [
     "CrossSection",
@@ -197,13 +199,12 @@ class _Evaluator:
     |eta+| = |eta| cos phi: theta for d = 1, theta/2 for d >= 2.
 
     The gain sums over the (kept node, angle) pairs of the module
-    docstring. `gather_minus` and `gather_plus` return a refinement's
-    values at eta- and eta+ of every pair, `pairs()` gives each pair's node
-    and angle index, and `node_sum` sums pair values by node. On the line
-    modes the pairs are the (kept, angles) array, node-major, and `slot`
-    is None. On the plane they are the live pairs in the _band_order of
-    eta+, both stencils built in that order, and `slot` holds each pair's
-    flat position in that array.
+    docstring, in the order of `plan`, the eta+ plan. `gather_minus` and
+    `gather_plus` return a refinement's values at eta- and eta+ of every
+    pair, `pairs()` gives each pair's node and angle index, and `node_sum`
+    sums pair values by node. `slot` is the plan's order: None on the line
+    modes, whose pairs are the (kept, angles) array, node-major; on the
+    plane each live pair's flat position in that array.
     """
 
     def __init__(self, grid: GridSpec, cs: CrossSection, quad: AngularQuadrature):
@@ -225,27 +226,21 @@ class _Evaluator:
         self.theta, self.phi = theta, theta if d == 1 else theta / 2.0
         self.weights = mult * w * cs.collapsed(theta)
         self.total_weight = float(self.weights.sum())
-        if not planar:
+        if planar:
+            pts = self.pts[:, None, :]
+            r = np.linalg.norm(pts, axis=-1, keepdims=True)
+            ehat = np.divide(pts, r, out=np.zeros_like(pts), where=r > 0)
+            minus, plus = collision_geometry(pts, sigma_from_angle(ehat, theta))
+        else:
             minus, plus = kac_pair(self.pts[:, None], self.phi[None, :])
-            self.gather_minus = _InterpPlan(grid, minus).apply
-            self.gather_plus = _InterpPlan(grid, plus).apply
-            self.slot = None
-            return
-        pts = self.pts[:, None, :]
-        r = np.linalg.norm(pts, axis=-1, keepdims=True)
-        ehat = np.divide(pts, r, out=np.zeros_like(pts), where=r > 0)
-        minus, plus = collision_geometry(pts, sigma_from_angle(ehat, theta))
-        plus = plus.reshape(-1, 2)
-        live = np.flatnonzero(np.hypot(plus[:, 0], plus[:, 1])
-                              <= grid.eta_max * (1 + 1e-12))
-        live = live[_band_order(grid, plus[live, 0])]
-        # the live pairs' coordinates, in pair order, replace the dense
-        # arrays before the stencils are built
-        minus = minus.reshape(-1, 2)
-        minus, plus = (minus[live, 0], minus[live, 1]), (plus[live, 0], plus[live, 1])
-        self.gather_minus = partial(_planar_gather, *_planar_stencil(grid, *minus))
-        self.gather_plus = partial(_planar_gather, *_planar_stencil(grid, *plus))
-        self.slot = live
+        # the eta+ plan orders the pairs and the eta- plan reads them in its
+        # order; freeing the dense eta+ coordinates before the eta- stencils
+        # are built keeps them out of the build's peak
+        self.plan = _InterpPlan(grid, plus)
+        del plus
+        self.gather_minus = _InterpPlan(grid, minus, self.plan.order).gather
+        self.gather_plus = self.plan.gather
+        self.slot = self.plan.order
 
     def pairs(self) -> tuple:
         """(node, angle): each pair's kept-node and angle index, as arrays that
@@ -260,14 +255,11 @@ class _Evaluator:
         indexed by angle), mirrored by `expand`; on the line modes `pairs`
         is overwritten.
 
-        On the plane each live pair is scattered to its slot of a zero-filled
-        (kept, angles) array, so that a row adds a node's pairs in angle
-        order, the dead ones as exact zeros, whatever order they come in.
+        The pairs are scattered to their (kept, angles) rows, so that a row
+        adds a node's pairs in angle order, the dead ones as exact zeros,
+        whatever order they come in.
         """
-        rows = pairs
-        if self.slot is not None:
-            rows = np.zeros((self.keep.size, self.theta.size), dtype=pairs.dtype)
-            rows.reshape(-1)[self.slot] = pairs
+        rows = self.plan.scatter(pairs)
         rows *= kernel
         return self.expand(rows.sum(axis=1))
 

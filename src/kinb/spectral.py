@@ -38,17 +38,14 @@ half by one rule: a point whose first coordinate is < 0 is evaluated at
 real and even). interpolate_array checks raw samples, whose unpaired nodes
 enter through their Hermitian part.
 
-_planar_gather, the one planar tap loop, sums _planar_stencil's stencils
-in the order of their points, best _band_order (by the rows they read).
-Where the process may run on more than one CPU it sums the lower half of
-the points on a helper thread and the upper half on the calling thread;
+_InterpPlan is the one reader of refine_array: every off-grid value, the
+collision operator's included, is a plan's stencil sum. A planar plan
+sums its points inside the eta_max disk in band order (by the rows they
+read) and scatters the sums back to the caller's points. Where the
+process may run on more than one CPU it sums the lower half of those
+points on a helper thread and the upper half on the calling thread;
 numpy releases the GIL inside its gathers and ufuncs, and every point's
 arithmetic is the same on either path, so the sums are bit-identical.
-_InterpPlan puts a caller's points inside the eta_max disk in that order
-and scatters the sums back. The collision operator gathers only its live
-(node, angle) pairs, |eta+| <= eta_max (hhat(eta+) reads 0 beyond, and
-|eta-| <= |eta+| puts eta- inside too), ordered once by the band of
-eta+, so both of its gathers return their sums in that pair order.
 
 Moments need no refinement: the refined transform is the trigonometric
 polynomial sum_j c_j e^{-2 pi i v_j . eta} whose coefficients are the
@@ -84,7 +81,7 @@ _UPSAMPLE = 8    # band-limited refinement factor of every mode
 _HALF_TAPS = 6   # quintic B-spline stencil width on the full-1d and radial half-axis
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}  # |S^{d-1}|
-_GATHER_BLOCK = 16384  # points per block of a planar gather (see _InterpPlan)
+_GATHER_BLOCK = 16384  # points per block of a planar gather (see _InterpPlan.gather)
 # whether a planar gather sums its two halves on two threads: only where
 # this process may run on more than one CPU
 _TWO_CORES = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
@@ -577,103 +574,10 @@ def _bspline_weights(t: np.ndarray, taps: int) -> np.ndarray:
     return w
 
 
-def _band_order(grid: GridSpec, x: np.ndarray) -> np.ndarray:
-    """The stable permutation ordering planar points (first coordinates x)
-    by 128 bands of the rows of |kx| their stencils read, a band's points
-    in kx < 0 last, so that the ufuncs masked by the flip meet at most 256
-    runs (they pay per run). The stable argsort of an 8-bit key is a
-    one-pass radix sort."""
-    hf, cells = _fine_axis(grid)
-    _, row = _fine_cell(np.abs(x), 0.0, hf, cells - 1)
-    key = (row * (128 / cells)).astype(np.uint8) * 2 + (x < 0)
-    return np.argsort(key, kind="stable")
-
-
-def _planar_stencil(grid: GridSpec, x: np.ndarray, y: np.ndarray) -> tuple:
-    """Cubic stencils (base, wx, wy, flip, W) of the planar points (x, y),
-    which must lie inside the eta_max disk, in their given order; the
-    coordinate arrays are overwritten.
-
-    A point with kx < 0 (flip) is read at -eta. Its cells are clipped to
-    kx < eta_max and ky < eta_max (a point on the upper edge of a cell
-    reads it at t = 1). With row stride W = Mf + 3 of refine_array, tap
-    (a, b) of the cell (i, j) reads flat[a*W + b:][base] from the stored
-    (i, j), which is the lattice (i - 1, j - 1).
-    """
-    hf, cells = _fine_axis(grid)
-    flip = x < 0
-    u, row = _fine_cell(np.abs(x, out=x), 0.0, hf, cells - 1)
-    u -= row
-    wx = _bspline_weights(u, 4)
-    np.negative(y, out=y, where=flip)
-    u, col = _fine_cell(y, -grid.eta_max, hf, 2 * cells - 1)
-    u -= col
-    wy = _bspline_weights(u, 4)
-    W = 2 * cells + 3
-    row *= W
-    row += col
-    return row.astype(np.int64), wx, wy, flip, W
-
-
-def _planar_gather(base, wx, wy, flip, W, fine: np.ndarray) -> np.ndarray:
-    """The sums of the _planar_stencil (base, wx, wy, flip, W) on a full-2d
-    refine_array, in the stencil's point order, conjugated where flip.
-
-    The points are summed in blocks of consecutive points, so that a
-    block's taps read a few rows that stay in cache when the points come
-    in _band_order. With _TWO_CORES and at least one block in each half,
-    a helper thread sums the first size // (2 _GATHER_BLOCK) blocks while
-    the calling thread sums the rest, each into its own slice of the
-    result; an exception on either thread is raised here, after both have
-    stopped. Every point is summed by the same operations on either path.
-    The split is uneven when the blocks are few (16,384 of 45,292 points
-    on the helper for a 48 x 48 operator), but the helper starts late, so
-    its smaller share evens the two out: a split at the middle point was
-    no faster (2-core host, eta+ gather, 2.10 against 2.05 ms median).
-    """
-    flat = fine.ravel()
-    out = np.empty(base.size, dtype=complex)
-
-    def blocks(start, stop):
-        for s in range(start, stop, _GATHER_BLOCK):
-            blk = slice(s, s + _GATHER_BLOCK)
-            b0, x, y, acc = base[blk], wx[:, blk], wy[:, blk], out[blk]
-            for a in range(4):
-                row = flat[a * W:]
-                partial = y[0] * row[b0]
-                for b in range(1, 4):
-                    partial += y[b] * row[b:][b0]
-                if a == 0:
-                    np.multiply(x[0], partial, out=acc)
-                else:
-                    acc += x[a] * partial
-            np.conjugate(acc, out=acc, where=flip[blk])
-
-    mid = base.size // (2 * _GATHER_BLOCK) * _GATHER_BLOCK
-    if not (_TWO_CORES and mid):
-        blocks(0, base.size)
-        return out
-    failed = []
-
-    def lower():
-        try:
-            blocks(0, mid)
-        except BaseException as exc:
-            failed.append(exc)
-
-    helper = threading.Thread(target=lower)
-    helper.start()
-    try:
-        blocks(mid, base.size)
-    finally:
-        helper.join()
-    if failed:
-        raise failed[0]
-    return out
-
-
 class _InterpPlan:
-    """Precomputed stencil for evaluating many fixed points repeatedly.
+    """Precomputed stencils for evaluating many fixed points repeatedly:
+    the one code that decides how a point is read off a refine_array
+    result.
 
     refine_array stores the half of the B-spline coefficient lattice where
     the first coordinate is >= 0, and in every mode a point whose first
@@ -683,70 +587,162 @@ class _InterpPlan:
     B-spline weights: full-1d and radial the 6 coefficients i-2..i+3 of the
     refined half-axis with quintic weights, points beyond eta_max reading
     0; full-2d the 4x4 coefficients (i-1..i+2, j-1..j+2) of the refined
-    lattice with cubic weights (_planar_stencil), for the points inside the
-    eta_max disk only. Near kx = 0, kx = eta_max and ky = +-eta_max the
-    taps read the margins of refine_array. The planar points inside the
-    disk are put in _band_order and summed by _planar_gather, on two
-    threads where it splits, and `apply` scatters the sums back to the
-    caller's order, 0 beyond the disk. The collision operator does
-    without this plan on the plane: it calls _planar_stencil and
-    _planar_gather itself on its live pairs (|eta+| <= eta_max), ordered
-    once by the band of eta+, so that both gathers return their sums in
-    that pair order with no scatter. `apply` returns the caller's point
-    shape (planar: without the coordinate axis).
+    lattice with cubic weights, for the points inside the eta_max disk
+    only. Near kx = 0, kx = eta_max and ky = +-eta_max the taps read the
+    margins of refine_array.
+
+    `gather` returns the sums in plan order and `scatter` puts values in
+    plan order back at the caller's points, with 0 beyond the disk; `apply`
+    is the two in turn. On the line modes the plan order is the caller's
+    and `scatter` returns its input. On the plane the plan order `order`
+    holds the flat indices of the points inside the disk, stably sorted by
+    128 bands of the rows of |kx| their stencils read, a band's points in
+    kx < 0 last, so that the ufuncs masked by the flip meet at most 256
+    runs (they pay per run); the stable argsort of an 8-bit key is a
+    one-pass radix sort. A plan given `order` reads the points at those
+    flat indices, in that order, instead (the collision operator reads its
+    eta- pairs in the order of its eta+ plan). `apply` returns the caller's
+    point shape (planar: without the coordinate axis).
     """
 
-    def __init__(self, grid: GridSpec, points: np.ndarray):
+    def __init__(self, grid: GridSpec, points: np.ndarray, order: np.ndarray | None = None):
         g = grid
         hf, cells = _fine_axis(g)
         points = np.asarray(points, dtype=float)
         self.planar = g.mode == "full-2d"
         self.shape = points.shape[:-1] if self.planar else points.shape
-        if self.planar:
-            pts = points.reshape(-1, 2)
-            self.size = pts.shape[0]
-            order = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1])
-                                   <= g.eta_max * (1 + 1e-12))
-            self.order = order = order[_band_order(g, pts[order, 0])]
-            self.base, self.wx, self.wy, flip, self.stride = _planar_stencil(
-                g, pts[order, 0], pts[order, 1])
-        else:
+        if not self.planar:
+            self.order = None
             x = points.reshape(-1)
             flip = x < 0
-            if g.mode == "radial" or not flip.any():
-                flip = None
+            self.flip = None if g.mode == "radial" or not flip.any() else flip
             x = np.abs(x)
-            self.mask = x <= g.eta_max * (1 + 1e-12)
-            u, i = _fine_cell(np.where(self.mask, x, 0.0), 0.0, hf, cells - 1)
+            mask = x <= g.eta_max * (1 + 1e-12)
+            self.mask = None if mask.all() else mask
+            u, i = _fine_cell(np.where(mask, x, 0.0), 0.0, hf, cells - 1)
             u -= i
             self.wx = _bspline_weights(u, _HALF_TAPS)
             # tap a of the cell i reads fine[a:][first], the coefficient at
             # (i + a - 2) h/U
             self.first = i.astype(np.int64)
-        self.flip = flip
+            return
+        pts = points.reshape(-1, 2)
+        self.size = pts.shape[0]
+        if order is None:
+            order = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1])
+                                   <= g.eta_max * (1 + 1e-12))
+            x = pts[order, 0]
+            row = _fine_cell(np.abs(x), 0.0, hf, cells - 1)[1]
+            key = (row * (128 / cells)).astype(np.uint8) * 2 + (x < 0)
+            order = order[np.argsort(key, kind="stable")]
+            # freed before the stencils are built, which set the build's peak
+            del x, row, key
+        self.order = order
+        # the cubic stencils: a point with kx < 0 (flip) is read at -eta, its
+        # cells clipped to kx < eta_max and ky < eta_max (a point on the
+        # upper edge of a cell reads it at t = 1). With the row stride
+        # W = Mf + 3 of refine_array, tap (a, b) of the cell (i, j) reads
+        # flat[a*W + b:][base] from the stored (i, j), the lattice (i-1, j-1)
+        u, y = pts[order, 0], pts[order, 1]
+        self.flip = u < 0
+        u, row = _fine_cell(np.abs(u, out=u), 0.0, hf, cells - 1)
+        u -= row
+        self.wx = _bspline_weights(u, 4)
+        np.negative(y, out=y, where=self.flip)
+        u, col = _fine_cell(y, -g.eta_max, hf, 2 * cells - 1)
+        u -= col
+        self.wy = _bspline_weights(u, 4)
+        self.stride = 2 * cells + 3
+        row *= self.stride
+        row += col
+        self.base = row.astype(np.int64)
+
+    def gather(self, fine: np.ndarray) -> np.ndarray:
+        """Stencil sums on a refine_array result, in its dtype and in plan
+        order (line modes: the caller's point shape).
+
+        The planar points are summed in blocks of consecutive points, so
+        that a block's taps read a few rows that stay in cache in the band
+        order. With _TWO_CORES and at least one block in each half, a
+        helper thread sums the first size // (2 _GATHER_BLOCK) blocks while
+        the calling thread sums the rest, each into its own slice of the
+        result; an exception on either thread is raised here, after both
+        have stopped. Every point is summed by the same operations on
+        either path. The split is uneven when the blocks are few (16,384 of
+        45,292 points on the helper for a 48 x 48 operator), but the helper
+        starts late, so its smaller share evens the two out: a split at the
+        middle point was no faster (2-core host, eta+ gather, 2.10 against
+        2.05 ms median).
+        """
+        if not self.planar:
+            # two point-sized arrays per call, each tap taken into the same
+            # buffer; mode="clip" clips nothing (every first + a is on the
+            # axis) and, unlike "raise", writes to `out` without a copy
+            out = np.take(fine, self.first, mode="clip")
+            out *= self.wx[0]
+            tap = np.empty_like(out)
+            for a in range(1, _HALF_TAPS):
+                np.take(fine[a:], self.first, out=tap, mode="clip")
+                tap *= self.wx[a]
+                out += tap
+            if self.flip is not None:
+                np.conjugate(out, out=out, where=self.flip)
+            if self.mask is not None:
+                out = np.where(self.mask, out, 0.0)
+            return out.reshape(self.shape)
+        flat = fine.ravel()
+        base, wx, wy, flip, W = self.base, self.wx, self.wy, self.flip, self.stride
+        out = np.empty(base.size, dtype=complex)
+
+        def blocks(start, stop):
+            for s in range(start, stop, _GATHER_BLOCK):
+                blk = slice(s, s + _GATHER_BLOCK)
+                b0, x, y, acc = base[blk], wx[:, blk], wy[:, blk], out[blk]
+                for a in range(4):
+                    row = flat[a * W:]
+                    partial = y[0] * row[b0]
+                    for b in range(1, 4):
+                        partial += y[b] * row[b:][b0]
+                    if a == 0:
+                        np.multiply(x[0], partial, out=acc)
+                    else:
+                        acc += x[a] * partial
+                np.conjugate(acc, out=acc, where=flip[blk])
+
+        mid = base.size // (2 * _GATHER_BLOCK) * _GATHER_BLOCK
+        if not (_TWO_CORES and mid):
+            blocks(0, base.size)
+            return out
+        failed = []
+
+        def lower():
+            try:
+                blocks(0, mid)
+            except BaseException as exc:
+                failed.append(exc)
+
+        helper = threading.Thread(target=lower)
+        helper.start()
+        try:
+            blocks(mid, base.size)
+        finally:
+            helper.join()
+        if failed:
+            raise failed[0]
+        return out
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """Values in plan order at the caller's points, in their dtype, 0 at
+        the planar points beyond the disk; the line modes return `values`."""
+        if not self.planar:
+            return values
+        out = np.zeros(self.size, dtype=values.dtype)
+        out[self.order] = values
+        return out.reshape(self.shape)
 
     def apply(self, fine: np.ndarray) -> np.ndarray:
-        """Stencil sums on a refine_array result, in its dtype."""
-        if self.planar:
-            out = np.zeros(self.size, dtype=complex)
-            out[self.order] = _planar_gather(self.base, self.wx, self.wy, self.flip,
-                                             self.stride, fine)
-            return out.reshape(self.shape)
-        # two point-sized arrays per call, each tap taken into the same
-        # buffer; mode="clip" clips nothing (every first + a is on the
-        # axis) and, unlike "raise", writes to `out` without a copy
-        out = np.take(fine, self.first, mode="clip")
-        out *= self.wx[0]
-        tap = np.empty_like(out)
-        for a in range(1, _HALF_TAPS):
-            np.take(fine[a:], self.first, out=tap, mode="clip")
-            tap *= self.wx[a]
-            out += tap
-        if self.flip is not None:
-            np.conjugate(out, out=out, where=self.flip)
-        if not self.mask.all():
-            out = np.where(self.mask, out, 0.0)
-        return out.reshape(self.shape)
+        """Stencil sums on a refine_array result at the caller's points."""
+        return self.scatter(self.gather(fine))
 
 
 def interpolate_array(grid: GridSpec, values: np.ndarray, points) -> np.ndarray:

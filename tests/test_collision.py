@@ -1,5 +1,6 @@
 """Collision kernel, angular quadrature, geometry, and rhs oracle tests."""
 
+import gc
 import weakref
 
 import numpy as np
@@ -203,27 +204,64 @@ def test_gaussian_is_a_fixed_point():
     assert np.abs(col.rhs_bilinear(g3, cs, q2, s3.values, s3.values)).max() < 1e-5
 
 
-@pytest.mark.parametrize("grid,sigma,theta_min,sign,bound", [
-    # the bench kac-line grid; the energy mode of the Kac line is -eta^2 M
-    (GridSpec(dimension=1, mode="full-1d", n=512, eta_max=32.0), 1.0, 1e-3, -1, 5e-8),
-    (GridSpec(dimension=3, mode="radial", n=128, eta_max=8.0), 1.0, 1e-3, 1, 1.3e-7),
-    (GridSpec(dimension=2, mode="full-2d", n=64, eta_max=2.0), 0.6, 4e-3, 1, 1.6e-5),
-], ids=["kac-line", "radial-3d", "planar-2d"])
-def test_linearized_operator_annihilates_the_energy_mode(grid, sigma, theta_min,
-                                                          sign, bound):
-    # L h = Qhat(M, h) + Qhat(h, M) around a centred Gaussian M is exactly 0
-    # for the conserved energy mode h = +-|eta|^2 Mhat. The discrete residual
-    # sits at the interpolation floor times the total weight W, not at
-    # roundoff: max|L h| measured 5.1e-9 (kac-line), 1.27e-8 (radial-3d) and
-    # 1.6e-6 (planar-2d) with h at max 1; each bound is 10x that
+def _modes(name, grid, sigma, theta_min, energy_bound, bound, ns):
+    """The energy mode of `grid` under `name`, then its members n of `ns`."""
+    energy = 2 if grid.dimension == 1 else 1
+    return [pytest.param(grid, sigma, theta_min, energy, energy_bound, id=name)] + [
+        pytest.param(grid, sigma, theta_min, n, bound, id=f"{name}-n{n}") for n in ns]
+
+
+@pytest.mark.parametrize("grid,sigma,theta_min,n,bound", [
+    # the bench kac-line, radial-3d and planar-2d grids
+    *_modes("kac-line", GridSpec(dimension=1, mode="full-1d", n=512, eta_max=32.0),
+            1.0, 1e-3, 5e-8, 2.2e-7, (1, 3, 4, 5, 16, 64, 256, 1024, 4096, 16384)),
+    *_modes("radial-3d", GridSpec(dimension=3, mode="radial", n=128, eta_max=8.0),
+            1.0, 1e-3, 1.3e-7, 1.3e-7, (2, 4, 16, 64, 256, 1024)),
+    *_modes("planar-2d", GridSpec(dimension=2, mode="full-2d", n=64, eta_max=2.0),
+            0.6, 4e-3, 1.6e-5, 1.7e-5, (2, 3, 4)),
+])
+def test_linearized_operator_annihilates_the_energy_mode(grid, sigma, theta_min, n, bound):
+    # L h = Qhat(M, h) + Qhat(h, M) around a centred Gaussian M has the
+    # eigenpairs h_n = (i eta)^n Mhat, lambda_n = sum w [cos^n phi
+    # + [n even] sin^n phi - 1] on the Kac line (theta and -theta cancel
+    # the odd sin^n), and h_n = |eta|^(2n) Mhat, lambda_n = sum w
+    # [cos^(2n) phi + sin^(2n) phi - 1] for d >= 2, since
+    # Mhat(eta-) Mhat(eta+) = Mhat(eta). The conserved energy mode, n = 2 on
+    # the line and n = 1 otherwise, is the lambda = 0 member, and L h is 0
+    # there. The residual sits at the interpolation floor times the total
+    # weight W, not at roundoff: with h at max 1, max|L h| of the energy
+    # mode measured 1.8e-9 (kac-line), 4.2e-9 (radial-3d) and 1.3e-6
+    # (planar-2d) against bounds of 5e-8, 1.3e-7 and 1.6e-5, and
+    # max|L h - lambda_n h| / |lambda_n| of the other members 4.8e-10 to
+    # 2.2e-8 (kac-line), 5.4e-10 to 1.3e-8 (radial-3d) and 6.1e-7 to 1.7e-6
+    # (planar-2d), each bound 10x the largest. The odd Kac modes are
+    # imaginary, so they check the conjugated reads at every frequency.
+    # h_n is built from its logarithm: the large-n modes peak where
+    # |eta|^(2n) overflows and Mhat underflows (radial n = 1024 at
+    # |eta| = 7.2, where Mhat = e^-1023 is below the smallest double), so
+    # a product |eta|^(2n) Mhat holds inf, nan or 0 there, and a residual
+    # read off it measures those, not the mode; from its logarithm radial
+    # n = 1024 reads 1.4e-9.
+    # Planar n = 8 is left out: h_8 is not small at eta_max, and its
+    # residual reads 6e-4.
     cs = CrossSection(nu=0.25)
     quad = AngularQuadrature(theta_min=theta_min, panels=8, nodes_per_panel=5)
     m_hat = init_state(grid, InitialDatum(kind="gaussian", dimension=grid.dimension,
                                           sigma=sigma)).values
-    h = sign * grid.abs_nodes() ** 2 * m_hat
-    h /= np.abs(h).max()
+    ev = col._evaluator(grid, cs, quad)
+    cos, sin = np.cos(ev.phi), np.sin(ev.phi)
+    r = grid.abs_nodes()
+    power = n if grid.dimension == 1 else 2 * n
+    with np.errstate(divide="ignore"):
+        log_h = power * np.log(r) - 2 * np.pi ** 2 * sigma ** 2 * r ** 2
+    h = np.exp(log_h - log_h.max()).astype(complex)
+    if grid.dimension == 1:
+        h *= (1j * np.sign(grid.axis_nodes())) ** n
+    h = _hermitize(grid, h)
+    energy = power == 2
+    lam = 0.0 if energy else ev.weights @ (cos ** power + (power % 2 == 0) * sin ** power - 1)
     lh = col.rhs_bilinear(grid, cs, quad, m_hat, h) + col.rhs_bilinear(grid, cs, quad, h, m_hat)
-    assert np.abs(lh).max() < bound
+    assert np.abs(lh - lam * h).max() < bound * (1.0 if energy else abs(lam))
 
 
 def test_rhs_vanishes_at_zero_frequency():
@@ -321,11 +359,15 @@ def test_planar_operator_keeps_exactly_the_live_pairs():
     np.add.at(kept, (node, angle), 1)
     assert np.array_equal(kept, live.astype(int))   # each live pair once
     assert np.all(r[:, 0][~live.all(axis=1)] > grid.eta_max)
-    # the pairs come in the band order of their eta+, and both gathers
-    # return a plan's values at the pairs' points in that order
+    # the pairs come in the band order of their eta+: 128 bands of the
+    # fine lattice rows of |kx|, a band's kx < 0 pairs last, stably; both
+    # gathers return a plan's values at the pairs' points in that order
     pair_plus, pair_minus = plus[node, angle], minus[node, angle]
-    assert np.array_equal(spectral._band_order(grid, pair_plus[:, 0]),
-                          np.arange(node.size))
+    cells = 8 * grid.n // 2
+    row = np.clip(np.floor(np.abs(pair_plus[:, 0]) / (grid.spacing / 8)), 0, cells - 1)
+    band = (row * (128 / cells)).astype(int) * 2 + (pair_plus[:, 0] < 0)
+    assert np.all(np.diff(band) >= 0)
+    assert np.all(np.diff(ev.slot)[np.diff(band) == 0] > 0)
     datum = InitialDatum(kind="gaussian-mixture", dimension=2,
                          components=((0.5, (0.75, 0.0), 0.6), (0.5, (-0.75, 0.0), 0.6)))
     fine = spectral.refine_array(grid, init_state(grid, datum).values)
@@ -399,6 +441,31 @@ def test_one_operator_stays_live(monkeypatch):
     # going back rebuilds: one slot, no history
     col.total_weight(g, cs, quad)
     assert len(refs) == 3 and refs[1]() is None
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec(dimension=1, mode="full-1d", n=64, eta_max=8.0),
+    GridSpec(dimension=3, mode="radial", n=64, eta_max=8.0),
+    GridSpec(dimension=2, mode="full-2d", n=32, eta_max=4.0),
+], ids=["kac-line", "radial-3d", "planar"])
+def test_an_operator_and_its_plans_die_without_the_cycle_collector(monkeypatch, grid):
+    # the one slot holds at most one operator's arrays only while nothing
+    # of the operator sits in a reference cycle: reference counting alone
+    # must free it and both of its plans when another key replaces it
+    monkeypatch.setattr(col, "_live", None)
+    quad = AngularQuadrature(theta_min=1e-2, panels=4, nodes_per_panel=4)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ev = col._evaluator(grid, CrossSection(nu=0.3), quad)
+        refs = [weakref.ref(x) for x in
+                (ev, ev.gather_minus.__self__, ev.gather_plus.__self__)]
+        del ev
+        col._evaluator(grid, CrossSection(nu=0.4), quad)
+        assert all(r() is None for r in refs)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

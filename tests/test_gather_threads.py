@@ -144,15 +144,17 @@ def test_a_lattice_too_small_for_the_stencil_raises_in_the_caller(monkeypatch, c
     y = np.linspace(-1.0, 1.0, 2048)
     far, near = np.full(2048, 0.9 * g.eta_max), np.full(2048, 0.05 * g.eta_max)
     x = np.concatenate([far, near] if failing == "helper" else [near, far])
-    stencil = spectral._planar_stencil(g, x, np.concatenate([y, y]))
+    pts = np.stack([x, np.concatenate([y, y])], axis=-1)
+    # a plan given the identity order keeps the points' own order
+    gather = spectral._InterpPlan(g, pts, np.arange(x.size)).gather
     fine = spectral.refine_array(g, init_state(g, _MIXTURE).values)
     running = threading.active_count()
     with pytest.raises(IndexError):
-        spectral._planar_gather(*stencil, fine[:fine.shape[0] // 2])
+        gather(fine[:fine.shape[0] // 2])
     assert threading.active_count() == running   # the helper has stopped
     assert capfd.readouterr().err == ""
-    # the whole lattice serves the same stencil
-    assert np.all(np.isfinite(spectral._planar_gather(*stencil, fine)))
+    # the whole lattice serves the same stencils
+    assert np.all(np.isfinite(gather(fine)))
 
 
 _CHILD = """
