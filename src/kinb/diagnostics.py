@@ -217,16 +217,18 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
 
     Every angular sum runs on the operator's own nodes: split angle phi
     (ev.phi) and weights ev.weights = sin^{d-2}(theta) b(cos theta) dtheta
-    (sphere factor included).  The eta+ integral comes from the change of
-    variables eta -> eta+ with Jacobian 2^-d (1 + etahat.sigma); its inner
-    variable is the point |eta| tan(phi), along perp(etahat) for full-2d,
-    and its kernel follows from
+    (sphere factor included), and every off-grid |fhat| is one of its
+    gathers.  i_plus_term integrates over eta+ with the kernel
 
         2^d sin^d(v) b(cos 2v) dv
             = 2 sin^2(phi) / cos^{d-2}(phi) * sin^{d-2}(theta) b(cos theta) dtheta,
 
-    with v = phi = theta/2, for d >= 2; the one-dimensional model has the
-    kernel sqrt(2) sin^2(phi) b1(theta) dtheta with phi = theta.
+    v = phi = theta/2, for d >= 2 (sqrt(2) sin^2(phi) b1(theta) dtheta with
+    phi = theta for d = 1).  For Maxwellian molecules eta+ = cos(phi) R_phi eta
+    at a fixed phi, so substituting eta (Jacobian cos^d(phi)) makes it a sum
+    over the operator's (eta, eta-, eta+) pairs with that kernel times
+    cos^d(phi); phi <= pi/4 keeps every eta with |eta+| <= lam within
+    sqrt(2) lam <= eta_max.
     """
     grid = state.grid
     d = grid.dimension
@@ -247,6 +249,7 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     fine = refine_array(grid, f)
     f_minus = ev.gather_minus(fine)
     f_plus = ev.gather_plus(fine)
+    del fine
     fm, fp = np.abs(f_minus), np.abs(f_plus)
     gm = f_minus.real if d == 1 else f_minus
     q1 = _bilinear(ev, gm, ev.gather_plus(refine_array(grid, gf)), f, gf)
@@ -260,7 +263,7 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
     # over the operator's pairs of a kept node and an angle, indexed by
     # ev.pairs(), and ev.node_sum mirrors them onto the rest. The plane has
     # no pair where |eta+| > eta_max, which happens only at nodes beyond
-    # eta_max > lam, where G_Lam fhat is 0
+    # eta_max > lam, where G_Lam fhat is 0 at eta and at eta+
     theta, phi = ev.theta, ev.phi
     node, angle = ev.pairs()
 
@@ -285,31 +288,22 @@ def commutation_error(state: SpectralState, w: GevreyWeight, cs: CrossSection,
                         ev.weights * sin_sq).reshape(-1)
     rhs_bound = 2.0 * ab_t * float(np.sum(cells * g_mag * inner))
 
-    # square-weighted bound, outer variable eta; the evaluator weights carry
-    # b(cos t)*sin^{d-2}t, so sin^2 of the full angle completes sin^d t * b
+    # square-weighted bounds, sharing G^eps(eta-) |fhat(eta-)| below
+    # lam/sqrt(2); I+ forms its pairs before node_sum overwrites these
     ind_minus = abs_minus <= lam / math.sqrt(2.0) * (1.0 + 1e-12)
-    g_minus_lem = _grow(bt, abs_minus ** 2, power=eps_lem[angle], alpha=alpha)
-    inner_i = ev.node_sum(g_minus_lem * fm * ind_minus,
-                          ev.weights * np.sin(theta) ** 2).reshape(-1)
+    lem = _grow(bt, abs_minus ** 2, power=eps_lem[angle], alpha=alpha) * fm * ind_minus
+    # outer variable eta+, substituted by eta (see the docstring): the
+    # Jacobian cos^d(phi) over cos^{d-2}(phi), or cos(phi) for d = 1
+    kernel_plus = ev.weights * sin_sq * np.cos(phi) ** min(d, 2)
+    pref = (math.sqrt(2.0) if d == 1 else 2.0) * ab_t
+    inner_p = ev.node_sum((glam_plus * fp) ** 2 * bracket_plus * lem,
+                          kernel_plus).reshape(-1)
+    i_plus_term = pref * float(np.sum(cells * inner_p))
+    # outer variable eta; the evaluator weights carry b(cos t)*sin^{d-2}t,
+    # so sin^2 of the full angle completes sin^d t * b
+    inner_i = ev.node_sum(lem, ev.weights * np.sin(theta) ** 2).reshape(-1)
     bracket_nodes = (1.0 + r_nodes ** 2) ** alpha
     i_term = ab_t * float(np.sum(cells * g_mag ** 2 * bracket_nodes * inner_i))
-
-    # square-weighted bound, outer variable eta+ (see the docstring)
-    tan_phi = np.tan(phi)[angle]
-    abs_pts = np.abs(r_pair * tan_phi)
-    if grid.mode == "full-2d":
-        pts = tan_phi[:, None] * perp_unit(ev.pts)[node]
-    else:
-        pts = r_pair * tan_phi
-    if d == 1:
-        kernel_plus, pref = ev.weights * sin_sq, math.sqrt(2.0) * ab_t
-    else:
-        kernel_plus, pref = ev.weights * sin_sq / np.cos(phi) ** (d - 2), 2.0 * ab_t
-    fmp = np.abs(_InterpPlan(grid, pts).apply(fine))
-    ind_plus = abs_pts <= lam / math.sqrt(2.0) * (1.0 + 1e-12)
-    g_minus_plus = _grow(bt, abs_pts ** 2, power=eps_lem[angle], alpha=alpha)
-    inner_p = ev.node_sum(g_minus_plus * fmp * ind_plus, kernel_plus).reshape(-1)
-    i_plus_term = pref * float(np.sum(cells * g_mag ** 2 * bracket_nodes * inner_p))
 
     return CommutatorReport(lhs=lhs, rhs_bound=rhs_bound, i_term=i_term,
                             i_plus_term=i_plus_term)

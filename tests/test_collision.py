@@ -134,6 +134,11 @@ def test_planar_split_from_signed_angle():
                        rtol=0, atol=1e-14 * r.max())
     assert np.allclose(np.linalg.norm(plus, axis=-1), r * np.cos(theta / 2),
                        rtol=0, atol=1e-14 * r.max())
+    # at a fixed angle the split is linear, eta+ = cos(phi) R_phi eta: the
+    # substitution behind the commutator's eta+ integral
+    c, s = np.cos(theta / 2)[:, None], np.sin(theta / 2)[:, None]
+    assert np.allclose(plus, c * (c * eta + s * col.perp_unit(eta)),
+                       rtol=0, atol=1e-14 * r.max())
 
 
 def test_transform_jacobian_matches_finite_differences():

@@ -189,13 +189,13 @@ def test_commutator_values_are_pinned():
     # instead of theta/2 for d >= 2 about triples rhs_bound), so pin the values
     want = {
         ("full-1d", 1): (-0.0007108451141041764, 0.02232641653175379,
-                         0.010640819411895359, 0.014728419878359187),
+                         0.010640819411895359, 0.014728419878359298),
         ("radial", 2): (-0.0004517639367901879, 0.008330426464846828,
-                        0.012265082271249634, 0.00733406955679659),
+                        0.012265082271249634, 0.007338985028710604),
         ("radial", 3): (-0.0013081882575562936, 0.016840658442121303,
-                        0.02392987385026964, 0.01566327865507684),
+                        0.02392987385026964, 0.01566327865507704),
         ("full-2d", 2): (-0.0005915185567503888, 0.009690924879223786,
-                         0.01431785314805448, 0.008548554915248913),
+                         0.01431785314805448, 0.00854855419972529),
     }
     grids = (
         GridSpec(dimension=1, mode="full-1d", n=129, eta_max=12.0),
@@ -209,6 +209,105 @@ def test_commutator_values_are_pinned():
         got = (rep.lhs, rep.rhs_bound, rep.i_term, rep.i_plus_term)
         np.testing.assert_allclose(got, want[g.mode, g.dimension], rtol=1e-14,
                                    atol=0, err_msg=f"{g.mode} d={g.dimension}")
+
+
+def _i_plus_through_a_plan(state, w):
+    """I+ over eta+ on the nodes: |fhat(eta-)| read through a plan of its
+    own at the points |eta| tan(phi) perpendicular to eta, with the kernel
+    2 sin^2(phi) / cos^{d-2}(phi) (d >= 2) or sqrt(2) sin^2(phi) (d = 1)
+    times the operator's weights."""
+    grid, d = state.grid, state.grid.dimension
+    ev = col._evaluator(grid, _CS, _QUAD)
+    node, angle = ev.pairs()
+    tan_phi = np.tan(ev.phi)[angle]
+    r_pair = grid.abs_nodes().reshape(-1)[ev.keep][node]
+    if grid.mode == "full-2d":
+        pts = tan_phi[:, None] * col.perp_unit(ev.pts)[node]
+    else:
+        pts = r_pair * tan_phi
+    fmp = np.abs(_InterpPlan(grid, pts).apply(refine_array(grid, state.values)))
+    abs_pts = np.abs(r_pair * tan_phi)
+    eps_lem = epsilon(w.alpha, 1.0 / np.tan(ev.theta / 2.0) ** 2)
+    g_minus = _grow(w.beta * w.t, abs_pts ** 2, power=eps_lem[angle], alpha=w.alpha)
+    ind = abs_pts <= w.lam / math.sqrt(2.0) * (1.0 + 1e-12)
+    ab_t = w.alpha * w.beta * w.t
+    kernel = ev.weights * np.sin(ev.phi) ** 2
+    if d == 1:
+        pref = math.sqrt(2.0) * ab_t
+    else:
+        kernel, pref = kernel / np.cos(ev.phi) ** (d - 2), 2.0 * ab_t
+    inner = ev.node_sum(g_minus * fmp * ind, kernel).reshape(-1)
+    cells = grid.cell_weights().reshape(-1)
+    r = grid.abs_nodes().reshape(-1)
+    g_mag = (w.values(grid) * np.abs(state.values)).reshape(-1)
+    return pref * float(np.sum(cells * g_mag ** 2 * (1.0 + r * r) ** w.alpha * inner))
+
+
+@pytest.mark.parametrize("grid, old, rtol", [
+    (GridSpec(dimension=1, mode="full-1d", n=129, eta_max=12.0),
+     0.014728419878359187, 1e-13),
+    (GridSpec(dimension=3, mode="radial", n=128, eta_max=6.0),
+     0.01566327865507684, 1e-13),
+    (GridSpec(dimension=2, mode="full-2d", n=48, eta_max=4.5),
+     0.008548554915248913, 1e-6),
+], ids=["full-1d", "radial-3d", "full-2d"])
+def test_i_plus_by_substitution_matches_its_plan_reference(grid, old, rtol):
+    # the reference is the I+ these grids pinned before it became a sum over
+    # the operator's pairs; on the plane the two read |fhat(eta-)| at
+    # different points, so they agree to the interpolation floor
+    st = _mixture_state(grid)
+    w = GevreyWeight(alpha=0.5, beta=0.15, t=0.2, lam=grid.eta_max / math.sqrt(2))
+    ref = _i_plus_through_a_plan(st, w)
+    np.testing.assert_allclose(ref, old, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(commutation_error(st, w, _CS, _QUAD).i_plus_term,
+                               ref, rtol=rtol, atol=0)
+
+
+def test_i_plus_radial_d2_converges_to_its_continuum_value():
+    # the pinned radial d=2 case with the radius integrated exactly and the
+    # operator's angular rule kept: tools/make_oracles.py,
+    # commutator_i_plus_radial_d2. Both discretizations of I+ are trapezoid
+    # rules in the radius, with gaps of about 1.1 h^2 (sum over the pairs)
+    # and 1.4 h^2 (plan reference) at n = 128 and 256
+    oracle = 7.357754834909e-3
+    gaps = []
+    for n in (128, 256):
+        g = GridSpec(dimension=2, mode="radial", n=n, eta_max=6.0)
+        st = _mixture_state(g)
+        w = GevreyWeight(alpha=0.5, beta=0.15, t=0.2, lam=g.eta_max / math.sqrt(2))
+        new = abs(commutation_error(st, w, _CS, _QUAD).i_plus_term / oracle - 1.0)
+        ref = abs(_i_plus_through_a_plan(st, w) / oracle - 1.0)
+        h2 = g.spacing ** 2
+        assert new <= ref <= 2.0 * h2, (n, new, ref, h2)
+        gaps.append((new, ref))
+    for coarse, fine in zip(*gaps):
+        assert 3.5 <= coarse / fine <= 4.5
+
+
+def test_commutator_builds_no_interpolation_plan(monkeypatch):
+    built = []
+
+    class CountedPlan(_InterpPlan):
+        def __init__(self, grid, points, *order):
+            built.append(grid)
+            super().__init__(grid, points, *order)
+
+    grids = (
+        GridSpec(dimension=1, mode="full-1d", n=129, eta_max=12.0),
+        GridSpec(dimension=2, mode="radial", n=128, eta_max=6.0),
+        GridSpec(dimension=3, mode="radial", n=128, eta_max=6.0),
+        GridSpec(dimension=2, mode="full-2d", n=48, eta_max=4.5),
+    )
+    for g in grids:
+        st = _mixture_state(g)
+        w = GevreyWeight(alpha=0.5, beta=0.15, t=0.2, lam=g.eta_max / math.sqrt(2))
+        ev = col._evaluator(g, _CS, _QUAD)
+        with monkeypatch.context() as m:
+            m.setattr(diag, "_InterpPlan", CountedPlan)
+            m.setattr(col, "_InterpPlan", CountedPlan)
+            commutation_error(st, w, _CS, _QUAD)
+        # every off-grid read is one of the live operator's gathers
+        assert built == [] and col._evaluator(g, _CS, _QUAD) is ev, g.mode
 
 
 def test_commutator_refines_f_and_gf_once(monkeypatch):

@@ -208,6 +208,64 @@ def kernel_constants_50_digits() -> None:
                   f"   (split 0.2 differs by {mp.nstr(abs(v - check) / v, 3)})")
 
 
+def commutator_i_plus_radial_d2() -> None:
+    """I+ of the commutator bound on the pinned radial d = 2 case, continuous
+    in the radius: the operator's discrete angular rule, each angle's radial
+    integral by adaptive quadrature over the Gaussian's closed form.
+
+    Case: Gaussian sigma = 0.45 (fhat = exp(-2 pi^2 sigma^2 r^2)), kernel
+    kappa theta^(-1-2 nu) with nu = 0.35, the rule of 6 graded panels of 4
+    Gauss-Legendre nodes on [0.05, pi/2], weight alpha = 0.5, beta = 0.15,
+    t = 0.2, cutoff lam = 6/sqrt(2), grid radius eta_max = 6. At the split
+    angle phi = theta/2, |eta+| = r cos phi and |eta-| = r sin phi, and
+
+        I+ = 2 alpha beta t sum_k w_k sin^2 phi_k cos^2 phi_k
+             int_0^eta_max 2 pi r [G fhat](r cos phi_k)^2 <r cos phi_k>^(2 alpha)
+             G^eps_k(r sin phi_k) fhat(r sin phi_k) dr,
+
+    with w_k = 2 * (Gauss-Legendre weight) * theta_k^(-1-2 nu), G = 0 beyond
+    lam, the eta- factor 0 beyond lam/sqrt(2), and
+    eps_k = (1 + u)^alpha - u^alpha at u = cot^2(phi_k).
+    """
+    print("# commutator I+, radial d=2, continuous in the radius")
+    nu, sigma, alpha, beta, t = 0.35, 0.45, 0.5, 0.15, 0.2
+    theta_min, panels, per_panel = 0.05, 6, 4
+    eta_max = 6.0
+    lam = eta_max / np.sqrt(2.0)
+    bt = beta * t
+    rho = (theta_min / (np.pi / 2)) ** (1.0 / panels)
+    edges = (np.pi / 2) * rho ** np.arange(panels, -1, -1)
+    x, wq = np.polynomial.legendre.leggauss(per_panel)
+    theta = np.concatenate([0.5 * (b - a) * x + 0.5 * (b + a)
+                            for a, b in zip(edges[:-1], edges[1:])])
+    wgl = np.concatenate([0.5 * (b - a) * wq for a, b in zip(edges[:-1], edges[1:])])
+    weights = 2.0 * wgl * theta ** (-1.0 - 2.0 * nu)
+
+    def fhat(r):
+        return np.exp(-2.0 * np.pi ** 2 * sigma ** 2 * r * r)
+
+    def grow(r, power=1.0):
+        return np.exp(bt * power * (1.0 + r * r) ** alpha)
+
+    total = 0.0
+    for th, wk in zip(theta, weights):
+        phi = th / 2.0
+        c, s = np.cos(phi), np.sin(phi)
+        u = 1.0 / np.tan(phi) ** 2
+        eps = (1.0 + u) ** alpha - u ** alpha
+        top = min(eta_max, lam / c, lam / np.sqrt(2.0) / s)
+
+        def integrand(r):
+            rp, rm = r * c, r * s
+            return (2.0 * np.pi * r * (grow(rp) * fhat(rp)) ** 2 * (1.0 + rp * rp) ** alpha
+                    * grow(rm, eps) * fhat(rm))
+
+        val, _ = integrate.quad(integrand, 0.0, top, limit=400, epsabs=0.0, epsrel=1e-13)
+        total += wk * s * s * c * c * val
+    print(f"FREEZE commutator I+ radial d=2 (continuum in r) = "
+          f"{2.0 * alpha * beta * t * total:.12e}")
+
+
 def fractional_heat() -> None:
     print("# fractional heat closed form")
     nu, t, x = 0.5, 0.3, 1.7
@@ -220,4 +278,5 @@ if __name__ == "__main__":
     expdiff_oracle()
     moment_system()
     misc_constants()
+    commutator_i_plus_radial_d2()
     fractional_heat()
