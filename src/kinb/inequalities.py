@@ -147,8 +147,11 @@ def kl_constant(m: int, lambdas: Sequence[float]) -> float:
 def optimize_lambdas(m: int) -> LambdaPoints:
     """Coordinate-descent minimization of C_m over (0,1]^{m-1}.
 
-    Deterministic: multistart from the equispaced points and 16 random
-    orderings drawn with seed 0. m=2 recovers l=[1], C_2 = 8.
+    Multistart from the equispaced points and 16 sorted uniform draws on
+    [0.02, 1) (seed 0), run as one batch: each coordinate step scores the
+    257-point lines of all moving starts in one array evaluation, and each
+    start keeps its own best, interval and stopping rule, so it takes the
+    steps it takes alone. The first best start wins; m=2 gives l=[1], C_2 = 8.
     """
     if not 2 <= m <= 8:
         raise ConfigError("optimize_lambdas supports 2 <= m <= 8")
@@ -160,38 +163,31 @@ def optimize_lambdas(m: int) -> LambdaPoints:
                | np.any(np.diff(rows, axis=1) <= 1e-9, axis=1))
         return np.where(bad, math.inf, _kl_constants(m, rows))
 
-    def descend(lam: np.ndarray) -> tuple:
-        lam = lam.copy()
-        best = cost(lam[None, :])[0]
-        for _ in range(200):
-            improved = False
-            for j in range(dim):
-                lo = lam[j - 1] + 1e-6 if j > 0 else 1e-6
-                hi = lam[j + 1] - 1e-6 if j < dim - 1 else 1.0
-                if hi <= lo:
-                    continue
-                grid = np.linspace(lo, hi, 257)
-                rows = np.tile(lam, (grid.size, 1))
-                rows[:, j] = grid
-                vals = cost(rows)
-                k = int(np.argmin(vals))
-                if vals[k] < best - 1e-13:
-                    lam[j] = grid[k]
-                    best = vals[k]
-                    improved = True
-            if not improved:
-                break
-        return lam, best
-
-    candidates = [np.linspace(1.0 / dim, 1.0, dim)]
-    for _ in range(16):
-        candidates.append(np.sort(rng.uniform(0.02, 1.0, size=dim)))
-    best_lam, best_c = None, math.inf
-    for c0 in candidates:
-        lam, c = descend(np.asarray(c0, dtype=float))
-        if c < best_c:
-            best_lam, best_c = lam, c
-    return LambdaPoints(m=m, points=tuple(float(x) for x in best_lam), constant=float(best_c))
+    lam = np.array([np.linspace(1.0 / dim, 1.0, dim)]
+                   + [np.sort(rng.uniform(0.02, 1.0, size=dim)) for _ in range(16)])
+    best = cost(lam)
+    moving = np.ones(len(lam), dtype=bool)
+    for _ in range(200):
+        improved = np.zeros(len(lam), dtype=bool)
+        for j in range(dim):
+            lo = lam[:, j - 1] + 1e-6 if j > 0 else np.full(len(lam), 1e-6)
+            hi = lam[:, j + 1] - 1e-6 if j < dim - 1 else np.ones(len(lam))
+            s = np.flatnonzero(moving & (hi > lo))
+            grid = np.linspace(lo[s], hi[s], 257, axis=1)
+            rows = np.repeat(lam[s], 257, axis=0)
+            rows[:, j] = grid.ravel()
+            vals = cost(rows).reshape(grid.shape)
+            k = np.argmin(vals, axis=1)
+            low = vals[np.arange(s.size), k]
+            step = low < best[s] - 1e-13
+            lam[s[step], j] = grid[step, k[step]]
+            best[s[step]] = low[step]
+            improved[s[step]] = True
+        moving &= improved
+        if not moving.any():
+            break
+    i = int(np.argmin(best))
+    return LambdaPoints(m=m, points=tuple(float(x) for x in lam[i]), constant=float(best[i]))
 
 
 @lru_cache(maxsize=16)
@@ -219,12 +215,22 @@ class KLCheckResult:
 _SUP_GRID = np.linspace(0.0, 1.0, 2048)
 
 
+def _deriv(c: np.ndarray, k: int) -> np.ndarray:
+    """np.polynomial.polynomial.polyder(c, k) bit for bit, without its
+    per-call overhead (c[:1] * 0 once k reaches len(c), as polyder does)."""
+    if k >= c.size:
+        return c[:1] * 0
+    for _ in range(k):
+        c = c[1:] * np.arange(1, c.size)
+    return c
+
+
 def _poly_sup_01(c: np.ndarray) -> float:
     """Sup norm on [0,1] of the polynomial with ascending coefficients c:
     dense sampling (_SUP_GRID) refined with its real critical points."""
     poly = np.polynomial.polynomial   # numpy loads it on first use
     best = float(np.abs(poly.polyval(_SUP_GRID, c)).max())
-    dc = poly.polyder(c)
+    dc = _deriv(c, 1)
     scale = float(np.abs(dc).max())
     if scale > 0.0:
         # drop leading coefficients too small to matter; a subnormal leader
@@ -262,8 +268,8 @@ def kl_check(coeffs: Sequence[float], m: int, k: int, u: float,
     if c.ndim != 1 or not c.size:
         raise ConfigError("coeffs must be a nonempty 1-d sequence")
     nw = _poly_sup_01(c)
-    nk = _poly_sup_01(np.polynomial.polynomial.polyder(c, k))
-    nm = _poly_sup_01(np.polynomial.polynomial.polyder(c, m))
+    nk = _poly_sup_01(_deriv(c, k))
+    nm = _poly_sup_01(_deriv(c, m))
     add = cm * (nw / u ** k + u ** (m - k) * nm)
     mult = 2.0 * cm * nw ** (1.0 - k / m) * max(nw, nm) ** (k / m)
     tol = 1e-9 * max(1.0, nk)
@@ -353,26 +359,32 @@ class TrigPoly:
         """Exact integral of H^2 over the axis-aligned cube of side 2
         starting at `corner` and extending in the positive direction of
         each axis (the caller orients it). Corners of shape (..., n) give
-        an array of integrals; a single corner gives a float."""
-        sq = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in self.coeffs.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                sq[key] = sq.get(key, 0.0) + c1 * c2
+        an array of integrals; a single corner gives a float. H^2's
+        coefficients (H's self-convolution) are contracted with one factor
+        table per axis, int_a^{a+2} e^{w k x} dx over its wavenumbers k."""
+        keys = np.array(list(self.coeffs)).reshape(-1, self.n)
+        vals = np.array(list(self.coeffs.values()))
+        lo = keys.min(axis=0)
+        sq = np.zeros(2 * (keys.max(axis=0) - lo) + 1, dtype=complex)
+        pair = tuple((keys[:, None, i] + keys[None, :, i] - 2 * lo[i]).ravel()
+                     for i in range(self.n))
+        np.add.at(sq, pair, np.outer(vals, vals).ravel())
         corner = np.asarray(corner, dtype=float)
+        a = corner.reshape(-1, self.n)
         w = 2.0j * np.pi / self.period
-        total = np.zeros(corner.shape[:-1], dtype=complex)
-        for k, c in sq.items():
-            term = c
-            for i, ki in enumerate(k):
-                a = corner[..., i]
-                b = a + 2.0
-                if ki == 0:
-                    term *= (b - a)
-                else:
-                    term *= (np.exp(w * ki * b) - np.exp(w * ki * a)) / (w * ki)
-            total += term
-        return float(total.real) if total.ndim == 0 else total.real
+        fac = []
+        for i in range(self.n):
+            k = 2 * lo[i] + np.arange(sq.shape[i])
+            kw = w * np.where(k == 0, 1, k)   # the k = 0 column is set below
+            x0 = a[:, i:i + 1]
+            f = (np.exp(kw * (x0 + 2.0)) - np.exp(kw * x0)) / kw
+            f[:, k == 0] = (x0 + 2.0) - x0
+            fac.append(f)
+        total = fac[0] @ sq
+        if self.n == 2:
+            total = (total * fac[1]).sum(axis=1)
+        total = total.real.reshape(corner.shape[:-1])
+        return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)

@@ -152,12 +152,73 @@ _PINNED_LAMBDAS = (
     LambdaPoints(m=6, points=(0.09142064403446253, 0.3966702859800407,
                               0.6901593972193657, 0.924959963389065, 1.0),
                  constant=165474076.31988192),
+    # the longest descents
+    LambdaPoints(m=7, points=(0.07947780843245307, 0.23658412742683704,
+                              0.5516050275193679, 0.7343296763329169,
+                              0.9730237310893548, 1.0),
+                 constant=16006551490.031961),
+    LambdaPoints(m=8, points=(0.04469131873802769, 0.16824790583728072,
+                              0.4489003037308098, 0.6205981813093272,
+                              0.8182670151602254, 0.9794122868736193, 1.0),
+                 constant=1606776575430.6736),
 )
 
 
 def test_optimize_lambdas_pinned():
     for want in _PINNED_LAMBDAS:
         assert optimize_lambdas(want.m) == want
+
+
+def _optimize_lambdas_per_start(m):
+    """optimize_lambdas as one coordinate descent per start, run one start
+    after another: the same starts, intervals, improvement rule and sweep
+    cap, each line scored by its own `_kl_constants` call."""
+    rng = np.random.default_rng(0)
+    dim = m - 1
+
+    def cost(rows):
+        bad = (np.any((rows <= 0) | (rows > 1), axis=1)
+               | np.any(np.diff(rows, axis=1) <= 1e-9, axis=1))
+        return np.where(bad, math.inf, ineq._kl_constants(m, rows))
+
+    def descend(lam):
+        lam = lam.copy()
+        best = cost(lam[None, :])[0]
+        for _ in range(200):
+            improved = False
+            for j in range(dim):
+                lo = lam[j - 1] + 1e-6 if j > 0 else 1e-6
+                hi = lam[j + 1] - 1e-6 if j < dim - 1 else 1.0
+                if hi <= lo:
+                    continue
+                grid = np.linspace(lo, hi, 257)
+                rows = np.tile(lam, (grid.size, 1))
+                rows[:, j] = grid
+                vals = cost(rows)
+                k = int(np.argmin(vals))
+                if vals[k] < best - 1e-13:
+                    lam[j] = grid[k]
+                    best = vals[k]
+                    improved = True
+            if not improved:
+                break
+        return lam, best
+
+    candidates = [np.linspace(1.0 / dim, 1.0, dim)]
+    for _ in range(16):
+        candidates.append(np.sort(rng.uniform(0.02, 1.0, size=dim)))
+    best_lam, best_c = None, math.inf
+    for c0 in candidates:
+        lam, c = descend(np.asarray(c0, dtype=float))
+        if c < best_c:
+            best_lam, best_c = lam, c
+    return LambdaPoints(m=m, points=tuple(float(x) for x in best_lam),
+                        constant=float(best_c))
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_batched_descent_matches_one_descent_per_start(m):
+    assert optimize_lambdas(m) == _optimize_lambdas_per_start(m)
 
 
 def test_batched_kl_constants_match_scalar_formula():
@@ -246,6 +307,22 @@ def test_poly_sup_matches_polynomial_objects(coeffs, order):
         assert want == pytest.approx(1.0, rel=1e-15) and want > 1.0 - 1e-9
 
 
+@pytest.mark.parametrize("coeffs", [
+    np.random.default_rng(deg).normal(size=deg + 1) * 3.0 for deg in range(8)
+] + [
+    [1.0, -2.0], [-1.5, 2.0], [-0.0], [0.0, -3.0, 1.0],   # signs of the zero
+    [8.0 / 9.0, 2.0 / 3.0, -1.0, 0.0, 1e-310],          # subnormal leaders
+    [0.3, -1.0, 2.0, -0.7, 5e-324],
+])
+def test_deriv_matches_polyder_bit_for_bit(coeffs):
+    c = np.asarray(coeffs, dtype=float)
+    for k in range(9):
+        got = ineq._deriv(c, k)
+        want = np.polynomial.polynomial.polyder(c, k)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (k, got, want)
+
+
 def test_kl_check_refuses_empty_coefficients():
     with pytest.raises(ConfigError, match="nonempty"):
         kl_check([], m=2, k=1, u=0.5)
@@ -328,9 +405,16 @@ def test_pointwise_from_l2_matches_per_point_reference(dim, kmax, monkeypatch):
         got = H.cube_integral_sq(corners)
         assert got.shape == (pts.shape[0],)
         assert np.all(np.abs(got - integrals) <= 1e-12 * np.maximum(1.0, np.abs(integrals)))
+        # the separable sum reorders the term-by-term one: measured at most
+        # 6.5e-16 (1-d) and 1.8e-15 (2-d) of max(1, |integral|) here; against
+        # a 40-digit sum the two err alike (5.8e-15 and 9.2e-15 of the 2-d
+        # integral)
+        assert np.all(np.abs(got - integrals) <= 1e-14 * np.maximum(1.0, np.abs(integrals)))
         assert isinstance(H.cube_integral_sq(corners[0]), float)
         i = int(np.argmin(margins))
         assert abs(res.worst_margin - margins[i]) <= 1e-12 * scale[i]
+        # measured at most 1.6e-15 of the margin itself
+        assert abs(res.worst_margin - margins[i]) <= 1e-14 * abs(margins[i])
         assert res.ok and not bad and res.failures == ()
     # a constant far too small: most points fail, the first five are reported
     chain = ineq._chain_constant
