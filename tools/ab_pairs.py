@@ -108,6 +108,7 @@ def environment(paths: dict) -> dict:
     import numpy as np
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {k: blas.get(k) for k in ("name", "version", "openblas configuration")}
     except (TypeError, KeyError):
         blas = "unknown"
     env = _env(paths["base"])
