@@ -157,14 +157,18 @@ def main(argv=None) -> int:
         print("--pairs must be at least 1", file=sys.stderr)
         return 2
     pairs = []
-    for i in range(args.pairs):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pairs.append({s: _pass(paths[s], args.workload, args.seed) for s in order})
-    for s in SIDES:
-        if any(p[s].get("err_exact") is None for p in pairs):
-            err = _pass(paths[s], args.workload, args.seed, "--exact")["err_exact"]
-            for p in pairs:
-                p[s]["err_exact"] = err
+    try:
+        for i in range(args.pairs):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pairs.append({s: _pass(paths[s], args.workload, args.seed) for s in order})
+        for s in SIDES:
+            if any(p[s].get("err_exact") is None for p in pairs):
+                err = _pass(paths[s], args.workload, args.seed, "--exact")["err_exact"]
+                for p in pairs:
+                    p[s]["err_exact"] = err
+    except (RuntimeError, subprocess.TimeoutExpired) as exc:
+        print(f"benchmark error: {exc}", file=sys.stderr)
+        return 1
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     summary = summarize(args.workload, args.seed, pairs, metrics, environment(paths))
     print(report(summary))
